@@ -376,15 +376,15 @@ let max_rss_kb () =
     close_in ic;
     r
 
-(* time [f] for at least [min_runs] runs and ~0.2 s, returning mean seconds
-   per run and mean bytes allocated per run *)
+(* time [f] for at least [min_runs] runs and ~0.2 s of elapsed time,
+   returning mean seconds per run and mean bytes allocated per run *)
 let time_it ?(min_runs = 1) f =
   let runs = ref 0 and total = ref 0.0 in
   let a0 = Gc.allocated_bytes () in
   while !runs < min_runs || (!total < 0.2 && !runs < 1_000) do
-    let t0 = Sys.time () in
+    let t0 = Ic_prof.Monotonic.now () in
     ignore (Sys.opaque_identity (f ()));
-    total := !total +. (Sys.time () -. t0);
+    total := !total +. (Ic_prof.Monotonic.now () -. t0);
     incr runs
   done;
   let a1 = Gc.allocated_bytes () in

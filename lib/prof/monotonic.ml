@@ -1,9 +1,8 @@
-(* The span clock. OCaml's stdlib exposes no monotonic wall clock
-   ([Sys.time] is CPU time with clock-tick granularity), so this is a shim
-   over [Unix.gettimeofday]: microsecond-ish resolution, wall-clock
-   semantics, and — on the machines we bench on — close enough to monotone
-   that span totals are trustworthy. Swap the implementation here (e.g. for
-   [Mtime_clock.now_ns] or [clock_gettime(CLOCK_MONOTONIC)] bindings) and
-   every span in the tree follows. *)
+(* The span clock: [clock_gettime(CLOCK_MONOTONIC)] through a C stub, so
+   a wall-clock step (NTP, an operator's [date -s]) moves no span, lease
+   deadline or harness timer. Native calls are unboxed and allocate
+   nothing. *)
 
-let now : unit -> float = Unix.gettimeofday
+external now : unit -> (float[@unboxed])
+  = "ic_prof_monotonic_now_byte" "ic_prof_monotonic_now"
+[@@noalloc]

@@ -1,4 +1,6 @@
-val now : unit -> float
-(** Current time in seconds, for span durations. A shim over
-    [Unix.gettimeofday] until a true monotonic source is bound; see the
-    implementation for the swap point. *)
+external now : unit -> (float[@unboxed])
+  = "ic_prof_monotonic_now_byte" "ic_prof_monotonic_now"
+[@@noalloc]
+(** Seconds on the [CLOCK_MONOTONIC] clock, from an arbitrary origin:
+    only differences of two readings mean anything. Unaffected by
+    wall-clock steps. *)

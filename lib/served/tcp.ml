@@ -163,6 +163,9 @@ let serve ?metrics ?sink ?on_listen ?(once = false) ?journal ?(recover = false)
           match Unix.accept lsock with
           | cfd, _ ->
             incr accepted;
+            (* a reply batch must not wait on the ACK of the one before *)
+            (try Unix.setsockopt cfd Unix.TCP_NODELAY true
+             with Unix.Unix_error _ -> ());
             conns := { fd = cfd; reader = Wire.Reader.create () } :: !conns
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
           | exception Unix.Unix_error _ -> ()
@@ -202,30 +205,28 @@ let serve ?metrics ?sink ?on_listen ?(once = false) ?journal ?(recover = false)
             in
             if n = 0 then close_conn c
             else begin
+              (* every complete frame of this read is answered, and the
+                 replies leave together in one write; a corrupt frame
+                 still lets the replies before it out, then drops *)
               Wire.Reader.feed c.reader rbuf 0 n;
-              let drop = ref None in
-              let continue = ref true in
-              while !continue do
+              Buffer.clear out;
+              let rec answer () =
                 match Wire.Reader.next c.reader with
-                | Ok None -> continue := false
-                | Error e ->
-                  drop := Some ("wire: " ^ e);
-                  continue := false
-                | Ok (Some msg) -> (
-                  let reply = Server.handle srv ~now:(now ()) msg in
-                  Buffer.clear out;
-                  Wire.encode out reply;
-                  try send_all c.fd (Buffer.to_bytes out) (Buffer.length out)
-                  with
-                  | Unix.Unix_error
-                      ((Unix.ECONNRESET | Unix.EPIPE) as e, _, _) ->
-                    drop := Some ("write: " ^ Unix.error_message e);
-                    continue := false
-                  | Unix.Unix_error (e, _, _) ->
-                    drop := Some ("write: " ^ Unix.error_message e);
-                    continue := false)
-              done;
-              match !drop with
+                | Ok None -> None
+                | Error e -> Some ("wire: " ^ e)
+                | Ok (Some msg) ->
+                  Wire.encode out (Server.handle srv ~now:(now ()) msg);
+                  answer ()
+              in
+              let drop = answer () in
+              let drop =
+                try
+                  send_all c.fd (Buffer.to_bytes out) (Buffer.length out);
+                  drop
+                with Unix.Unix_error (e, _, _) ->
+                  Some ("write: " ^ Unix.error_message e)
+              in
+              match drop with
               | Some reason -> close_conn ~reason c
               | None -> ()
             end))
@@ -345,31 +346,32 @@ let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
     end
   in
   let events : (float, ev) Heap.t = Heap.create () in
-  let out = Buffer.create 256 in
+  (* each connection's frames of the current loop turn, sent by [flush]
+     in one write; [chaos_buf] holds one encoded frame for chaos to mangle *)
+  let outs = Array.init nconn (fun _ -> Buffer.create 4096) in
+  let chaos_buf = Buffer.create 64 in
   let rbuf = Bytes.create 65536 in
   let settle i st =
     if status.(i) <> w_finished && status.(i) <> w_dead then incr settled;
     end_busy i (elapsed ());
     status.(i) <- st
   in
-  (* dial connection [c] and announce the session with a Hello; [strict]
-     (the initial dial) lets a refused connection raise out to the
-     caller, a redial just reports failure *)
+  (* dial connection [c] and queue a Hello announcing the session for the
+     next flush; [strict] (the initial dial) lets a refused connection
+     raise out to the caller, a redial just reports failure *)
   let connect_conn ~strict c =
     let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     match
       Unix.connect s addr;
       (try Unix.setsockopt s Unix.TCP_NODELAY true
-       with Unix.Unix_error _ -> ());
-      Buffer.clear out;
-      Wire.encode out (Wire.Hello { worker = c });
-      send_all s (Buffer.to_bytes out) (Buffer.length out)
+       with Unix.Unix_error _ -> ())
     with
     | () ->
       socks.(c) <- s;
       readers.(c) <- Wire.Reader.create ();
       open_.(c) <- true;
       attempts.(c) <- 0;
+      Wire.encode outs.(c) (Wire.Hello { worker = c });
       Queue.add
         { p_worker = c; p_ep = 0; p_kind = P_hello; p_t = elapsed () }
         pendings.(c);
@@ -398,6 +400,7 @@ let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
     if open_.(c) then begin
       open_.(c) <- false;
       (try Unix.close socks.(c) with Unix.Unix_error _ -> ());
+      Buffer.clear outs.(c);
       (* outstanding replies on this connection will never arrive *)
       total_pending := !total_pending - Queue.length pendings.(c);
       Queue.iter
@@ -415,34 +418,31 @@ let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
     if dead.(c) then settle i w_finished
     else if not open_.(c) then requeue_worker i (elapsed ())
     else begin
-      Buffer.clear out;
-      Wire.encode out msg;
-      let b = Buffer.to_bytes out in
-      let wrote =
-        try
-          (match chaos with
-          | None -> send_all socks.(c) b (Bytes.length b)
-          | Some plan ->
-            let fr = frames.(c) in
-            frames.(c) <- fr + 1;
-            List.iter
-              (fun chunk -> send_all socks.(c) chunk (Bytes.length chunk))
-              (Chaos.mangle plan ~dir:c ~frame:fr b));
-          true
-        with Unix.Unix_error _ -> false
-      in
-      if wrote then begin
-        Queue.add
-          { p_worker = i; p_ep = epoch.(i); p_kind = kind; p_t = elapsed () }
-          pendings.(c);
-        incr total_pending
-      end
-      else begin
-        let t = elapsed () in
-        close_conn c t;
-        requeue_worker i t
-      end
+      (match chaos with
+      | None -> Wire.encode outs.(c) msg
+      | Some plan ->
+        Buffer.clear chaos_buf;
+        Wire.encode chaos_buf msg;
+        let fr = frames.(c) in
+        frames.(c) <- fr + 1;
+        List.iter (Buffer.add_bytes outs.(c))
+          (Chaos.mangle plan ~dir:c ~frame:fr (Buffer.to_bytes chaos_buf)));
+      Queue.add
+        { p_worker = i; p_ep = epoch.(i); p_kind = kind; p_t = elapsed () }
+        pendings.(c);
+      incr total_pending
     end
+  in
+  (* one write per connection per loop turn; a failed write is a lost
+     connection, and [close_conn] requeues every worker waiting on it *)
+  let flush () =
+    Array.iteri
+      (fun c b ->
+        if open_.(c) then
+          match send_all socks.(c) (Buffer.to_bytes b) (Buffer.length b) with
+          | () -> Buffer.clear b
+          | exception Unix.Unix_error _ -> close_conn c (elapsed ()))
+      outs
   in
   let alive i = status.(i) = w_idle || status.(i) = w_busy in
   let schedule_churn i =
@@ -581,6 +581,7 @@ let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
         | None -> due := false)
       | _ -> due := false
     done;
+    flush ();
     (* a queue head older than the reply timeout means the request or
        its reply died on the wire (chaos, a crashed server): the FIFO is
        unrecoverable, cut the connection and let reconnect heal it *)

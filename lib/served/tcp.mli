@@ -1,8 +1,8 @@
 (** Loopback TCP transport for the lease server and the load harness.
 
     {!serve} wraps a {!Server} in a single-threaded select loop:
-    length-prefixed frames in, one reply per request out, lease expiries
-    fired from the wall clock between polls. {!hammer} is the matching
+    length-prefixed frames in, one reply per request, lease expiries
+    fired from the monotonic clock between polls. {!hammer} is the matching
     real-time client: it runs {!Hammer}'s worker model (same batch
     discipline, same seeded Pareto service latencies, same
     {!Ic_fault.Plan.Churn} stream) but multiplexes the virtual workers
@@ -18,11 +18,22 @@
     with [--recover] is drained to exactly-once completion by the same
     client fleet.
 
+    Writes are coalesced, one syscall per batch: {!serve} answers every
+    complete frame of a read and sends the replies together in one
+    write; {!hammer} appends each loop turn's frames to a per-connection
+    buffer and sends each buffer in one write before it polls. Both use
+    [TCP_NODELAY], so a batch never waits on the ACK of the one before.
+
+    Writes block, and cannot deadlock: the loop is closed (a worker asks
+    again only once answered), so the bytes in flight on a connection
+    are bounded by about (workers on it) × (largest frame) — a few KiB
+    for the fleets here, far below a loopback socket buffer — and a
+    blocked write always drains into the peer's kernel buffer.
+
     Both ends are driver code, not a production network stack: blocking
-    writes (replies are small and the sockets are loopback), one read
-    buffer, no TLS. They exist so the CI smoke jobs (including the
-    kill -9 crash-recovery job) and the operator CLI can exercise the
-    sans-IO core over real sockets. *)
+    writes, one read buffer, no TLS. They exist so the CI smoke jobs
+    (including the kill -9 crash-recovery job) and the operator CLI can
+    exercise the sans-IO core over real sockets. *)
 
 val serve :
   ?metrics:Ic_obs.Metrics.t ->

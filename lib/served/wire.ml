@@ -37,54 +37,64 @@ let add_u32 buf v = Buffer.add_int32_le buf (Int32.of_int v)
 let add_u16 buf v = Buffer.add_uint16_le buf v
 let add_f64 buf v = Buffer.add_int64_le buf (Int64.bits_of_float v)
 
-let encode_payload buf m =
-  Buffer.add_uint8 buf (tag m);
-  match m with
-  | Hello { worker } | Heartbeat { worker } ->
-    check_u32 "worker" worker;
-    add_u32 buf worker
+(* every range check of [m], run before a byte is written so a rejected
+   message leaves a shared (coalescing) buffer untouched *)
+let validate = function
+  | Hello { worker } | Heartbeat { worker } -> check_u32 "worker" worker
   | Lease_req { worker; k } ->
     check_u32 "worker" worker;
     if k < 1 || k > 0xFFFF then
-      invalid_arg (Printf.sprintf "Wire.encode: k %d out of range 1..65535" k);
-    add_u32 buf worker;
-    add_u16 buf k
+      invalid_arg (Printf.sprintf "Wire.encode: k %d out of range 1..65535" k)
   | Complete { worker; task } ->
     check_u32 "worker" worker;
-    check_u32 "task" task;
-    add_u32 buf worker;
-    add_u32 buf task
-  | Drain | Ack -> ()
+    check_u32 "task" task
+  | Drain | Ack | Retry_after _ -> ()
   | Welcome { n_tasks; n_shards } ->
     check_u32 "n_tasks" n_tasks;
-    check_u32 "n_shards" n_shards;
-    add_u32 buf n_tasks;
-    add_u32 buf n_shards
-  | Lease { tasks; expires_in_s } ->
+    check_u32 "n_shards" n_shards
+  | Lease { tasks; _ } ->
     let b = Array.length tasks in
     if b > max_lease_tasks then
       invalid_arg
         (Printf.sprintf "Wire.encode: lease of %d tasks exceeds %d" b
            max_lease_tasks);
-    add_u16 buf b;
-    Array.iter
-      (fun t ->
-        check_u32 "task" t;
-        add_u32 buf t)
-      tasks;
-    add_f64 buf expires_in_s
-  | Retry_after { delay_s } -> add_f64 buf delay_s
+    for i = 0 to b - 1 do
+      check_u32 "task" tasks.(i)
+    done
   | Done { completed; reissues } ->
     check_u32 "completed" completed;
-    check_u32 "reissues" reissues;
-    add_u32 buf completed;
-    add_u32 buf reissues
+    check_u32 "reissues" reissues
+
+(* tag byte included *)
+let payload_length = function
+  | Drain | Ack -> 1
+  | Hello _ | Heartbeat _ -> 5
+  | Lease_req _ -> 7
+  | Complete _ | Welcome _ | Retry_after _ | Done _ -> 9
+  | Lease { tasks; _ } -> 11 + (4 * Array.length tasks)
 
 let encode buf m =
-  let p = Buffer.create 32 in
-  encode_payload p m;
-  add_u32 buf (Buffer.length p);
-  Buffer.add_buffer buf p
+  validate m;
+  add_u32 buf (payload_length m);
+  Buffer.add_uint8 buf (tag m);
+  match m with
+  | Hello { worker } | Heartbeat { worker } -> add_u32 buf worker
+  | Lease_req { worker; k } ->
+    add_u32 buf worker;
+    add_u16 buf k
+  | Complete { worker = a; task = b }
+  | Welcome { n_tasks = a; n_shards = b }
+  | Done { completed = a; reissues = b } ->
+    add_u32 buf a;
+    add_u32 buf b
+  | Drain | Ack -> ()
+  | Lease { tasks; expires_in_s } ->
+    add_u16 buf (Array.length tasks);
+    for i = 0 to Array.length tasks - 1 do
+      add_u32 buf tasks.(i)
+    done;
+    add_f64 buf expires_in_s
+  | Retry_after { delay_s } -> add_f64 buf delay_s
 
 let to_string m =
   let b = Buffer.create 32 in

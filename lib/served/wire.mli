@@ -47,7 +47,8 @@ val max_u32 : int
 
 val encode : Buffer.t -> msg -> unit
 (** Append one full frame. Raises [Invalid_argument] on out-of-range
-    fields (negative ids, ids above {!max_u32}, oversized lease). *)
+    fields (negative ids, ids above {!max_u32}, oversized lease), before
+    appending anything: a rejected message leaves the buffer as it was. *)
 
 val to_string : msg -> string
 (** {!encode} into a fresh string. *)

@@ -159,6 +159,29 @@ let test_reader_byte_at_a_time () =
   Alcotest.(check int) "message count" (List.length msgs) (List.length !got);
   if List.rev !got <> msgs then Alcotest.fail "messages differ or reordered"
 
+(* the TCP ends coalesce frames into one buffer per connection, so a
+   rejected message must not leave a partial frame behind in it *)
+let test_encode_rejects_atomically () =
+  let buf = Buffer.create 64 in
+  Wire.encode buf (Wire.Hello { worker = 1 });
+  let before = Buffer.contents buf in
+  List.iter
+    (fun m ->
+      (match Wire.encode buf m with
+      | () -> Alcotest.fail "out-of-range message encoded"
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check int) "length unchanged" (String.length before)
+        (Buffer.length buf);
+      Alcotest.(check string) "bytes unchanged" before (Buffer.contents buf))
+    [
+      Wire.Complete { worker = 1; task = -1 };
+      Wire.Complete { worker = Wire.max_u32 + 1; task = 0 };
+      Wire.Lease { tasks = [| 1; 2; Wire.max_u32 + 1 |]; expires_in_s = 1.0 };
+      Wire.Lease
+        { tasks = Array.make (Wire.max_lease_tasks + 1) 0; expires_in_s = 1.0 };
+      Wire.Lease_req { worker = 1; k = 0 };
+    ]
+
 (* ------------------------------------------------- shard view and pools *)
 
 let test_shard_view_partition () =
@@ -878,6 +901,140 @@ let test_tcp_chaos_reconnects_and_finishes () =
   Alcotest.(check bool) "the wire forced at least one reconnect" true
     (hr.Tcp.reconnects > 0)
 
+(* pipelining over a raw socket: [Tcp.serve] answers every frame of a read
+   and writes the replies out together, so many frames in one write, and
+   frames cut at any byte, must come back complete, in FIFO order, and
+   equal to what a synchronous drive of a twin server answers *)
+
+(* the next [count] frames of a fixed Hello / Lease_req / Complete /
+   Heartbeat rotation, each paired with the twin's reply; a Complete names
+   the oldest task the twin leased and nobody completed yet (task 0, a
+   duplicate, when none is held) *)
+let plan_frames twin held count =
+  let script = ref [] in
+  for i = 0 to count - 1 do
+    let msg =
+      match i mod 4 with
+      | 0 -> Wire.Hello { worker = 0 }
+      | 1 -> Wire.Lease_req { worker = 0; k = 2 }
+      | 2 ->
+        Wire.Complete
+          { worker = 0; task = (if Queue.is_empty held then 0 else Queue.pop held) }
+      | _ -> Wire.Heartbeat { worker = 0 }
+    in
+    let reply = Server.handle twin ~now:0.0 msg in
+    (match reply with
+    | Wire.Lease { tasks; _ } -> Array.iter (fun v -> Queue.add v held) tasks
+    | _ -> ());
+    script := (msg, reply) :: !script
+  done;
+  List.rev !script
+
+let frames_of script =
+  let b = Buffer.create 256 in
+  List.iter (fun (m, _) -> Wire.encode b m) script;
+  Buffer.contents b
+
+let rec write_all fd s off len =
+  if len > 0 then begin
+    let k = Unix.write_substring fd s off len in
+    write_all fd s (off + k) (len - k)
+  end
+
+(* read [n] reply frames, failing after 5 s of silence *)
+let read_replies fd reader n =
+  let buf = Bytes.create 4096 in
+  let rec go acc k =
+    if k = n then List.rev acc
+    else
+      match Wire.Reader.next reader with
+      | Ok (Some m) -> go (m :: acc) (k + 1)
+      | Error e -> Alcotest.failf "reply stream: %s" e
+      | Ok None ->
+        (match Unix.select [ fd ] [] [] 5.0 with
+        | [], _, _ -> Alcotest.failf "timed out after %d of %d replies" k n
+        | _ ->
+          let r = Unix.read fd buf 0 (Bytes.length buf) in
+          if r = 0 then Alcotest.fail "server closed the connection";
+          Wire.Reader.feed reader buf 0 r);
+        go acc k
+  in
+  go [] 0
+
+let check_replies what script got =
+  List.iteri
+    (fun i ((_, want), got) ->
+      if want <> got then
+        Alcotest.failf "%s: reply %d is %S, the twin answered %S" what i
+          (Wire.to_string got) (Wire.to_string want))
+    (List.combine script got)
+
+let test_tcp_pipelined_frames () =
+  let g = Mesh.out_mesh 10 in
+  let n = Dag.n_nodes g in
+  (* leases outlive the test: no expiry may fire in the served copy *)
+  let scfg = Server.config ~n_shards:2 ~expected_s:100.0 () in
+  let port = Atomic.make 0 in
+  let server =
+    Domain.spawn (fun () ->
+        Tcp.serve
+          ~on_listen:(fun p -> Atomic.set port p)
+          ~once:true ~port:0 scfg g)
+  in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Atomic.get port = 0 && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  if Atomic.get port = 0 then Alcotest.fail "server never listened";
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Atomic.get port));
+  Unix.setsockopt fd Unix.TCP_NODELAY true;
+  let reader = Wire.Reader.create () in
+  let twin = Server.create scfg g in
+  let held = Queue.create () in
+  (* 64 mixed frames in one write *)
+  let script = plan_frames twin held 64 in
+  let s = frames_of script in
+  write_all fd s 0 (String.length s);
+  check_replies "one write" script (read_replies fd reader 64);
+  (* a 4-frame sequence cut at every byte boundary, in two writes with a
+     pause between, so the server reads a partial frame first *)
+  let cut = ref 1 and len = ref 2 in
+  while !cut < !len do
+    let script = plan_frames twin held 4 in
+    let s = frames_of script in
+    len := String.length s;
+    write_all fd s 0 !cut;
+    Unix.sleepf 0.001;
+    write_all fd s !cut (!len - !cut);
+    check_replies
+      (Printf.sprintf "cut at byte %d" !cut)
+      script
+      (read_replies fd reader 4);
+    incr cut
+  done;
+  (* finish the drain one frame at a time, so [once] lets the server go *)
+  let rec finish budget =
+    if budget = 0 then Alcotest.fail "drain never finished";
+    let msg =
+      if Queue.is_empty held then Wire.Lease_req { worker = 0; k = 2 }
+      else Wire.Complete { worker = 0; task = Queue.pop held }
+    in
+    let want = Server.handle twin ~now:0.0 msg in
+    (match want with
+    | Wire.Lease { tasks; _ } -> Array.iter (fun v -> Queue.add v held) tasks
+    | _ -> ());
+    let s = Wire.to_string msg in
+    write_all fd s 0 (String.length s);
+    check_replies "drain" [ (msg, want) ] (read_replies fd reader 1);
+    match want with Wire.Done _ -> () | _ -> finish (budget - 1)
+  in
+  finish 1000;
+  Unix.close fd;
+  let st = Domain.join server in
+  Alcotest.(check int) "server applied every task once" n st.Server.completions;
+  Alcotest.(check int) "no protocol errors" 0 st.Server.protocol_errors
+
 (* the full loop over real sockets: journal the first serve, kill it
    mid-drain (abandon the domain's server state), restart with recover,
    and let a fresh hammer finish the job *)
@@ -964,6 +1121,8 @@ let () =
              test_trailing_bytes_rejected
         :: Alcotest.test_case "reader reassembles byte-at-a-time" `Quick
              test_reader_byte_at_a_time
+        :: Alcotest.test_case "rejected encode leaves the buffer unchanged"
+             `Quick test_encode_rejects_atomically
         :: qcheck
              [ prop_roundtrip; prop_truncated_needs_more; prop_junk_never_raises ]
       );
@@ -1033,5 +1192,7 @@ let () =
             test_tcp_chaos_reconnects_and_finishes;
           Alcotest.test_case "journal + recover over real sockets" `Quick
             test_tcp_journal_recover_roundtrip;
+          Alcotest.test_case "pipelined frames: FIFO replies = twin drive"
+            `Quick test_tcp_pipelined_frames;
         ] );
     ]
