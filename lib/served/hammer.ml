@@ -131,7 +131,7 @@ let drive ?metrics srv cfg =
       busy_since.(i) <- nan
     end
   in
-  let events : (float, ev) Heap.t = Heap.create () in
+  let events : ev Heap.t = Heap.create () in
   let schedule_churn i =
     match Plan.Churn.next churn.(i) with
     | None -> ()
@@ -226,17 +226,15 @@ let drive ?metrics srv cfg =
       end);
     schedule_churn i
   in
-  let running = ref true in
-  while !running && not (Server.is_done srv) do
-    match Heap.pop events with
-    | None -> running := false
-    | Some (t, ev) ->
-      fire_expiries t;
-      now := t;
-      (match ev with
-      | Request (i, ep) -> if ep = epoch.(i) then handle_request i t
-      | Complete_due (i, ep) -> if ep = epoch.(i) then handle_complete_due i t
-      | Churn_ev (i, kind) -> handle_churn i kind t)
+  while (not (Server.is_done srv)) && not (Heap.is_empty events) do
+    let t = Heap.min_key events in
+    let ev = Heap.pop_min events in
+    fire_expiries t;
+    now := t;
+    match ev with
+    | Request (i, ep) -> if ep = epoch.(i) then handle_request i t
+    | Complete_due (i, ep) -> if ep = epoch.(i) then handle_complete_due i t
+    | Churn_ev (i, kind) -> handle_churn i kind t
   done;
   for i = 0 to w - 1 do
     end_busy i !now
@@ -322,7 +320,7 @@ let run_chaos ?metrics ?sink ?live ?flight ~server:scfg ~wire
   let seq = Array.make w 0 in
   let awaiting = Array.make w (-1) in
   let last_msg : Wire.msg option array = Array.make w None in
-  let events : (float, cev) Heap.t = Heap.create () in
+  let events : cev Heap.t = Heap.create () in
   let schedule_churn i =
     match Plan.Churn.next churn.(i) with
     | None -> ()
@@ -437,55 +435,53 @@ let run_chaos ?metrics ?sink ?live ?flight ~server:scfg ~wire
       end);
     schedule_churn i
   in
-  let running = ref true in
-  while !running && not (Server.is_done srv) do
-    match Heap.pop events with
-    | None -> running := false
-    | Some (t, ev) ->
-      fire_expiries t;
-      now := t;
-      (match ev with
-      | C_request (i, ep) ->
-        if ep = epoch.(i) && status.(i) = w_idle && awaiting.(i) < 0 then begin
-          if Float.is_nan first_req.(i) then first_req.(i) <- t;
-          transmit i t (Wire.Lease_req { worker = i; k = cfg.k })
-        end
-      | C_complete_due (i, ep) ->
-        if ep = epoch.(i) && status.(i) = w_busy then begin
-          match batch.(i) with
-          | [] -> ()
-          | task :: rest ->
-            batch.(i) <- rest;
-            sample service_lat (t -. batch_t0.(i));
-            transmit i t (Wire.Complete { worker = i; task })
-        end
-      | C_churn (i, kind) -> handle_churn i kind t
-      | C_to_server m -> (
-        let reply = Server.handle srv ~now:t m in
-        let target =
-          match m with
-          | Wire.Hello { worker }
-          | Wire.Lease_req { worker; _ }
-          | Wire.Complete { worker; _ }
-          | Wire.Heartbeat { worker } ->
-            worker
-          | _ -> -1
-        in
-        if target >= 0 && target < w then
-          List.iter
-            (fun (dt, r) ->
-              Heap.push events dt (C_to_worker (target, epoch.(target), r)))
-            (Chaos.send s2c ~now:t reply))
-      | C_to_worker (i, ep, m) -> if ep = epoch.(i) then deliver i t m
-      | C_retry (i, ep, s) ->
-        (* the request is still open: the frame (or its reply) died on
-           the wire — resend the same message as a fresh frame *)
-        if ep = epoch.(i) && awaiting.(i) = s && alive i then begin
-          incr retries;
-          match last_msg.(i) with
-          | Some m -> uplink i t m
-          | None -> ()
-        end)
+  while (not (Server.is_done srv)) && not (Heap.is_empty events) do
+    let t = Heap.min_key events in
+    let ev = Heap.pop_min events in
+    fire_expiries t;
+    now := t;
+    match ev with
+    | C_request (i, ep) ->
+      if ep = epoch.(i) && status.(i) = w_idle && awaiting.(i) < 0 then begin
+        if Float.is_nan first_req.(i) then first_req.(i) <- t;
+        transmit i t (Wire.Lease_req { worker = i; k = cfg.k })
+      end
+    | C_complete_due (i, ep) ->
+      if ep = epoch.(i) && status.(i) = w_busy then begin
+        match batch.(i) with
+        | [] -> ()
+        | task :: rest ->
+          batch.(i) <- rest;
+          sample service_lat (t -. batch_t0.(i));
+          transmit i t (Wire.Complete { worker = i; task })
+      end
+    | C_churn (i, kind) -> handle_churn i kind t
+    | C_to_server m -> (
+      let reply = Server.handle srv ~now:t m in
+      let target =
+        match m with
+        | Wire.Hello { worker }
+        | Wire.Lease_req { worker; _ }
+        | Wire.Complete { worker; _ }
+        | Wire.Heartbeat { worker } ->
+          worker
+        | _ -> -1
+      in
+      if target >= 0 && target < w then
+        List.iter
+          (fun (dt, r) ->
+            Heap.push events dt (C_to_worker (target, epoch.(target), r)))
+          (Chaos.send s2c ~now:t reply))
+    | C_to_worker (i, ep, m) -> if ep = epoch.(i) then deliver i t m
+    | C_retry (i, ep, s) ->
+      (* the request is still open: the frame (or its reply) died on
+         the wire — resend the same message as a fresh frame *)
+      if ep = epoch.(i) && awaiting.(i) = s && alive i then begin
+        incr retries;
+        match last_msg.(i) with
+        | Some m -> uplink i t m
+        | None -> ()
+      end
   done;
   for i = 0 to w - 1 do
     end_busy i !now

@@ -43,6 +43,13 @@ let st_ready = '\001'
 let st_leased = '\002'
 let st_done = '\003'
 
+(* a deadline-heap entry packs (task, lease generation) into one
+   immediate: the task in the low 31 bits (dags index nodes by int32),
+   the generation above it *)
+let task_bits = 31
+let task_mask = (1 lsl task_bits) - 1
+let expiry_entry v gen = (gen lsl task_bits) lor v
+
 type meters = {
   m_leases : Metrics.counter;
   m_leased_tasks : Metrics.counter;
@@ -82,13 +89,13 @@ type t = {
   state : Bytes.t;
   gen : int array;  (* lease generation per task; bumps invalidate expiries *)
   alloc_t : float array;  (* allocation time of the task's latest lease *)
-  expiries : (float, int * int) Heap.t;  (* expiry -> (task, gen) *)
+  expiries : int Heap.t;  (* deadline -> [expiry_entry task gen] *)
   scratch : int array;  (* lease accumulator, max_lease long *)
   scratch_pop : int array;  (* pop_batch target — distinct from scratch:
                                a pop for a later shard must not clobber
                                tasks already accumulated *)
   (* (task, gen) pairs per worker, for heartbeat renewal; stale pairs are
-     skipped on renewal *)
+     dropped on the worker's next grant or renewal *)
   by_worker : (int, (int * int) list) Hashtbl.t;
   mutable inflight : int;
   mutable cursor : int;  (* round-robin shard cursor for batch filling *)
@@ -284,15 +291,17 @@ let fill_batch t ~budget acc =
   t.cursor <- (t.cursor + !tried) mod n_shards;
   !got
 
-let record_lease t ~now ~worker v =
+(* whether [v]'s lease of generation [g] is still the live one *)
+let holds t v g = Bytes.get t.state v = st_leased && t.gen.(v) = g
+
+let record_lease t ~now v =
   Bytes.set t.state v st_leased;
   t.gen.(v) <- t.gen.(v) + 1;
   t.alloc_t.(v) <- now;
   t.inflight <- t.inflight + 1;
   let tmo = timeout_s t in
-  if Float.is_finite tmo then Heap.push t.expiries (now +. tmo) (v, t.gen.(v));
-  let prev = try Hashtbl.find t.by_worker worker with Not_found -> [] in
-  Hashtbl.replace t.by_worker worker ((v, t.gen.(v)) :: prev);
+  if Float.is_finite tmo then
+    Heap.push t.expiries (now +. tmo) (expiry_entry v t.gen.(v));
   let shard = shard_of t v in
   with_meters t (fun m -> Metrics.incr m.m_shard_leased.(shard));
   flight_record t Trace.Task_alloc ~time:now ~a:v ~b:shard;
@@ -421,7 +430,19 @@ let handle_msg t ~now (msg : Wire.msg) : Wire.msg =
         else begin
           let tasks = Array.sub t.scratch 0 got in
           journal_append t (Journal.Lease tasks);
-          Array.iter (fun v -> record_lease t ~now ~worker v) tasks;
+          (* the worker's pairs that are no longer live go first: nothing
+             else prunes them when the worker never heartbeats *)
+          let held =
+            match Hashtbl.find_opt t.by_worker worker with
+            | None -> []
+            | Some pairs -> List.filter (fun (v, g) -> holds t v g) pairs
+          in
+          Hashtbl.replace t.by_worker worker
+            (Array.fold_left
+               (fun held v ->
+                 record_lease t ~now v;
+                 (v, t.gen.(v)) :: held)
+               held tasks);
           t.leases <- t.leases + 1;
           t.leased_tasks <- t.leased_tasks + got;
           with_meters t (fun m ->
@@ -467,11 +488,11 @@ let handle_msg t ~now (msg : Wire.msg) : Wire.msg =
          let live =
            List.filter_map
              (fun (v, g) ->
-               if Bytes.get t.state v = st_leased && t.gen.(v) = g then begin
+               if holds t v g then begin
                  (* renew: bump the generation so the old heap entry is
                     stale, and push the extended expiry *)
                  t.gen.(v) <- t.gen.(v) + 1;
-                 Heap.push t.expiries (now +. tmo) (v, t.gen.(v));
+                 Heap.push t.expiries (now +. tmo) (expiry_entry v t.gen.(v));
                  Some (v, t.gen.(v))
                end
                else None)
@@ -492,31 +513,27 @@ let handle t ~now (msg : Wire.msg) : Wire.msg =
   sample t ~now;
   reply
 
-let next_expiry t =
-  match Heap.peek t.expiries with None -> infinity | Some (time, _) -> time
+let next_expiry t = Heap.min_key t.expiries [@@inline]
 
 let expire t ~now =
   let fired = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Heap.peek t.expiries with
-    | Some (time, (v, g)) when time <= now ->
-      ignore (Heap.pop t.expiries);
-      if Bytes.get t.state v = st_leased && t.gen.(v) = g then begin
-        (* the holder went quiet: re-issue *)
-        t.inflight <- t.inflight - 1;
-        t.reissues <- t.reissues + 1;
-        incr fired;
-        with_meters t (fun m -> Metrics.incr m.m_reissues);
-        with_live t (fun l -> Live.incr l.l_reissues ~shard:0 1);
-        flight_record t Trace.Timeout_fired ~time ~a:v ~b:(shard_of t v);
-        (match t.sink with
-        | None -> ()
-        | Some tr ->
-          Trace.timeout_fired tr ~time ~task:v ~client:(shard_of t v));
-        push_ready t v
-      end
-    | _ -> continue := false
+  while Heap.min_key t.expiries <= now do
+    let time = Heap.min_key t.expiries in
+    let e = Heap.pop_min t.expiries in
+    let v = e land task_mask in
+    if holds t v (e lsr task_bits) then begin
+      (* the holder went quiet: re-issue *)
+      t.inflight <- t.inflight - 1;
+      t.reissues <- t.reissues + 1;
+      incr fired;
+      with_meters t (fun m -> Metrics.incr m.m_reissues);
+      with_live t (fun l -> Live.incr l.l_reissues ~shard:0 1);
+      flight_record t Trace.Timeout_fired ~time ~a:v ~b:(shard_of t v);
+      (match t.sink with
+      | None -> ()
+      | Some tr -> Trace.timeout_fired tr ~time ~task:v ~client:(shard_of t v));
+      push_ready t v
+    end
   done;
   !fired
 

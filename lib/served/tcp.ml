@@ -345,7 +345,7 @@ let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
       busy_since.(i) <- nan
     end
   in
-  let events : (float, ev) Heap.t = Heap.create () in
+  let events : ev Heap.t = Heap.create () in
   (* each connection's frames of the current loop turn, sent by [flush]
      in one write; [chaos_buf] holds one encoded frame for chaos to mangle *)
   let outs = Array.init nconn (fun _ -> Buffer.create 4096) in
@@ -572,14 +572,9 @@ let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
   (try
     while !settled < w && progress_possible () do
     (* fire every event that is due *)
-    let due = ref true in
-    while !due do
-      match Heap.peek events with
-      | Some (te, _) when te <= elapsed () -> (
-        match Heap.pop events with
-        | Some (_, ev) -> dispatch_event ev (elapsed ())
-        | None -> due := false)
-      | _ -> due := false
+    while Heap.min_key events <= elapsed () do
+      let ev = Heap.pop_min events in
+      dispatch_event ev (elapsed ())
     done;
     flush ();
     (* a queue head older than the reply timeout means the request or
@@ -593,10 +588,9 @@ let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
       end
     done;
     if !settled < w && progress_possible () then begin
+      (* at most 0.05 s, also when no event is due ([min_key] = infinity) *)
       let timeout =
-        match Heap.peek events with
-        | Some (te, _) -> Float.max 0.0 (Float.min 0.05 (te -. elapsed ()))
-        | None -> 0.05
+        Float.max 0.0 (Float.min 0.05 (Heap.min_key events -. elapsed ()))
       in
       let fds = ref [] in
       Array.iteri (fun c s -> if open_.(c) then fds := s :: !fds) socks;

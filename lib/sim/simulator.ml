@@ -188,7 +188,7 @@ let run ?sink ?metrics cfg policy ~workload g =
     | Some tr ->
       Trace.eligible_count tr ~time:!now ~count:(Policy.Robust.size robust)
   in
-  let events : (float, ev) Heap.t = Heap.create () in
+  let events : ev Heap.t = Heap.create () in
   (* per-client state *)
   let busy = Array.make cfg.n_clients 0.0 in
   let st = Array.make cfg.n_clients st_idle in
@@ -605,14 +605,14 @@ let run ?sink ?metrics cfg policy ~workload g =
   done;
   let deadline = rc.Recovery.deadline in
   while !abort = None && !completed < n do
-    Span.enter "sim.ev.pop";
-    let popped = Heap.pop events in
-    Span.leave ();
-    match popped with
-    | None ->
+    if Heap.is_empty events then
       (* no event can ever re-pool the remaining work: clean abort *)
       abort := Some No_progress
-    | Some (t, ev) ->
+    else begin
+      Span.enter "sim.ev.pop";
+      let t = Heap.min_key events in
+      let ev = Heap.pop_min events in
+      Span.leave ();
       if t > deadline then begin
         eligible_integral :=
           !eligible_integral
@@ -652,6 +652,7 @@ let run ?sink ?metrics cfg policy ~workload g =
           handle_retry_release v);
         Span.leave ()
       end
+    end
   done;
   Span.enter "sim.finalize";
   (* close stall periods that were still open when the run ended *)

@@ -8,30 +8,137 @@ let check_int = Alcotest.(check int)
 
 (* --- heap --- *)
 
+(* the swap-based polymorphic heap that [Heap] replaced, kept as the
+   reference for tie order: seeded virtual runs depend on equal keys
+   popping in the order this heap gives them *)
+module Swap_heap = struct
+  type ('k, 'v) t = {
+    mutable data : ('k * 'v) array;
+    mutable size : int;
+  }
+
+  let create () = { data = [||]; size = 0 }
+  let is_empty h = h.size = 0
+
+  let grow h entry =
+    let cap = Array.length h.data in
+    if h.size = cap then begin
+      let data = Array.make (max 8 (2 * cap)) entry in
+      Array.blit h.data 0 data 0 h.size;
+      h.data <- data
+    end
+
+  let swap h i j =
+    let tmp = h.data.(i) in
+    h.data.(i) <- h.data.(j);
+    h.data.(j) <- tmp
+
+  let rec sift_up h i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if fst h.data.(i) < fst h.data.(parent) then begin
+        swap h i parent;
+        sift_up h parent
+      end
+    end
+
+  let rec sift_down h i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < h.size && fst h.data.(l) < fst h.data.(!smallest) then smallest := l;
+    if r < h.size && fst h.data.(r) < fst h.data.(!smallest) then smallest := r;
+    if !smallest <> i then begin
+      swap h i !smallest;
+      sift_down h !smallest
+    end
+
+  let push h k v =
+    grow h (k, v);
+    h.data.(h.size) <- (k, v);
+    h.size <- h.size + 1;
+    sift_up h (h.size - 1)
+
+  let pop h =
+    if h.size = 0 then None
+    else begin
+      let top = h.data.(0) in
+      h.size <- h.size - 1;
+      h.data.(0) <- h.data.(h.size);
+      sift_down h 0;
+      Some top
+    end
+end
+
+let drain h =
+  let rec go acc =
+    if Heap.is_empty h then List.rev acc
+    else begin
+      let k = Heap.min_key h in
+      let v = Heap.pop_min h in
+      go ((k, v) :: acc)
+    end
+  in
+  go []
+
 let test_heap_ordering () =
   let h = Heap.create () in
-  List.iter (fun k -> Heap.push h k k) [ 5; 1; 4; 1; 3; 9; 2 ];
+  List.iter
+    (fun k -> Heap.push h k (int_of_float k))
+    [ 5.; 1.; 4.; 1.; 3.; 9.; 2. ];
   check_int "size" 7 (Heap.size h);
-  let rec drain acc =
-    match Heap.pop h with
-    | None -> List.rev acc
-    | Some (k, _) -> drain (k :: acc)
-  in
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ] (drain []);
+  Alcotest.(check (list (float 0.0)))
+    "sorted" [ 1.; 1.; 2.; 3.; 4.; 5.; 9. ] (List.map fst (drain h));
   check "empty after drain" true (Heap.is_empty h)
 
 let test_heap_peek () =
   let h = Heap.create () in
-  check "peek empty" true (Heap.peek h = None);
-  Heap.push h 2 "b";
-  Heap.push h 1 "a";
-  check "peek min" true (Heap.peek h = Some (1, "a"));
-  check_int "peek does not remove" 2 (Heap.size h)
+  check "min_key of empty is infinity" true (Heap.min_key h = infinity);
+  (match Heap.pop_min h with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "pop_min of an empty heap returned");
+  Heap.push h 2.0 "b";
+  Heap.push h 1.0 "a";
+  check "min_key" true (Heap.min_key h = 1.0);
+  check_int "min_key does not remove" 2 (Heap.size h);
+  Alcotest.(check string) "pop_min returns the min's value" "a" (Heap.pop_min h)
 
 let test_heap_float_keys () =
   let h = Heap.create () in
-  List.iter (fun k -> Heap.push h k ()) [ 3.5; 0.1; 2.2 ];
-  check "float min" true (Heap.pop h = Some (0.1, ()))
+  List.iter (fun k -> Heap.push h k (string_of_float k)) [ 3.5; 0.1; 2.2 ];
+  check "float min" true
+    (drain h = [ (0.1, "0.1"); (2.2, "2.2"); (3.5, "3.5") ])
+
+(* keys come from 3-4 distinct values, so most pops choose among ties;
+   values are the push index, so any difference in tie order shows *)
+let prop_heap_tie_order =
+  QCheck2.Test.make ~name:"float heap pops ties in the swap heap's order"
+    ~count:500
+    ~print:QCheck2.Print.(pair int (list int))
+    QCheck2.Gen.(
+      pair (int_range 3 4) (list_size (int_range 0 300) (int_bound 5)))
+    (fun (distinct, ops) ->
+      let keys = [| 0.25; 1.0; 1.5; 7.0 |] in
+      let h = Heap.create () and r = Swap_heap.create () in
+      let ok = ref true in
+      let pop () =
+        match Swap_heap.pop r with
+        | None -> ok := !ok && Heap.is_empty h
+        | Some (k, v) -> ok := !ok && Heap.min_key h = k && Heap.pop_min h = v
+      in
+      (* ops 0-1 pop, 2-5 push, so the heaps fill while they churn *)
+      List.iteri
+        (fun i op ->
+          if op < 2 then pop ()
+          else begin
+            let k = keys.(op mod distinct) in
+            Heap.push h k i;
+            Swap_heap.push r k i
+          end)
+        ops;
+      while not (Swap_heap.is_empty r) do
+        pop ()
+      done;
+      !ok && Heap.is_empty h)
 
 (* --- policies --- *)
 
@@ -134,5 +241,6 @@ let () =
           Alcotest.test_case "of_schedule size mismatch" `Quick test_of_schedule_mismatch;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_policies_always_valid ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_heap_tie_order; prop_policies_always_valid ] );
     ]

@@ -328,6 +328,59 @@ let test_heartbeat_renews () =
   Alcotest.(check int) "fires at the renewed deadline" 1
     (Server.expire srv ~now:3.0)
 
+(* a worker that never heartbeats must not pin every (task, generation)
+   pair it was ever granted: a grant first drops the pairs that are no
+   longer live, so the server's size stays flat over a long run *)
+let test_by_worker_stays_bounded () =
+  (* isolated nodes 0 and 1, then a chain 2 -> 3 -> ...: the LIFO pool
+     hands out the chain one task at a time and keeps 0 and 1 ready *)
+  let cycles = 100_000 in
+  let n = cycles + 16 in
+  let g =
+    Dag.make_exn ~n ~arcs:(List.init (n - 3) (fun i -> (i + 2, i + 3))) ()
+  in
+  (* timeout = 2 * 0.001 *)
+  let cfg =
+    Server.config ~expected_s:0.001
+      ~recovery:(Recovery.make ~timeout_factor:2.0 ())
+      ()
+  in
+  let srv = Server.create cfg g in
+  let now i = float_of_int i *. 0.001 in
+  let words_at_1k = ref 0 in
+  for i = 1 to cycles do
+    (match
+       lease_tasks
+         (Server.handle srv ~now:(now i) (Wire.Lease_req { worker = 7; k = 1 }))
+     with
+    | [| v |] ->
+      ignore
+        (Server.handle srv ~now:(now i) (Wire.Complete { worker = 7; task = v }))
+    | _ -> Alcotest.fail "expected a one-task lease");
+    ignore (Server.expire srv ~now:(now i));
+    if i = 1_000 then words_at_1k := Obj.reachable_words (Obj.repr srv)
+  done;
+  let words = Obj.reachable_words (Obj.repr srv) in
+  if words - !words_at_1k > 64 then
+    Alcotest.failf "server grew from %d to %d words over %d more cycles"
+      !words_at_1k words (cycles - 1_000);
+  (* three live leases, one completed: a heartbeat renews the other two *)
+  let t0 = now (cycles + 1) in
+  let held =
+    lease_tasks
+      (Server.handle srv ~now:t0 (Wire.Lease_req { worker = 7; k = 3 }))
+  in
+  Alcotest.(check int) "three leased" 3 (Array.length held);
+  ignore
+    (Server.handle srv ~now:t0 (Wire.Complete { worker = 7; task = held.(0) }));
+  ignore (Server.handle srv ~now:(t0 +. 0.001) (Wire.Heartbeat { worker = 7 }));
+  Alcotest.(check int) "old deadlines are stale" 0
+    (Server.expire srv ~now:(t0 +. 0.002));
+  Alcotest.(check (float 1e-9)) "renewed to heartbeat + timeout" (t0 +. 0.003)
+    (Server.next_expiry srv);
+  Alcotest.(check int) "exactly the two live leases fire" 2
+    (Server.expire srv ~now:(t0 +. 0.003))
+
 let test_protocol_errors_and_drain () =
   let srv = Server.create (Server.config ()) (tiny ()) in
   (* completing a still-blocked task is a violation *)
@@ -444,6 +497,45 @@ let test_mesh256_churn_exactly_once () =
   Alcotest.(check string) "metrics JSON byte-identical" json1 json2;
   Alcotest.(check (float 0.0)) "same virtual makespan" r.Hammer.makespan_s
     r2.Hammer.makespan_s
+
+(* one seeded churning run, pinned to recorded constants: reruns of one
+   binary agree with each other even after a change that reorders the
+   run's events, so only constants catch such a change *)
+let test_pinned_virtual_run () =
+  let g = Mesh.out_mesh 32 in
+  let scfg =
+    Server.config ~n_shards:3 ~max_lease:16 ~expected_s:0.05 ~retry_after_s:0.05
+      ~recovery:(Recovery.make ~timeout_factor:4.0 ())
+      ()
+  in
+  let churn =
+    Plan.make ~crash_rate:0.2 ~disconnect_rate:2.0 ~mean_downtime:0.1 ~seed:5 ()
+  in
+  let cfg =
+    Hammer.config ~workers:200 ~k:4 ~mean_service_s:0.01 ~think_s:0.001 ~churn
+      ~seed:77 ()
+  in
+  let r = Hammer.run_virtual ~server:scfg cfg g in
+  Alcotest.(check (float 0.0))
+    "makespan" 0x1.39998184d06dbp+0 r.Hammer.makespan_s;
+  Alcotest.(check (list int)) "completed, crashed, disconnects" [ 561; 47; 363 ]
+    [ r.Hammer.completed; r.Hammer.crashed; r.Hammer.disconnects ];
+  let s = r.Hammer.server in
+  Alcotest.(check bool) "server stats" true
+    (s
+    = {
+        Server.leases = 356;
+        leased_tasks = 575;
+        completions = 561;
+        duplicate_completes = 0;
+        reissues = 14;
+        retry_afters = 3784;
+        heartbeats = 0;
+        protocol_errors = 0;
+        inflight = 0;
+        recovered_reissues = 0;
+        recovered_tasks = 0;
+      })
 
 (* live telemetry must not perturb the deterministic artifacts: the
    same seeded virtual run, with a Live registry mirroring every meter,
@@ -1143,6 +1235,8 @@ let () =
             test_expiry_reissue_and_duplicate;
           Alcotest.test_case "heartbeat renews leases" `Quick
             test_heartbeat_renews;
+          Alcotest.test_case "per-worker leases stay bounded" `Quick
+            test_by_worker_stays_bounded;
           Alcotest.test_case "protocol errors and drain" `Quick
             test_protocol_errors_and_drain;
           Alcotest.test_case "sharded run spreads leases" `Quick
@@ -1157,6 +1251,8 @@ let () =
             `Quick test_mesh256_churn_exactly_once;
           Alcotest.test_case "metrics registry resets between repeats" `Quick
             test_metrics_reset_between_repeats;
+          Alcotest.test_case "seeded churning run matches pinned values" `Quick
+            test_pinned_virtual_run;
           Alcotest.test_case "live mirror preserves byte-determinism" `Quick
             test_live_mirror_preserves_determinism;
         ] );
