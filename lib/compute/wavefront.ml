@@ -15,29 +15,38 @@ let pascal levels =
   in
   Array.init (levels + 1) (fun j -> values.(Mesh.node levels j))
 
-let grid ~rows ~cols =
+let iter_grid_arcs ~rows ~cols f =
   let w = cols + 1 in
   let node i j = (i * w) + j in
-  let arcs = ref [] in
   for i = 0 to rows do
     for j = 0 to cols do
-      if i < rows then arcs := (node i j, node (i + 1) j) :: !arcs;
-      if j < cols then arcs := (node i j, node i (j + 1)) :: !arcs;
-      if i < rows && j < cols then arcs := (node i j, node (i + 1) (j + 1)) :: !arcs
+      let u = node i j in
+      if i < rows then f u (node (i + 1) j);
+      if j < cols then f u (node i (j + 1));
+      if i < rows && j < cols then f u (node (i + 1) (j + 1))
     done
-  done;
-  Dag.make_exn ~n:((rows + 1) * w) ~arcs:!arcs ()
+  done
+
+let grid ~rows ~cols =
+  let b =
+    Dag.Builder.create ~n:((rows + 1) * (cols + 1))
+      ~hint:((3 * rows * cols) + rows + cols) ()
+  in
+  iter_grid_arcs ~rows ~cols (Dag.Builder.add_arc b);
+  Dag.Builder.build_exn b
 
 let grid_schedule ~rows ~cols =
   let w = cols + 1 in
-  let order = ref [] in
-  for diag = rows + cols downto 0 do
-    for i = min rows diag downto max 0 (diag - cols) do
-      let j = diag - i in
-      order := ((i * w) + j) :: !order
+  let n = (rows + 1) * w in
+  let a = Array.make n 0 in
+  let k = ref 0 in
+  for diag = 0 to rows + cols do
+    for i = max 0 (diag - cols) to min rows diag do
+      a.(!k) <- (i * w) + diag - i;
+      incr k
     done
   done;
-  Schedule.of_array_exn (grid ~rows ~cols) (Array.of_list !order)
+  Schedule.validate_exn ~n ~iter_arcs:(iter_grid_arcs ~rows ~cols) a
 
 let edit_distance s t =
   let rows = String.length s and cols = String.length t in

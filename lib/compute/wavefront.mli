@@ -12,12 +12,19 @@ val pascal : int -> int array
 
 (** {1 Rectangular wavefront DP} *)
 
+val iter_grid_arcs : rows:int -> cols:int -> Ic_dag.Schedule.arcs
+(** The arcs of {!grid}, cell [(i, j)] as node [i * (cols+1) + j]: for
+    each cell in id order, down, right, then diagonal. The one definition
+    of the grid's arcs: {!grid} builds from it and {!grid_schedule}
+    validates against it. *)
+
 val grid : rows:int -> cols:int -> Ic_dag.Dag.t
 (** [(rows+1) × (cols+1)] grid; cell [(i,j)] depends on its left, upper and
     upper-left neighbours — the edit-distance table. *)
 
 val grid_schedule : rows:int -> cols:int -> Ic_dag.Schedule.t
-(** Antidiagonal wavefront order. *)
+(** Antidiagonal wavefront order, each antidiagonal from its top row down.
+    Checked against {!iter_grid_arcs}; the grid is not built. *)
 
 val edit_distance : string -> string -> int
 (** Levenshtein distance computed through {!grid} under the wavefront

@@ -245,11 +245,12 @@ module Builder = struct
 
   (* Out-of-int32-range endpoints saturate on store; [build]'s range check
      rejects them anyway (any id outside [0, n) with n <= Slab.max_value),
-     only the value echoed in the error message saturates. *)
+     only the value echoed in the error message saturates. The clamp
+     stays on [int] so the conversion at the store is unboxed. *)
   let clamp32 x =
-    if x > Slab.max_value then Int32.max_int
-    else if x < -Slab.max_value - 1 then Int32.min_int
-    else Int32.of_int x
+    if x > Slab.max_value then Slab.max_value
+    else if x < -Slab.max_value - 1 then -Slab.max_value - 1
+    else x
 
   let add_arc b u v =
     if 8 * b.fill = Bytes.length b.buf then begin
@@ -270,8 +271,8 @@ module Builder = struct
       end
     end;
     let off = 8 * b.fill in
-    Bytes.set_int32_le b.buf off (clamp32 u);
-    Bytes.set_int32_le b.buf (off + 4) (clamp32 v);
+    Bytes.set_int32_le b.buf off (Int32.of_int (clamp32 u));
+    Bytes.set_int32_le b.buf (off + 4) (Int32.of_int (clamp32 v));
     b.fill <- b.fill + 1
 
   (* One sequential pass over every pending arc: spilled chunks streamed

@@ -13,6 +13,41 @@ val order : t -> int array
 
 val length : t -> int
 
+(** {1 Validation}
+
+    Every constructor below runs one validation core. It checks that the
+    array has one entry per node, that every entry is in range, that no
+    node appears twice, and that every arc goes forward. It stops at the
+    first failure and reports it: the first offending entry, else the
+    first backward arc in enumeration order. *)
+
+type arcs = (int -> int -> unit) -> unit
+(** An arc enumerator: [iter_arcs f] applies [f u v] to every arc
+    [u -> v]. {!Dag.iter_arcs}[ g] is one; the families' closed-form
+    [iter_arcs] are others. *)
+
+val validate : n:int -> iter_arcs:arcs -> int array -> (t, string) result
+(** [validate ~n ~iter_arcs a] checks [a] against the dag on nodes
+    [0 .. n-1] whose arcs [iter_arcs] enumerates, without building that
+    dag. It checks the same properties as {!of_array_exn}, and also that
+    every enumerated arc has both endpoints in range. Takes ownership of
+    [a] (no copy). Nodes are named by number in messages. *)
+
+val validate_exn : n:int -> iter_arcs:arcs -> int array -> t
+(** Like {!validate}; raises [Invalid_argument] on a bad array. *)
+
+val of_nonsink_prefix_exn : n:int -> iter_arcs:arcs -> int array -> int -> t
+(** [of_nonsink_prefix_exn ~n ~iter_arcs a k]: [a.(0 .. k-1)] is an order
+    on the nonsinks. Appends the sinks, meaning the nodes that are the
+    tail of no arc, in ascending order, found in one pass of [iter_arcs];
+    then {!validate}s. Writes the sinks into [a.(k ..)] when [a] has
+    exactly that room. Raises [Invalid_argument] on a bad order. *)
+
+(** {2 Against a built dag}
+
+    Thin wrappers over the same core, passing {!Dag.iter_arcs}[ g] and
+    naming nodes by their labels. *)
+
 val of_order : Dag.t -> int list -> (t, string) result
 (** [of_order g nodes] validates that [nodes] is a permutation of [g]'s nodes
     in which every node appears after all of its parents. *)
@@ -28,6 +63,8 @@ val of_nonsink_order : Dag.t -> int list -> (t, string) result
     order" (Theorem 2.1). *)
 
 val of_nonsink_order_exn : Dag.t -> int list -> t
+
+(** {1 Inspection} *)
 
 val natural : Dag.t -> t
 (** The topological order returned by {!Dag.topological_order}. *)

@@ -4,17 +4,25 @@ module Compose = Ic_core.Compose
 
 let node ~d l r = (l lsl d) + r
 
-let dag d =
+let n_nodes d =
   if d < 1 then invalid_arg "Butterfly_net.dag: need dimension >= 1";
-  Ic_prof.Span.time "families.butterfly" @@ fun () ->
+  (d + 1) lsl d
+
+let iter_arcs d f =
   let rows = 1 lsl d in
-  let b = Dag.Builder.create ~n:((d + 1) * rows) ~hint:(2 * d * rows) () in
   for l = 0 to d - 1 do
     for r = 0 to rows - 1 do
-      Dag.Builder.add_arc b (node ~d l r) (node ~d (l + 1) r);
-      Dag.Builder.add_arc b (node ~d l r) (node ~d (l + 1) (r lxor (1 lsl l)))
+      let u = node ~d l r in
+      f u (node ~d (l + 1) r);
+      f u (node ~d (l + 1) (r lxor (1 lsl l)))
     done
-  done;
+  done
+
+let dag d =
+  let n = n_nodes d in
+  Ic_prof.Span.time "families.butterfly" @@ fun () ->
+  let b = Dag.Builder.create ~n ~hint:(2 * d * (1 lsl d)) () in
+  iter_arcs d (Dag.Builder.add_arc b);
   Dag.Builder.build_exn b
 
 (* the two sources of the B-copy at level [l], pair-base [r] (bit l clear)
@@ -27,15 +35,19 @@ let iter_blocks d f =
     done
   done
 
+(* levels 0 .. d-1 are the nonsinks *)
 let schedule d =
-  let order = ref [] in
+  let n = n_nodes d in
+  let a = Array.make n 0 in
+  let i = ref 0 in
   iter_blocks d (fun l r r' ->
-      order := node ~d l r' :: node ~d l r :: !order);
-  Schedule.of_nonsink_order_exn (dag d) (List.rev !order)
+      a.(!i) <- node ~d l r;
+      a.(!i + 1) <- node ~d l r';
+      i := !i + 2);
+  Schedule.of_nonsink_prefix_exn ~n ~iter_arcs:(iter_arcs d) a !i
 
 let pairs_consecutive d s =
-  let g = dag d in
-  let pos = Array.make (Dag.n_nodes g) 0 in
+  let pos = Array.make (n_nodes d) 0 in
   Array.iteri (fun i v -> pos.(v) <- i) (Schedule.order s);
   let ok = ref true in
   iter_blocks d (fun l r r' ->

@@ -13,12 +13,21 @@
 val node : d:int -> int -> int -> int
 (** [node ~d l r] is the id of row [r] of level [l]: [l * 2^d + r]. *)
 
+val iter_arcs : int -> Ic_dag.Schedule.arcs
+(** [iter_arcs d f] applies [f] to every arc of [B_d],
+    [(l, r) -> (l+1, r)] then [(l, r) -> (l+1, r XOR 2^l)] for each node
+    of levels [0 .. d-1] in id order. It is the one definition of
+    [B_d]'s arcs: {!dag} builds from it and {!schedule} validates against
+    it. *)
+
 val dag : int -> Ic_dag.Dag.t
 (** [dag d] is [B_d]; requires [d >= 1]. [(d+1) * 2^d] nodes. *)
 
 val schedule : int -> Ic_dag.Schedule.t
 (** IC-optimal: level by level; within level [l], the two sources
-    [(l, r)] and [(l, r + 2^l)] of each block consecutively. *)
+    [(l, r)] and [(l, r + 2^l)] of each block consecutively. Written
+    straight into an array and checked against {!iter_arcs}; the dag is
+    not built. Requires [d >= 1]. *)
 
 val pairs_consecutive : int -> Ic_dag.Schedule.t -> bool
 (** The iff-characterization: does the schedule execute the two sources of

@@ -4,29 +4,34 @@ module Compose = Ic_core.Compose
 
 let node k j = (k * (k + 1) / 2) + j
 
-let out_mesh levels =
+let n_nodes levels =
   if levels < 0 then invalid_arg "Mesh.out_mesh: negative depth";
-  Ic_prof.Span.time "families.mesh" @@ fun () ->
-  let n = (levels + 1) * (levels + 2) / 2 in
-  let b = Dag.Builder.create ~n ~hint:(levels * (levels + 1)) () in
+  (levels + 1) * (levels + 2) / 2
+
+let iter_arcs levels f =
   for k = 0 to levels - 1 do
     for j = 0 to k do
-      Dag.Builder.add_arc b (node k j) (node (k + 1) j);
-      Dag.Builder.add_arc b (node k j) (node (k + 1) (j + 1))
+      let u = node k j in
+      f u (node (k + 1) j);
+      f u (node (k + 1) (j + 1))
     done
-  done;
+  done
+
+let out_mesh levels =
+  let n = n_nodes levels in
+  Ic_prof.Span.time "families.mesh" @@ fun () ->
+  let b = Dag.Builder.create ~n ~hint:(levels * (levels + 1)) () in
+  iter_arcs levels (Dag.Builder.add_arc b);
   Dag.Builder.build_exn b
 
 let in_mesh levels = Dag.dual (out_mesh levels)
 
+(* ids number the levels in order, each left to right, so the wavefront
+   order is ascending ids; levels 0 .. L-1 are the nonsinks *)
 let out_schedule levels =
-  let order = ref [] in
-  for k = levels - 1 downto 0 do
-    for j = k downto 0 do
-      order := node k j :: !order
-    done
-  done;
-  Schedule.of_nonsink_order_exn (out_mesh levels) !order
+  let n = n_nodes levels in
+  Schedule.of_nonsink_prefix_exn ~n ~iter_arcs:(iter_arcs levels)
+    (Array.init n Fun.id) (node levels 0)
 
 let in_schedule levels =
   Ic_dag.Duality.dual_schedule (out_mesh levels) (out_schedule levels)

@@ -12,6 +12,13 @@ val node : int -> int -> int
 (** [node k j] is the id of position [j] of level [k] (row-major triangular
     numbering, [node 0 0 = 0]). *)
 
+val iter_arcs : int -> Ic_dag.Schedule.arcs
+(** [iter_arcs levels f] applies [f] to every arc of the depth-[levels]
+    out-mesh, [(k, j) -> (k+1, j)] then [(k, j) -> (k+1, j+1)] for each
+    node of levels [0 .. levels-1] in id order. It is the one definition of
+    the out-mesh's arcs: {!out_mesh} builds from it and {!out_schedule}
+    validates against it. *)
+
 val out_mesh : int -> Ic_dag.Dag.t
 (** [out_mesh levels]: the out-mesh with levels [0..levels]. [levels >= 0];
     [(levels+1)(levels+2)/2] nodes. *)
@@ -20,7 +27,9 @@ val in_mesh : int -> Ic_dag.Dag.t
 (** The dual (pyramid) dag. *)
 
 val out_schedule : int -> Ic_dag.Schedule.t
-(** IC-optimal: levels in order, left to right within a level. *)
+(** IC-optimal: levels in order, left to right within a level. Written
+    straight into an array and checked against {!iter_arcs}; the dag is
+    not built. *)
 
 val in_schedule : int -> Ic_dag.Schedule.t
 (** IC-optimal for the in-mesh, obtained by duality from {!out_schedule}. *)

@@ -9,18 +9,22 @@ let levels n =
 
 let node ~n j i = (j * n) + i
 
+let iter_arcs n f =
+  let p = levels n in
+  for j = 0 to p - 1 do
+    let stride = 1 lsl j in
+    for i = 0 to n - 1 do
+      let u = node ~n j i in
+      f u (node ~n (j + 1) i);
+      if i + stride < n then f u (node ~n (j + 1) (i + stride))
+    done
+  done
+
 let dag n =
   let p = levels n in
   Ic_prof.Span.time "families.prefix" @@ fun () ->
   let b = Dag.Builder.create ~n:((p + 1) * n) ~hint:(2 * p * n) () in
-  for j = 0 to p - 1 do
-    let stride = 1 lsl j in
-    for i = 0 to n - 1 do
-      Dag.Builder.add_arc b (node ~n j i) (node ~n (j + 1) i);
-      if i + stride < n then
-        Dag.Builder.add_arc b (node ~n j i) (node ~n (j + 1) (i + stride))
-    done
-  done;
+  iter_arcs n (Dag.Builder.add_arc b);
   Dag.Builder.build_exn b
 
 (* columns of boundary [j] grouped by residue mod 2^j; each group is one
@@ -40,11 +44,25 @@ let iter_boundary_groups n f =
     done
   done
 
+(* levels 0 .. p-1 are the nonsinks; the groups of [iter_boundary_groups],
+   written in place *)
 let schedule n =
-  let order = ref [] in
-  iter_boundary_groups n (fun j columns ->
-      List.iter (fun i -> order := node ~n j i :: !order) columns);
-  Schedule.of_nonsink_order_exn (dag n) (List.rev !order)
+  let p = levels n in
+  let size = (p + 1) * n in
+  let a = Array.make size 0 in
+  let k = ref 0 in
+  for j = 0 to p - 1 do
+    let stride = 1 lsl j in
+    for residue = 0 to stride - 1 do
+      let i = ref residue in
+      while !i < n do
+        a.(!k) <- node ~n j !i;
+        incr k;
+        i := !i + stride
+      done
+    done
+  done;
+  Schedule.of_nonsink_prefix_exn ~n:size ~iter_arcs:(iter_arcs n) a !k
 
 type decomposition = {
   compose : Compose.t;

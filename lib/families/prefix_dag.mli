@@ -18,13 +18,23 @@ val node : n:int -> int -> int -> int
 (** [node ~n j i] is the id of column [i] at level [j]: [j * n + i]. Level 0
     holds the inputs; level [levels n] the outputs. *)
 
+val iter_arcs : int -> Ic_dag.Schedule.arcs
+(** [iter_arcs n f] applies [f] to every arc of [P_n]: for each node
+    [(j, i)] of levels [0 .. levels n - 1] in id order, the copy arc
+    [(j, i) -> (j+1, i)] then, when [i + 2^j < n], the combine arc
+    [(j, i) -> (j+1, i + 2^j)]. It is the one definition of [P_n]'s arcs:
+    {!dag} builds from it and {!schedule} validates against it. Requires
+    [n >= 1]. *)
+
 val dag : int -> Ic_dag.Dag.t
 (** [dag n] is [P_n]; requires [n >= 1]. [(levels n + 1) * n] nodes. *)
 
 val schedule : int -> Ic_dag.Schedule.t
 (** IC-optimal: for each level [j] in order, the N-dags of boundary [j]
     (column-residues [0 .. 2^j − 1]) one after another, each N-dag's
-    sources from its anchor (smallest column) rightward. *)
+    sources from its anchor (smallest column) rightward. Written straight
+    into an array and checked against {!iter_arcs}; the dag is not
+    built. *)
 
 type decomposition = {
   compose : Ic_core.Compose.t;

@@ -326,10 +326,44 @@ let prop_pyramid_max =
       let xs = Array.init n (fun _ -> Random.State.int rng 1000) in
       C.Wavefront.pyramid_reduce ~op:max xs = Array.fold_left max min_int xs)
 
+(* the list-based grid and schedule the wavefront had before both were
+   written from one arc enumerator, kept as the reference *)
+let oracle_grid ~rows ~cols =
+  let w = cols + 1 in
+  let node i j = (i * w) + j in
+  let arcs = ref [] in
+  for i = 0 to rows do
+    for j = 0 to cols do
+      if i < rows then arcs := (node i j, node (i + 1) j) :: !arcs;
+      if j < cols then arcs := (node i j, node i (j + 1)) :: !arcs;
+      if i < rows && j < cols then arcs := (node i j, node (i + 1) (j + 1)) :: !arcs
+    done
+  done;
+  Ic_dag.Dag.make_exn ~n:((rows + 1) * w) ~arcs:!arcs ()
+
+let oracle_grid_schedule ~rows ~cols =
+  let w = cols + 1 in
+  let order = ref [] in
+  for diag = rows + cols downto 0 do
+    for i = min rows diag downto max 0 (diag - cols) do
+      order := ((i * w) + diag - i) :: !order
+    done
+  done;
+  Ic_dag.Schedule.of_array_exn (oracle_grid ~rows ~cols) (Array.of_list !order)
+
 let test_grid_wavefront_schedule_valid () =
-  let s = C.Wavefront.grid_schedule ~rows:4 ~cols:6 in
-  check "valid" true
-    (Ic_dag.Schedule.is_valid (C.Wavefront.grid ~rows:4 ~cols:6) (Ic_dag.Schedule.order s))
+  for rows = 0 to 12 do
+    for cols = 0 to 12 do
+      let g = C.Wavefront.grid ~rows ~cols in
+      let s = Ic_dag.Schedule.order (C.Wavefront.grid_schedule ~rows ~cols) in
+      check "grid" true (Ic_dag.Dag.equal g (oracle_grid ~rows ~cols));
+      Alcotest.(check (array int))
+        (Printf.sprintf "grid %dx%d order" rows cols)
+        (Ic_dag.Schedule.order (oracle_grid_schedule ~rows ~cols))
+        s;
+      check "valid" true (Ic_dag.Schedule.is_valid g s)
+    done
+  done
 
 (* --- DLT (Section 6.2.1) --- *)
 

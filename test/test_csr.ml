@@ -159,6 +159,20 @@ let test_builder_spill_equivalence () =
   expect_error "spilled duplicate" (spill_build 3 [ (0, 1); (1, 2); (0, 1) ]);
   expect_error "spilled range" (spill_build 3 [ (0, 1); (1, 2); (1, 7) ])
 
+let test_builder_add_arc_unboxed () =
+  (* once [~hint] has sized the buffer, appending arcs allocates nothing:
+     endpoints are clamped on [int] and stored as raw int32 *)
+  let m = 100_000 in
+  let b = Dag.Builder.create ~n:(m + 1) ~hint:m () in
+  let before = Gc.minor_words () in
+  for i = 0 to m - 1 do
+    Dag.Builder.add_arc b i (i + 1)
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 64.0 then
+    Alcotest.failf "%d add_arc calls allocated %.0f minor words" m words;
+  check_int "all buffered" m (Dag.Builder.n_pending b)
+
 let test_builder_reuse () =
   (* the builder stays usable after a build; the built dag is unaffected *)
   let b = Dag.Builder.create ~n:3 () in
@@ -288,6 +302,8 @@ let () =
           Alcotest.test_case "builder spill equivalence" `Quick
             test_builder_spill_equivalence;
           Alcotest.test_case "builder reuse" `Quick test_builder_reuse;
+          Alcotest.test_case "builder add_arc allocation-free" `Quick
+            test_builder_add_arc_unboxed;
         ] );
       ( "engine",
         [

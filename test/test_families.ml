@@ -13,6 +13,112 @@ let assert_optimal name g s =
   | Ok false -> Alcotest.failf "%s: schedule not IC-optimal" name
   | Error (`Too_large k) -> Alcotest.failf "%s: too large for brute force (%d)" name k
 
+(* The list-based constructors the families had before their schedules
+   were written as flat arrays, kept as the reference: each builds its dag
+   from an arc list, conses its nonsink order, and validates against that
+   dag. *)
+module Oracle = struct
+  let of_arcs n arcs = Dag.make_exn ~n ~arcs ()
+
+  let out_mesh levels =
+    let node = F.Mesh.node in
+    let arcs = ref [] in
+    for k = 0 to levels - 1 do
+      for j = 0 to k do
+        arcs := (node k j, node (k + 1) (j + 1)) :: (node k j, node (k + 1) j) :: !arcs
+      done
+    done;
+    of_arcs ((levels + 1) * (levels + 2) / 2) !arcs
+
+  let out_schedule levels =
+    let order = ref [] in
+    for k = levels - 1 downto 0 do
+      for j = k downto 0 do
+        order := F.Mesh.node k j :: !order
+      done
+    done;
+    Schedule.of_nonsink_order_exn (out_mesh levels) !order
+
+  let butterfly d =
+    let node = F.Butterfly_net.node ~d and rows = 1 lsl d in
+    let arcs = ref [] in
+    for l = 0 to d - 1 do
+      for r = 0 to rows - 1 do
+        arcs := (node l r, node (l + 1) (r lxor (1 lsl l))) :: (node l r, node (l + 1) r) :: !arcs
+      done
+    done;
+    of_arcs ((d + 1) * rows) !arcs
+
+  let butterfly_schedule d =
+    let order = ref [] in
+    for l = 0 to d - 1 do
+      for r = 0 to (1 lsl d) - 1 do
+        if r land (1 lsl l) = 0 then
+          order :=
+            F.Butterfly_net.node ~d l (r lor (1 lsl l))
+            :: F.Butterfly_net.node ~d l r :: !order
+      done
+    done;
+    Schedule.of_nonsink_order_exn (butterfly d) (List.rev !order)
+
+  let prefix n =
+    let p = F.Prefix_dag.levels n and node = F.Prefix_dag.node ~n in
+    let arcs = ref [] in
+    for j = 0 to p - 1 do
+      let stride = 1 lsl j in
+      for i = 0 to n - 1 do
+        arcs := (node j i, node (j + 1) i) :: !arcs;
+        if i + stride < n then arcs := (node j i, node (j + 1) (i + stride)) :: !arcs
+      done
+    done;
+    of_arcs ((p + 1) * n) !arcs
+
+  let prefix_schedule n =
+    let order = ref [] in
+    for j = 0 to F.Prefix_dag.levels n - 1 do
+      let stride = 1 lsl j in
+      for residue = 0 to stride - 1 do
+        let columns = ref [] in
+        let i = ref residue in
+        while !i < n do
+          columns := !i :: !columns;
+          i := !i + stride
+        done;
+        List.iter (fun i -> order := F.Prefix_dag.node ~n j i :: !order) (List.rev !columns)
+      done
+    done;
+    Schedule.of_nonsink_order_exn (prefix n) (List.rev !order)
+end
+
+let check_order name expected s =
+  Alcotest.(check (array int)) name (Schedule.order expected) (Schedule.order s)
+
+let test_flat_schedules_match_oracle () =
+  for l = 0 to 40 do
+    let g = F.Mesh.out_mesh l and s = F.Mesh.out_schedule l in
+    check "mesh dag" true (Dag.equal g (Oracle.out_mesh l));
+    check_order (Printf.sprintf "mesh %d" l) (Oracle.out_schedule l) s;
+    check "mesh valid" true (Schedule.is_valid g (Schedule.order s))
+  done;
+  for d = 1 to 10 do
+    let g = F.Butterfly_net.dag d and s = F.Butterfly_net.schedule d in
+    check "butterfly dag" true (Dag.equal g (Oracle.butterfly d));
+    check_order (Printf.sprintf "butterfly %d" d) (Oracle.butterfly_schedule d) s;
+    check "butterfly valid" true (Schedule.is_valid g (Schedule.order s))
+  done;
+  for n = 1 to 300 do
+    let g = F.Prefix_dag.dag n and s = F.Prefix_dag.schedule n in
+    check "prefix dag" true (Dag.equal g (Oracle.prefix n));
+    check_order (Printf.sprintf "prefix %d" n) (Oracle.prefix_schedule n) s;
+    check "prefix valid" true (Schedule.is_valid g (Schedule.order s))
+  done
+
+let test_flat_schedules_reject_bad_sizes () =
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  check "negative mesh" true (raises (fun () -> F.Mesh.out_schedule (-1)));
+  check "butterfly 0" true (raises (fun () -> F.Butterfly_net.schedule 0));
+  check "prefix 0" true (raises (fun () -> F.Prefix_dag.schedule 0))
+
 (* --- out-trees / in-trees (Section 3.1) --- *)
 
 let test_out_tree_structure () =
@@ -308,6 +414,13 @@ let () =
           Alcotest.test_case "Table 1 type 2" `Quick test_table1_type2;
           Alcotest.test_case "Table 1 type 3" `Quick test_table1_type3;
           Alcotest.test_case "Fig 4 unequal counts" `Quick test_fig4_unequal_counts;
+        ] );
+      ( "flat schedules",
+        [
+          Alcotest.test_case "same orders as the list oracle" `Quick
+            test_flat_schedules_match_oracle;
+          Alcotest.test_case "bad sizes rejected" `Quick
+            test_flat_schedules_reject_bad_sizes;
         ] );
       ( "meshes",
         [
