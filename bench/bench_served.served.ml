@@ -1,11 +1,11 @@
 (* The real served bench runner, selected where ic_served builds
    (OCaml >= 5.0). Three scenes, all emitting the same record shape:
 
-   - virtual_k1 / virtual_k16: the lock-amortization comparison. The
+   - virtual_k1 / virtual_k16: the batch-amortization comparison. The
      deterministic virtual hammer drives a 3-shard server with 10^4
      workers; the only difference between the two records is the lease
      batch size, so the leased-tasks/sec ratio isolates the cost of a
-     per-task vs per-batch lock acquisition and reply.
+     per-task vs per-batch pool visit and reply.
    - virtual_churn: the same fleet under a seeded crash/disconnect plan,
      to price lease expiry, re-issue and duplicate handling.
    - tcp_loopback: a real socket round trip — server in a domain, the
@@ -46,13 +46,13 @@ let record ~bench ~n_tasks ~workers ~k ~wall_s ~(server : Server.stats)
     server.Server.duplicate_completes server.Server.retry_afters
     (fin grant_p50) (fin grant_p99) (fin service_p50) (fin service_p99)
 
-(* The lock-amortization measurement proper: the lease-grant hot path in
-   isolation. The pools are prefilled (pushes are inherently per-task —
-   they happen on completion — so they are kept out of the timed
+(* The batch-amortization measurement proper: the lease-grant hot path
+   in isolation. The pools are prefilled (pushes are inherently per-task
+   — they happen on completion — so they are kept out of the timed
    region), then drained through [pop_batch] with max = k: per granted
-   task the path pays 1/k of a lock acquisition plus one array copy.
-   The k = 16 vs k = 1 grants/sec ratio is the claim "one lock
-   acquisition amortizes over a batch of k" measured directly. *)
+   task the path pays 1/k of a call (range check, pool lookup) plus one
+   array copy. The k = 16 vs k = 1 grants/sec ratio is the claim "one
+   pool visit amortizes over a batch of k" measured directly. *)
 let pool_scene ~emit ~bench ~n ~k =
   let pools = Ic_served.Shards.create ~n_shards:3 () in
   for v = 0 to n - 1 do
@@ -80,7 +80,7 @@ let pool_scene ~emit ~bench ~n ~k =
    completing each lease synchronously. Per task the server pays one
    Complete plus 1/k of a Lease_req; per-task bookkeeping (state flips,
    expiry tracking) is shared, so this ratio shows what batching buys
-   across the whole request path, not just the lock. With [journal] the
+   across the whole request path, not just the pool. With [journal] the
    same drain runs against a write-ahead journal on a temp file —
    [Some false] flush-per-append, [Some true] fsync-per-append — so the
    journal-off / fsync-off / fsync-on triple prices durability per

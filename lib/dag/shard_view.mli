@@ -2,14 +2,14 @@
 
     Where {!Frontier} tracks eligibility for one sequential driver, a
     shard view splits the same bookkeeping across [n_shards] disjoint
-    node partitions so independent pools (one per shard, each behind its
-    own lock in the caller) can hand out eligible tasks concurrently.
+    node partitions so independent pools (one per shard in the caller)
+    can hand out eligible tasks concurrently.
     The view owns only the {e dependence} side of the state — one
     remaining-predecessor count per node, decremented with an atomic
     fetch-and-add exactly as the parallel runtime's packed counts are —
     and reports each node that becomes eligible, tagged with its owning
     shard, through a callback. What the caller does with a newly
-    eligible node (push it into a locked per-shard pool, lease it over a
+    eligible node (push it into a per-shard pool, lease it over a
     socket) is its business; the view guarantees that each node is
     reported eligible exactly once, on the {!complete} call of its last
     outstanding predecessor, from whichever thread made it.

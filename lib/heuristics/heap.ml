@@ -1,17 +1,38 @@
 (* keys and values in parallel arrays; slots at and beyond [size] are
-   garbage *)
+   garbage. The lane is a ring of [lane_n] entries starting at
+   [lane_head], its capacity a power of two, its keys non-decreasing. *)
 type 'v t = {
   mutable keys : Float.Array.t;
   mutable vals : 'v array;
   mutable size : int;
+  mutable lane_keys : Float.Array.t;
+  mutable lane_vals : 'v array;
+  mutable lane_head : int;
+  mutable lane_n : int;
 }
 
-let create () = { keys = Float.Array.create 0; vals = [||]; size = 0 }
-let is_empty h = h.size = 0
-let size h = h.size
+let create () =
+  {
+    keys = Float.Array.create 0;
+    vals = [||];
+    size = 0;
+    lane_keys = Float.Array.create 0;
+    lane_vals = [||];
+    lane_head = 0;
+    lane_n = 0;
+  }
+
+let is_empty h = h.size = 0 && h.lane_n = 0
+let size h = h.size + h.lane_n
+
+let lane_mask h = Array.length h.lane_vals - 1 [@@inline]
 
 let min_key h =
-  if h.size = 0 then infinity else Float.Array.get h.keys 0
+  let hk = if h.size = 0 then infinity else Float.Array.get h.keys 0 in
+  if h.lane_n = 0 then hk
+  else
+    let lk = Float.Array.get h.lane_keys h.lane_head in
+    if lk < hk then lk else hk
 [@@inline]
 
 (* [v] fills the fresh value slots: a ['v array] needs some element *)
@@ -42,8 +63,33 @@ let push h k v =
   vals.(!i) <- v;
   h.size <- h.size + 1
 
-let pop_min h =
-  if h.size = 0 then invalid_arg "Heap.pop_min: empty heap";
+(* unrolls the ring into arrays twice as long, head at slot 0 *)
+let grow_lane h v =
+  let cap = max 8 (2 * h.lane_n) in
+  let keys = Float.Array.create cap in
+  let vals = Array.make cap v in
+  let mask = lane_mask h in
+  for j = 0 to h.lane_n - 1 do
+    let s = (h.lane_head + j) land mask in
+    Float.Array.set keys j (Float.Array.get h.lane_keys s);
+    vals.(j) <- h.lane_vals.(s)
+  done;
+  h.lane_keys <- keys;
+  h.lane_vals <- vals;
+  h.lane_head <- 0
+
+let append h k v =
+  let last = (h.lane_head + h.lane_n - 1) land lane_mask h in
+  if h.lane_n > 0 && k < Float.Array.get h.lane_keys last then push h k v
+  else begin
+    if h.lane_n = Array.length h.lane_vals then grow_lane h v;
+    let s = (h.lane_head + h.lane_n) land lane_mask h in
+    Float.Array.set h.lane_keys s k;
+    h.lane_vals.(s) <- v;
+    h.lane_n <- h.lane_n + 1
+  end
+
+let pop_heap h =
   let keys = h.keys and vals = h.vals in
   let top = vals.(0) in
   let n = h.size - 1 in
@@ -67,3 +113,22 @@ let pop_min h =
   Float.Array.set keys !i k;
   vals.(!i) <- v;
   top
+
+(* the popped slot keeps its value until overwritten, as the heap's own
+   garbage slots do *)
+let pop_lane h =
+  let v = h.lane_vals.(h.lane_head) in
+  h.lane_head <- (h.lane_head + 1) land lane_mask h;
+  h.lane_n <- h.lane_n - 1;
+  v
+
+let pop_min h =
+  if h.lane_n = 0 then begin
+    if h.size = 0 then invalid_arg "Heap.pop_min: empty heap";
+    pop_heap h
+  end
+  else if
+    h.size = 0
+    || Float.Array.get h.lane_keys h.lane_head < Float.Array.get h.keys 0
+  then pop_lane h
+  else pop_heap h

@@ -12,10 +12,18 @@ type config = {
   seed : int;
 }
 
+(* [drive]'s events are immediates: the kind in the low 2 bits, then the
+   worker in [worker_bits], then the epoch; [config] bounds [workers] so
+   that no two workers share a packed event *)
+let worker_bits = 30
+let max_workers = 1 lsl worker_bits
+
 let config ?(workers = 1024) ?(k = 8) ?(mean_service_s = 0.01)
     ?(pareto_alpha = 1.5) ?(think_s = 0.001) ?(churn = Plan.none)
     ?(seed = 0x5E4D) () =
-  if workers < 1 then invalid_arg "Hammer.config: workers must be >= 1";
+  if workers < 1 || workers > max_workers then
+    invalid_arg
+      (Printf.sprintf "Hammer.config: workers must be in 1..%d" max_workers);
   if k < 1 || k > 0xFFFF then
     invalid_arg "Hammer.config: k must be in 1..65535";
   if (not (Float.is_finite mean_service_s)) || mean_service_s <= 0.0 then
@@ -69,12 +77,15 @@ let w_finished = 4
 
 (* worker events carry the worker's churn epoch: an event scheduled
    before a disconnect/crash must not fire into the session that follows
-   the rejoin, so churn bumps the epoch and stale events are dropped *)
-type ev =
-  | Request of int * int  (** worker, epoch: asks for a lease *)
-  | Complete_due of int * int
-      (** worker, epoch: finishes the head of its batch *)
-  | Churn_ev of int * Plan.Churn.kind
+   the rejoin, so churn bumps the epoch and stale events are dropped.
+   A churn event carries no epoch: its kind waits in a per-worker slot,
+   since a worker has at most one churn event outstanding. *)
+let ev_request = 0  (* asks for a lease *)
+let ev_complete = 1  (* finishes the head of its batch *)
+let ev_churn = 2
+let ev kind i ep = (((ep lsl worker_bits) lor i) lsl 2) lor kind
+let ev_worker e = (e lsr 2) land (max_workers - 1)
+let ev_epoch e = e lsr (worker_bits + 2)
 
 (* a growing float sample buffer; quantiles are computed at the end *)
 type samples = { mutable xs : float array; mutable n : int }
@@ -117,6 +128,10 @@ let drive ?metrics srv cfg =
   let epoch = Array.make w 0 in
   let first_req = Array.make w nan in
   let churn = Array.init w (fun i -> Plan.Churn.create cfg.churn ~client:i) in
+  let churn_kind = Array.make w Plan.Churn.Crash in
+  let lease_req =
+    Array.init w (fun i -> Wire.Lease_req { worker = i; k = cfg.k })
+  in
   let crashed = ref 0 in
   let disconnects = ref 0 in
   let grant_lat = samples () in
@@ -131,11 +146,13 @@ let drive ?metrics srv cfg =
       busy_since.(i) <- nan
     end
   in
-  let events : ev Heap.t = Heap.create () in
+  let events : int Heap.t = Heap.create () in
   let schedule_churn i =
     match Plan.Churn.next churn.(i) with
     | None -> ()
-    | Some { Plan.Churn.time; kind } -> Heap.push events time (Churn_ev (i, kind))
+    | Some { Plan.Churn.time; kind } ->
+      churn_kind.(i) <- kind;
+      Heap.push events time (ev ev_churn i 0)
   in
   for i = 0 to w - 1 do
     (* stagger the opening burst deterministically over one mean service
@@ -143,7 +160,7 @@ let drive ?metrics srv cfg =
     let rng = Random.State.make [| cfg.seed; 0x0F; i |] in
     Heap.push events
       (Random.State.float rng cfg.mean_service_s)
-      (Request (i, 0));
+      (ev ev_request i 0);
     schedule_churn i
   done;
   let now = ref 0.0 in
@@ -164,7 +181,7 @@ let drive ?metrics srv cfg =
   let handle_request i t =
     if alive i then begin
       if Float.is_nan first_req.(i) then first_req.(i) <- t;
-      match Server.handle srv ~now:t (Wire.Lease_req { worker = i; k = cfg.k }) with
+      match Server.handle srv ~now:t lease_req.(i) with
       | Wire.Lease { tasks; expires_in_s = _ } ->
         sample grant_lat (t -. first_req.(i));
         first_req.(i) <- nan;
@@ -172,9 +189,12 @@ let drive ?metrics srv cfg =
         busy_since.(i) <- t;
         batch.(i) <- Array.to_list tasks;
         batch_t0.(i) <- t;
-        Heap.push events (next_service i t) (Complete_due (i, epoch.(i)))
+        Heap.push events (next_service i t) (ev ev_complete i epoch.(i))
       | Wire.Retry_after { delay_s } ->
-        Heap.push events (t +. Float.max delay_s 1e-6) (Request (i, epoch.(i)))
+        (* due a constant delay after the non-decreasing clock: in order *)
+        Heap.append events
+          (t +. Float.max delay_s 1e-6)
+          (ev ev_request i epoch.(i))
       | Wire.Done _ -> finish i t
       | _ -> finish i t
     end
@@ -190,11 +210,11 @@ let drive ?metrics srv cfg =
         | Wire.Done _ -> finish i t
         | _ ->
           if rest <> [] then
-            Heap.push events (next_service i t) (Complete_due (i, epoch.(i)))
+            Heap.push events (next_service i t) (ev ev_complete i epoch.(i))
           else begin
             end_busy i t;
             status.(i) <- w_idle;
-            Heap.push events (t +. cfg.think_s) (Request (i, epoch.(i)))
+            Heap.push events (t +. cfg.think_s) (ev ev_request i epoch.(i))
           end)
     end
   in
@@ -222,19 +242,19 @@ let drive ?metrics srv cfg =
       if status.(i) = w_offline then begin
         epoch.(i) <- epoch.(i) + 1;
         status.(i) <- w_idle;
-        Heap.push events t (Request (i, epoch.(i)))
+        Heap.push events t (ev ev_request i epoch.(i))
       end);
     schedule_churn i
   in
   while (not (Server.is_done srv)) && not (Heap.is_empty events) do
     let t = Heap.min_key events in
-    let ev = Heap.pop_min events in
+    let e = Heap.pop_min events in
     fire_expiries t;
     now := t;
-    match ev with
-    | Request (i, ep) -> if ep = epoch.(i) then handle_request i t
-    | Complete_due (i, ep) -> if ep = epoch.(i) then handle_complete_due i t
-    | Churn_ev (i, kind) -> handle_churn i kind t
+    let i = ev_worker e and kind = e land 3 in
+    if kind = ev_churn then handle_churn i churn_kind.(i) t
+    else if ev_epoch e = epoch.(i) then
+      if kind = ev_request then handle_request i t else handle_complete_due i t
   done;
   for i = 0 to w - 1 do
     end_busy i !now
@@ -388,7 +408,7 @@ let run_chaos ?metrics ?sink ?live ?flight ~server:scfg ~wire
     | Wire.Retry_after { delay_s } ->
       if status.(i) = w_idle && awaiting.(i) >= 0 then begin
         reset_session i;
-        Heap.push events
+        Heap.append events
           (t +. Float.max delay_s 1e-6)
           (C_request (i, epoch.(i)))
       end

@@ -5,9 +5,10 @@
     core directly under a discrete-event virtual clock — no sockets, no
     wall time — so a fixed seed yields byte-identical metrics and traces
     at any worker count; it is the exactly-once/determinism acceptance
-    vehicle and the lock-amortization bench. {!Tcp.hammer} runs the same
-    worker model in real time against a listening server over loopback
-    TCP.
+    vehicle and the gridlock bench (a fleet asking for work faster than
+    work becomes eligible, so most requests are refused and retried).
+    {!Tcp.hammer} runs the same worker model in real time against a
+    listening server over loopback TCP.
 
     The worker model: each worker asks for a batch of [k] tasks, runs
     them sequentially with heavy-tailed (bounded Pareto) service
@@ -44,7 +45,13 @@ val config :
   config
 (** Defaults: 1024 workers, [k 8], [mean_service_s 0.01],
     [pareto_alpha 1.5], [think_s 0.001], no churn, seed [0x5E4D].
-    Raises [Invalid_argument] on out-of-range values. *)
+    Raises [Invalid_argument] on out-of-range values, [workers] outside
+    [1 .. max_workers] included. *)
+
+val max_workers : int
+(** [2^30]: the most workers a fleet may have. {!run_virtual} packs a
+    worker's events into one immediate int, the worker id in a 30-bit
+    field; a larger fleet would alias workers there. *)
 
 type result = {
   n_tasks : int;
@@ -138,3 +145,12 @@ val quantile : float array -> float -> float
 val service_s : config -> worker:int -> draw:int -> float
 (** The [draw]-th service latency of [worker]: deterministic bounded
     Pareto with the configured mean and tail. *)
+
+type samples
+(** A growable buffer of unboxed float samples (grant and service
+    latencies), read back once at the end of a run. *)
+
+val samples : unit -> samples
+val sample : samples -> float -> unit
+val to_array : samples -> float array
+(** The samples recorded so far, in recording order. *)

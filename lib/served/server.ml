@@ -90,6 +90,7 @@ type t = {
   gen : int array;  (* lease generation per task; bumps invalidate expiries *)
   alloc_t : float array;  (* allocation time of the task's latest lease *)
   expiries : int Heap.t;  (* deadline -> [expiry_entry task gen] *)
+  retry : Wire.msg;  (* the one [Retry_after] reply: the config is fixed *)
   scratch : int array;  (* lease accumulator, max_lease long *)
   scratch_pop : int array;  (* pop_batch target — distinct from scratch:
                                a pop for a later shard must not clobber
@@ -198,6 +199,7 @@ let mk ?metrics ?sink ?journal ?live ?flight cfg g =
     gen = Array.make n 0;
     alloc_t = Array.make n 0.0;
     expiries = Heap.create ();
+    retry = Wire.Retry_after { delay_s = cfg.retry_after_s };
     scratch = Array.make cfg.max_lease 0;
     scratch_pop = Array.make cfg.max_lease 0;
     by_worker = Hashtbl.create 64;
@@ -258,7 +260,7 @@ let retry_reply t =
   t.retry_afters <- t.retry_afters + 1;
   with_meters t (fun m -> Metrics.incr m.m_retry_afters);
   with_live t (fun l -> Live.incr l.l_retry_afters ~shard:0 1);
-  Wire.Retry_after { delay_s = t.cfg.retry_after_s }
+  t.retry
 
 let error_reply t =
   t.errors <- t.errors + 1;
@@ -267,7 +269,7 @@ let error_reply t =
   Wire.Ack
 
 (* pull up to [budget] Ready tasks out of the pools, starting at the
-   round-robin cursor, touching (and locking) as few shards as possible;
+   round-robin cursor, touching as few shards as possible;
    stale entries (tasks no longer Ready) are discarded on the way *)
 let fill_batch t ~budget acc =
   let n_shards = Shards.n_shards t.pools in
@@ -367,9 +369,9 @@ let apply_complete t ~now v =
   maybe_checkpoint t
 
 (* the live frontier/inflight sample taken after every handled message.
-   Pool sizes are the racy [Shards.size] snapshot and include entries
-   awaiting lazy invalidation, so the depth is an upper bound — exact
-   whenever no lease has expired since the pool was last drained. *)
+   Pool sizes count entries awaiting lazy invalidation, so the depth is
+   an upper bound — exact whenever no lease has expired since the pool
+   was last drained. *)
 let sample t ~now =
   if t.meters != None || t.live != None || t.sink != None || t.flight != None
   then begin

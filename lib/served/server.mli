@@ -14,9 +14,10 @@
     seeded hammer runs byte-reproducible.
 
     State is sharded: [Ic_dag.Shard_view] keeps the atomic dependence
-    counts, {!Shards} the per-shard locked pools of leasable ids, and a
-    lease batch is filled from as few shards as possible so one lock
-    acquisition amortizes over up to [max_lease] tasks.
+    counts, {!Shards} the per-shard pools of leasable ids, and a lease
+    batch is filled from as few shards as possible so one pool visit
+    amortizes over up to [max_lease] tasks. The core is single-threaded:
+    nothing in it takes a lock.
 
     Invariants the suite asserts:
     - a task is applied (its completion propagated to successors)
@@ -119,7 +120,8 @@ val handle : t -> now:float -> Wire.msg -> Wire.msg
 (** Process one client message at time [now] (seconds, any monotone
     origin) and return the reply. Server-side messages and out-of-range
     ids are counted as protocol errors and answered with [Ack]. [now]
-    must be non-decreasing across calls. *)
+    must be non-decreasing across calls. Every [Retry_after] reply of
+    one server is the same value, built once at creation. *)
 
 val next_expiry : t -> float
 (** Time at which the earliest outstanding lease expires; [infinity]

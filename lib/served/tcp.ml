@@ -335,8 +335,8 @@ let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
   let disconnects = ref 0 in
   let completes_sent = ref 0 in
   let done_seen = ref false in
-  let grant_lat = ref [] in
-  let service_lat = ref [] in
+  let grant_lat = Hammer.samples () in
+  let service_lat = Hammer.samples () in
   let busy = Array.make w 0.0 in
   let busy_since = Array.make w nan in
   let end_busy i t =
@@ -477,7 +477,7 @@ let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
         | [] -> ()
         | task :: rest ->
           batch.(i) <- rest;
-          service_lat := (t -. batch_t0.(i)) :: !service_lat;
+          Hammer.sample service_lat (t -. batch_t0.(i));
           incr completes_sent;
           send i (Wire.Complete { worker = i; task }) ~kind:P_comp
       end
@@ -537,7 +537,7 @@ let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
       | Wire.Lease { tasks; expires_in_s = _ } ->
         let t = elapsed () in
         if not (Float.is_nan first_req.(i)) then begin
-          grant_lat := (t -. first_req.(i)) :: !grant_lat;
+          Hammer.sample grant_lat (t -. first_req.(i));
           first_req.(i) <- nan
         end;
         status.(i) <- w_busy;
@@ -546,7 +546,8 @@ let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
         batch_t0.(i) <- t;
         Heap.push events (t +. next_service i) (Complete_due (i, epoch.(i)))
       | Wire.Retry_after { delay_s } ->
-        Heap.push events
+        (* due a constant delay after the monotonic clock: in order *)
+        Heap.append events
           (elapsed () +. Float.max delay_s 1e-4)
           (Request (i, epoch.(i)))
       | Wire.Ack ->
@@ -649,8 +650,8 @@ let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
   for i = 0 to w - 1 do
     end_busy i tend
   done;
-  let grants = Array.of_list !grant_lat in
-  let services = Array.of_list !service_lat in
+  let grants = Hammer.to_array grant_lat in
+  let services = Hammer.to_array service_lat in
   {
     workers = w;
     completes_sent = !completes_sent;

@@ -140,6 +140,116 @@ let prop_heap_tie_order =
       done;
       !ok && Heap.is_empty h)
 
+(* [append] against a sorted-list model. The model keeps every live
+   entry as (key, lane?, index) and tracks which appends the lane takes
+   (the lane is empty or the key is at least its last key), so the test
+   sees both the O(1) appends and the out-of-order ones that fall back to
+   [push]. A pop must return the smallest key; among equal keys a heap
+   entry before any lane entry, and the lane entries in append order.
+   Heap entries with equal keys may come in any order here: their order
+   is [prop_heap_tie_order]'s subject. *)
+let prop_heap_append_model =
+  QCheck2.Test.make ~name:"append + push + pop_min match a sorted-list model"
+    ~count:500
+    ~print:QCheck2.Print.(list (pair int int))
+    QCheck2.Gen.(list_size (int_range 0 300) (pair (int_bound 5) (int_bound 3)))
+    (fun ops ->
+      let keys = [| 0.25; 1.0; 1.5; 7.0 |] in
+      let h = Heap.create () in
+      (* live entries, sorted by key, then heap before lane, then index *)
+      let model = ref [] in
+      let lane_last = ref None in
+      let lane_live = ref 0 in
+      let ok = ref true in
+      let insert k lane i =
+        let before (k', lane', i') =
+          k' < k
+          || (k' = k && ((lane' = lane && i' < i) || (lane && not lane')))
+        in
+        let rec go = function
+          | e :: rest when before e -> e :: go rest
+          | l -> (k, lane, i) :: l
+        in
+        model := go !model
+      in
+      let pop () =
+        match !model with
+        | [] -> ok := !ok && Heap.is_empty h && Heap.min_key h = infinity
+        | (k, _, _) :: _ ->
+          let got_k = Heap.min_key h in
+          let v = Heap.pop_min h in
+          (* any heap entry of the smallest key; a lane entry only from
+             the head of the model, past every heap entry of its key *)
+          let rec take first = function
+            | [] -> None
+            | ((k', lane, i) as e) :: rest ->
+              if k' <> k || (lane && not first && i = v) then None
+              else if i = v then Some (lane, rest)
+              else Option.map (fun (l, r) -> (l, e :: r)) (take false rest)
+          in
+          (match take true !model with
+          | None -> ok := false
+          | Some (lane, rest) ->
+            ok := !ok && got_k = k;
+            model := rest;
+            if lane then begin
+              decr lane_live;
+              if !lane_live = 0 then lane_last := None
+            end)
+      in
+      (* op 0-1 pops, 2-3 pushes, 4-5 appends *)
+      List.iteri
+        (fun i (op, ki) ->
+          let k = keys.(ki) in
+          if op < 2 then pop ()
+          else if op < 4 then begin
+            Heap.push h k i;
+            insert k false i
+          end
+          else begin
+            Heap.append h k i;
+            let lane = match !lane_last with None -> true | Some l -> k >= l in
+            insert k lane i;
+            if lane then begin
+              lane_last := Some k;
+              incr lane_live
+            end
+          end;
+          ok := !ok && Heap.size h = List.length !model)
+        ops;
+      while !model <> [] do
+        pop ()
+      done;
+      !ok && Heap.is_empty h)
+
+let test_heap_append_lane () =
+  let h = Heap.create () in
+  (* in-order appends across several ring growths, interleaved with pops
+     so the ring wraps *)
+  let next = ref 0 and popped = ref [] in
+  for round = 0 to 19 do
+    for _ = 0 to 9 + round do
+      Heap.append h (float_of_int !next) !next;
+      incr next
+    done;
+    for _ = 0 to 7 do
+      popped := Heap.pop_min h :: !popped
+    done
+  done;
+  while not (Heap.is_empty h) do
+    popped := Heap.pop_min h :: !popped
+  done;
+  Alcotest.(check (list int)) "FIFO through wraps and growths"
+    (List.init !next Fun.id) (List.rev !popped);
+  (* a heap entry beats a lane entry with the same key *)
+  Heap.append h 1.0 0;
+  Heap.push h 1.0 1;
+  Heap.append h 0.5 2 (* out of order: falls back to the heap *);
+  check "min_key sees the fallback" true (Heap.min_key h = 0.5);
+  Alcotest.(check (list int)) "fallback, then heap before lane on a tie"
+    [ 2; 1; 0 ]
+    (List.map snd (drain h))
+
 (* --- policies --- *)
 
 let mesh = Ic_families.Mesh.out_mesh 6
@@ -227,6 +337,8 @@ let () =
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "peek" `Quick test_heap_peek;
           Alcotest.test_case "float keys" `Quick test_heap_float_keys;
+          Alcotest.test_case "append lane: FIFO, wraps, ties" `Quick
+            test_heap_append_lane;
         ] );
       ( "policies",
         [
@@ -242,5 +354,5 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_heap_tie_order; prop_policies_always_valid ] );
+          [ prop_heap_tie_order; prop_heap_append_model; prop_policies_always_valid ] );
     ]

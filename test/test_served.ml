@@ -281,6 +281,25 @@ let test_backpressure () =
   | _ -> Alcotest.fail "expected Retry_after");
   Alcotest.(check int) "retry counted" 1 (Server.stats srv).Server.retry_afters
 
+(* the config is fixed, so every refusal is one value built at create:
+   a refused request allocates no reply *)
+let test_refusals_share_one_reply () =
+  let srv =
+    Server.create (Server.config ~max_inflight:1 ()) (Mesh.out_mesh 3)
+  in
+  ignore (Server.handle srv ~now:0.0 (Wire.Lease_req { worker = 1; k = 1 }));
+  let refuse worker =
+    Server.handle srv ~now:0.0 (Wire.Lease_req { worker; k = 1 })
+  in
+  let a = refuse 2 in
+  let b = refuse 3 in
+  (match a with
+  | Wire.Retry_after _ -> ()
+  | _ -> Alcotest.fail "expected Retry_after");
+  Alcotest.(check bool) "physically the same reply" true (a == b);
+  Alcotest.(check int) "both refusals counted" 2
+    (Server.stats srv).Server.retry_afters
+
 let test_expiry_reissue_and_duplicate () =
   (* timeout = 0 detection + 2 * 1.0 expected = 2.0 *)
   let cfg =
@@ -497,6 +516,19 @@ let test_mesh256_churn_exactly_once () =
   Alcotest.(check string) "metrics JSON byte-identical" json1 json2;
   Alcotest.(check (float 0.0)) "same virtual makespan" r.Hammer.makespan_s
     r2.Hammer.makespan_s
+
+(* the virtual loop packs a worker id into a 30-bit field of an
+   immediate event: a fleet one past the field would alias workers *)
+let test_config_bounds_workers () =
+  let ok n = (Hammer.config ~workers:n ()).Hammer.workers in
+  Alcotest.(check int) "the field's width" (1 lsl 30) Hammer.max_workers;
+  Alcotest.(check int) "one below the bound" (Hammer.max_workers - 1)
+    (ok (Hammer.max_workers - 1));
+  Alcotest.(check int) "the bound itself fits" Hammer.max_workers
+    (ok Hammer.max_workers);
+  match Hammer.config ~workers:(Hammer.max_workers + 1) () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a fleet past the worker field was accepted"
 
 (* one seeded churning run, pinned to recorded constants: reruns of one
    binary agree with each other even after a change that reorders the
@@ -928,6 +960,61 @@ let test_chaos_none_is_transparent () =
   Alcotest.(check int) "every frame delivered" c2s.Chaos.frames
     c2s.Chaos.delivered
 
+(* one seeded churning run through a hostile wire, pinned to recorded
+   constants like [test_pinned_virtual_run]: a change that reorders the
+   chaos loop's events shows here even when reruns agree *)
+let test_pinned_chaos_run () =
+  let g = Mesh.out_mesh 32 in
+  let scfg =
+    Server.config ~n_shards:3 ~max_lease:16 ~expected_s:0.05 ~retry_after_s:0.05
+      ~recovery:(Recovery.make ~timeout_factor:4.0 ())
+      ()
+  in
+  let churn =
+    Plan.make ~crash_rate:0.2 ~disconnect_rate:2.0 ~mean_downtime:0.1 ~seed:5 ()
+  in
+  let cfg =
+    Hammer.config ~workers:200 ~k:4 ~mean_service_s:0.01 ~think_s:0.001 ~churn
+      ~seed:77 ()
+  in
+  let wire =
+    Wire_plan.make ~drop:0.02 ~corrupt:0.02 ~truncate:0.01 ~duplicate:0.02
+      ~reorder:0.02 ~delay_mean:0.005 ~seed:0xC4A0 ()
+  in
+  let r = Hammer.run_chaos ~server:scfg ~wire ~reply_timeout_s:0.5 cfg g in
+  let b = r.Hammer.base in
+  Alcotest.(check (float 0.0))
+    "makespan" 0x1.77892ed24d088p+2 b.Hammer.makespan_s;
+  Alcotest.(check (float 0.0))
+    "grant p50" 0x1.00d4ffc34ebap-3 b.Hammer.lease_grant_p50_s;
+  Alcotest.(check (float 0.0))
+    "grant p99" 0x1.68d5fc705cb86p+0 b.Hammer.lease_grant_p99_s;
+  Alcotest.(check (list int))
+    "completed, crashed, disconnects, retries" [ 561; 131; 1184; 295 ]
+    [
+      b.Hammer.completed; b.Hammer.crashed; b.Hammer.disconnects;
+      r.Hammer.retries;
+    ];
+  Alcotest.(check (list int))
+    "c2s and s2c frames, dropped" [ 7008; 149; 6637; 127 ]
+    [ r.Hammer.c2s.Chaos.frames; r.Hammer.c2s.Chaos.dropped;
+      r.Hammer.s2c.Chaos.frames; r.Hammer.s2c.Chaos.dropped ];
+  Alcotest.(check bool) "server stats" true
+    (b.Hammer.server
+    = {
+        Server.leases = 495;
+        leased_tasks = 731;
+        completions = 561;
+        duplicate_completes = 48;
+        reissues = 170;
+        retry_afters = 5567;
+        heartbeats = 0;
+        protocol_errors = 13;
+        inflight = 0;
+        recovered_reissues = 0;
+        recovered_tasks = 0;
+      })
+
 (* ------------------------------------------------------- TCP transport *)
 
 let test_tcp_loopback_roundtrip () =
@@ -1231,6 +1318,8 @@ let () =
           Alcotest.test_case "lease, complete, done" `Quick
             test_lease_complete_done;
           Alcotest.test_case "admission control" `Quick test_backpressure;
+          Alcotest.test_case "refusals share one reply" `Quick
+            test_refusals_share_one_reply;
           Alcotest.test_case "expiry re-issues; duplicate counted once" `Quick
             test_expiry_reissue_and_duplicate;
           Alcotest.test_case "heartbeat renews leases" `Quick
@@ -1253,6 +1342,8 @@ let () =
             test_metrics_reset_between_repeats;
           Alcotest.test_case "seeded churning run matches pinned values" `Quick
             test_pinned_virtual_run;
+          Alcotest.test_case "config bounds workers to the event field" `Quick
+            test_config_bounds_workers;
           Alcotest.test_case "live mirror preserves byte-determinism" `Quick
             test_live_mirror_preserves_determinism;
         ] );
@@ -1279,6 +1370,8 @@ let () =
             `Quick test_chaos_hostile_wire_exactly_once;
           Alcotest.test_case "plan none is transparent" `Quick
             test_chaos_none_is_transparent;
+          Alcotest.test_case "seeded chaos run matches pinned values" `Quick
+            test_pinned_chaos_run;
         ] );
       ( "tcp",
         [
