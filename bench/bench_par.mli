@@ -1,13 +1,10 @@
 (** The [par] bench group: wall-clock and steal-counter records for the
     domains-based parallel runtime ([Ic_par]).
 
-    This module is a dune [select]: on OCaml >= 5.0 the real runner
-    ([bench_par.par.ml]) executes each payload family sequentially and
-    then under the parallel runtime across a sweep of domain counts and
-    ordering modes, emitting one JSON record per configuration plus a
-    deque push/pop microbenchmark. On 4.14 the stub
-    ([bench_par.nopar.ml]) prints a one-line notice to stderr and emits
-    nothing, so every other group keeps working. *)
+    It executes each payload family sequentially and then under the
+    parallel runtime across a sweep of domain counts and ordering
+    modes, emitting one JSON record per configuration plus a deque
+    push/pop microbenchmark. *)
 
 val run : quick:bool -> emit:(string -> unit) -> unit
 (** [run ~quick ~emit] benchmarks the parallel runtime, passing each

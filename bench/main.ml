@@ -663,16 +663,14 @@ let run_trace file =
 
 (* --------------------------------------------------- group: par ------ *)
 
-(* Bench_par is a dune select: the real runner on OCaml >= 5.0 (where
-   ic_par builds), a one-line notice on 4.14. Records go through
-   emit_json so --json-out and --compare see them like any other group. *)
+(* Records go through emit_json so --json-out and --compare see them like
+   any other group. *)
 let run_par () = Bench_par.run ~quick:!quick ~emit:emit_json
 
 (* ------------------------------------------------ group: served ----- *)
 
-(* Bench_served is the same select arrangement as Bench_par: real runner
-   where ic_served builds, a notice on 4.14. Like par, the group stays
-   out of the gate -- leases/sec is machine-specific. *)
+(* Like par, the group stays out of the gate -- leases/sec is
+   machine-specific. *)
 let run_served () = Bench_served.run ~quick:!quick ~emit:emit_json
 
 (* ------------------------------------------------- report + compare -- *)
@@ -709,6 +707,10 @@ let run_compare file =
         Baseline.compare_runs ~thresholds:!thresholds ~baseline ~current ()
         |> List.filter (fun c -> c.Baseline.threshold <> None)
       in
+      if comparisons = [] then begin
+        Printf.eprintf "perf gate: no record in %s matches this run\n" file;
+        exit 2
+      end;
       Baseline.pp_comparisons stderr comparisons;
       if Baseline.regressed comparisons then begin
         prerr_endline "perf gate: REGRESSED";

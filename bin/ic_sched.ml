@@ -456,9 +456,9 @@ let trace_cmd =
           ~recovery ()
       in
       let trace = Ic_obs.Trace.create () in
-      let registry = Ic_obs.Metrics.create () in
+      let live = Ic_obs.Live.create () in
       let r =
-        Ic_sim.Simulator.run ~sink:trace ~metrics:registry config policy
+        Ic_sim.Simulator.run ~sink:trace ~live config policy
           ~workload:Ic_sim.Workload.unit f.dag
       in
       write_file out
@@ -476,10 +476,10 @@ let trace_cmd =
       Option.iter (Format.printf "eligibility timeline -> %s@.") csv;
       Option.iter
         (fun file ->
-          write_file file (Ic_obs.Metrics.to_json registry);
+          write_file file (Ic_obs.Live.to_json live);
           Format.printf "metrics -> %s@." file)
         metrics_out;
-      if metrics then Ic_obs.Metrics.pp_text Format.std_formatter registry
+      if metrics then print_string (Ic_obs.Live.openmetrics ~process:false live)
   in
   Cmd.v
     (Cmd.info "trace"

@@ -1,10 +1,5 @@
-(* The bin executables' view of the parallel runtime. Dune `select`
-   plugs in par_support.par.ml when ic_par is available (OCaml >= 5.0)
-   and par_support.nopar.ml otherwise, so ic_sched and report build —
-   with the `run` subcommand and E19 degrading to a clear message — on
-   4.14 toolchains too. *)
-
-val available : bool
+(* The bin executables' view of the parallel runtime: the `run`
+   subcommand and report's E19. *)
 
 type outcome = {
   payload : string;  (* payload name, e.g. "wavefront-40" *)
@@ -35,5 +30,4 @@ val run :
 (* [domains = 0] means auto (IC_PAR_DOMAINS or the recommended count).
    [check:false] skips the sequential baseline run and the result
    comparison ([seq_wall_s] is nan, [ok] reflects only the self-check
-   being skipped, i.e. true). Errors: unknown family/order, or — from
-   the stub — the runtime not being built on this compiler. *)
+   being skipped, i.e. true). Errors: unknown family/order. *)

@@ -516,45 +516,41 @@ let a2 () =
 let e19 () =
   header "e19"
     "parallel execution: IC-priority ordering vs plain work stealing (Ic_par)";
-  if not Par_support.available then
-    pf "skipped: the parallel runtime requires OCaml >= 5.0@."
-  else begin
-    pf "real payloads on domains with work-stealing deques; each row runs the@.";
-    pf "same dataflow under plain stealing and under the IC-optimal priority@.";
-    pf "pool, with the sequential engine as the speedup baseline:@.";
-    let domain_counts = [ 1; 2; 4; 8 ] in
-    let cases =
-      (* family, size, spin_us: ~1 us, ~100 us and ~10 ms granularities *)
-      [
-        ("wavefront", 40, 1.0);
-        ("wavefront", 40, 100.0);
-        ("wavefront", 12, 10_000.0);
-        ("matmul", 6, 0.0);
-        ("quadrature", 10, 100.0);
-        ("fft", 8, 100.0);
-      ]
-    in
-    pf "@.%-18s %6s %4s %6s  %9s %8s %8s %6s@." "payload" "spin" "dom" "order"
-      "wall s" "speedup" "steals" "ok";
-    List.iter
-      (fun (family, size, spin_us) ->
-        List.iter
-          (fun domains ->
-            List.iter
-              (fun order ->
-                match
-                  Par_support.run ~family ~size ~spin_us ~domains ~order
-                    ~check:true ()
-                with
-                | Error e -> pf "%s: %s@." family e
-                | Ok o ->
-                  pf "%-18s %6.0f %4d %6s  %9.4f %7.2fx %8d %6b@."
-                    o.Par_support.payload spin_us o.domains o.order o.wall_s
-                    (o.seq_wall_s /. o.wall_s) o.steals o.ok)
-              [ "steal"; "ic" ])
-          domain_counts)
-      cases
-  end
+  pf "real payloads on domains with work-stealing deques; each row runs the@.";
+  pf "same dataflow under plain stealing and under the IC-optimal priority@.";
+  pf "pool, with the sequential engine as the speedup baseline:@.";
+  let domain_counts = [ 1; 2; 4; 8 ] in
+  let cases =
+    (* family, size, spin_us: ~1 us, ~100 us and ~10 ms granularities *)
+    [
+      ("wavefront", 40, 1.0);
+      ("wavefront", 40, 100.0);
+      ("wavefront", 12, 10_000.0);
+      ("matmul", 6, 0.0);
+      ("quadrature", 10, 100.0);
+      ("fft", 8, 100.0);
+    ]
+  in
+  pf "@.%-18s %6s %4s %6s  %9s %8s %8s %6s@." "payload" "spin" "dom" "order"
+    "wall s" "speedup" "steals" "ok";
+  List.iter
+    (fun (family, size, spin_us) ->
+      List.iter
+        (fun domains ->
+          List.iter
+            (fun order ->
+              match
+                Par_support.run ~family ~size ~spin_us ~domains ~order
+                  ~check:true ()
+              with
+              | Error e -> pf "%s: %s@." family e
+              | Ok o ->
+                pf "%-18s %6.0f %4d %6s  %9.4f %7.2fx %8d %6b@."
+                  o.Par_support.payload spin_us o.domains o.order o.wall_s
+                  (o.seq_wall_s /. o.wall_s) o.steals o.ok)
+            [ "steal"; "ic" ])
+        domain_counts)
+    cases
 
 let experiments =
   [

@@ -1,10 +1,5 @@
-(* The bin executables' view of the lease-serving subsystem. Dune
-   `select` plugs in served_support.served.ml when ic_served is
-   available (OCaml >= 5.0) and served_support.noserved.ml otherwise,
-   so ic_sched builds — with the serve and hammer subcommands degrading
-   to a clear message — on 4.14 toolchains too. *)
-
-val available : bool
+(* The bin executables' view of the lease-serving subsystem: the serve
+   and hammer subcommands. *)
 
 type serve_outcome = {
   n_tasks : int;
@@ -63,12 +58,12 @@ val serve :
    kill -9 (read it back with `ic_sched blackbox`); with [recover] an
    existing ring of the same geometry is continued, not truncated.
 
-   [metrics_out]/[trace_out] write the served.* metrics registry as
-   JSON and a Chrome trace-event file with one track per shard after
-   the loop exits. Errors: invalid config, a bind failure, a journal
-   that cannot be opened or does not fit the dag, a flight ring that
-   cannot be created, [recover] without [journal], or — from the stub —
-   the subsystem not being built on this compiler. *)
+   [metrics_out]/[trace_out] write the served.* live registry as JSON
+   (Ic_obs.Live.to_json) and a Chrome trace-event file with one track
+   per shard after the loop exits. Errors: invalid config, a bind
+   failure, a journal that cannot be opened or does not fit the dag, a
+   flight ring that cannot be created, or [recover] without
+   [journal]. *)
 
 type hammer_outcome = {
   h_workers : int;
@@ -111,6 +106,5 @@ val hammer :
    writes the client-side hammer.* registry as JSON. Both files are
    written on every exit that produced a result — including runs cut
    short by a dead server once the reconnect/reply-timeout budget is
-   exhausted, which previously discarded them. Errors: invalid config,
-   the initial dial refused, or — from the stub — the subsystem not
-   being built. *)
+   exhausted, which previously discarded them. Errors: invalid config
+   or the initial dial refused. *)

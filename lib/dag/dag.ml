@@ -100,17 +100,6 @@ let fold_arcs g init f =
   iter_arcs g (fun u v -> acc := f !acc u v);
   !acc
 
-(* compatibility wrapper over {!iter_arcs}; prefer the iterators *)
-let arcs g =
-  let acc = ref [] in
-  let off = g.soff and dat = g.sdat in
-  for u = g.n - 1 downto 0 do
-    for i = Slab.unsafe_get off (u + 1) - 1 downto Slab.unsafe_get off u do
-      acc := (u, Slab.unsafe_get dat i) :: !acc
-    done
-  done;
-  !acc
-
 let label g v =
   match g.labels with
   | Some ls -> ls.(v)

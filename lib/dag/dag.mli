@@ -169,11 +169,6 @@ val fold_arcs : t -> 'a -> ('a -> int -> int -> 'a) -> 'a
 (** [fold_arcs g init f] folds [f acc u v] over arcs in lexicographic
     order. *)
 
-val arcs : t -> (int * int) list
-  [@@deprecated "allocates two words per arc; use Dag.iter_arcs or Dag.fold_arcs"]
-(** Arcs in lexicographic order, as a list. Compatibility wrapper over
-    {!iter_arcs}; allocates two words per arc — use the iterators. *)
-
 val out_degree : t -> int -> int
 (** [O(1)]. *)
 

@@ -226,9 +226,9 @@ let restore t snap =
        stay GC-invisible and cache-lean at the 10^8-node scale;
      - unpacked  (int array, 8 bytes/node) beyond that.
 
-   Each run bumps the matching counter below; [record_scratch_metrics]
-   publishes them to an [Ic_obs.Metrics] registry, so the silent-fallback
-   behaviour the tiers replace is now observable.
+   Each run bumps the matching counter below; [scratch_counts] reads
+   them, so the silent-fallback behaviour the tiers replace is now
+   observable.
 
    [profile_raw] is the bare loop; [profile] adds the span. The raw entry
    point stays exposed so the bench harness can compare instrumented
@@ -264,16 +264,6 @@ let unpacked_runs = ref 0
 
 let scratch_counts () =
   { packed8 = !packed8_runs; packed16 = !packed16_runs; unpacked = !unpacked_runs }
-
-let record_scratch_metrics registry =
-  let sync name total =
-    let c = Ic_obs.Metrics.counter registry name in
-    let behind = total - Ic_obs.Metrics.counter_value c in
-    if behind > 0 then Ic_obs.Metrics.incr ~by:behind c
-  in
-  sync "frontier.profile.scratch_packed8" !packed8_runs;
-  sync "frontier.profile.scratch_packed16" !packed16_runs;
-  sync "frontier.profile.scratch_unpacked" !unpacked_runs
 
 let profile_raw g ~order =
   let n = Dag.n_nodes g in

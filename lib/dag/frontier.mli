@@ -132,12 +132,6 @@ val scratch_counts : unit -> scratch_counts
 (** Process-wide count of {!profile}/{!profile_raw} runs per scratch
     tier. *)
 
-val record_scratch_metrics : Ic_obs.Metrics.t -> unit
-(** Publish the scratch-tier counters to a metrics registry as the
-    counters [frontier.profile.scratch_packed8] / [..._packed16] /
-    [..._unpacked]. Idempotent: each call raises the registry counters to
-    the current totals, so repeated calls never double-count. *)
-
 (** {1 Observability} *)
 
 type observer = {

@@ -6,13 +6,11 @@
    it runs a few times a second, so it can afford to sum cells and
    rebuild quantiles from buckets.
 
-   Registration is guarded by a tiny spin lock rather than Mutex so the
-   library keeps building on 4.14 without a threads dependency; it only
-   protects the name table — instruments themselves are immutable
-   records over Atomic cells. Counter cells are allocated with spacer
-   arrays between them so consecutive cells land on different cache
-   lines (minor-heap allocation is sequential and promotion preserves
-   order). *)
+   Registration is guarded by a mutex that only protects the name
+   table — instruments themselves are immutable records over Atomic
+   cells. Counter cells are allocated with spacer arrays between them so
+   consecutive cells land on different cache lines (minor-heap
+   allocation is sequential and promotion preserves order). *)
 
 type counter = {
   cells : int Atomic.t array;
@@ -42,7 +40,7 @@ type instrument = C of counter | G of gauge | H of histogram
 
 type t = {
   n_shards : int;
-  lock : bool Atomic.t;
+  lock : Mutex.t;
   tbl : (string, instrument) Hashtbl.t;
   created_at : float;
 }
@@ -53,18 +51,14 @@ let create ?(shards = 8) () =
   let shards = pow2_ge (max shards 1) 1 in
   {
     n_shards = shards;
-    lock = Atomic.make false;
+    lock = Mutex.create ();
     tbl = Hashtbl.create 32;
     created_at = Unix.gettimeofday ();
   }
 
 let shards t = t.n_shards
 
-let with_lock t f =
-  while not (Atomic.compare_and_set t.lock false true) do
-    ()
-  done;
-  Fun.protect ~finally:(fun () -> Atomic.set t.lock false) f
+let with_lock t f = Mutex.protect t.lock f
 
 let make_cells n =
   let pads = Array.make n [||] in
@@ -209,6 +203,9 @@ let fmt_float x =
     Printf.sprintf "%.0f" x
   else Printf.sprintf "%.9g" x
 
+(* JSON has no NaN or infinity; an empty quantile gauge renders null *)
+let json_float x = if Float.is_finite x then fmt_float x else "null"
+
 let rss_bytes () =
   match open_in "/proc/self/status" with
   | exception Sys_error _ -> 0
@@ -316,7 +313,7 @@ let to_json t =
   Buffer.add_string buf ", ";
   section "gauges"
     (function G g -> Some (gauge_value g) | _ -> None)
-    (fun v -> Buffer.add_string buf (fmt_float v));
+    (fun v -> Buffer.add_string buf (json_float v));
   Buffer.add_string buf ", ";
   section "histograms"
     (function H h -> Some (histogram_snapshot h) | _ -> None)

@@ -1,14 +1,16 @@
-(** Domain-safe live telemetry: sharded counters, atomic gauges and
-    lock-free log-bucketed histograms, readable while the producers are
-    still running.
+(** The metrics registry: sharded counters, atomic gauges and
+    lock-free log-bucketed histograms, domain-safe and readable while
+    the producers are still running.
 
-    {!Metrics} is the deterministic dump-at-exit registry: single
-    writer, exact buckets, byte-stable JSON. [Live] is its concurrent
-    sibling for watching a running system — a multicore
-    [Ic_par.Runtime] or an [Ic_served] frontend under real traffic.
-    The two coexist: producers that accept both record the same event
-    into both, and seeded offline artifacts keep coming from
-    {!Metrics} alone.
+    It is the only registry in the tree. Every producer —
+    [Ic_sim.Simulator], [Ic_par.Runtime], [Ic_served.Server] and its
+    harnesses — records each event once, into a [Live.t]; the same
+    registry serves a scrape endpoint mid-run and the dump-at-exit
+    artifact. For a seeded single-writer run the dump is
+    deterministic: counters are exact once writers stop, bucketing is
+    a pure function of the value, histogram sums are integer
+    nanoseconds and {!to_json} sorts by name, so identically seeded
+    runs give byte-identical JSON.
 
     {2 Cell layout}
 
@@ -114,6 +116,9 @@ val openmetrics : ?process:bool -> t -> string
     [Gc.quick_stat], and uptime since {!create}. *)
 
 val to_json : t -> string
-(** The registry as a JSON document (counters/gauges/histograms maps,
-    names sorted) — same shape family as {!Metrics.to_json}, for
-    snapshot artifacts. *)
+(** The registry as a JSON document:
+    [{"counters": {...}, "gauges": {...}, "histograms": {...}}], names
+    sorted and escaped. A histogram is
+    [{"count": n, "sum": s, "buckets": [[le, cumulative], ...]}] over
+    its occupied buckets. A non-finite gauge (an empty quantile, say)
+    renders as [null], so the output is always standard JSON. *)

@@ -96,10 +96,9 @@ type t = {
   mutable start : int;
   limit : int;  (* 0 = unbounded *)
   mutable dropped : int;
-  drop_counter : Metrics.counter option;
 }
 
-let create ?(capacity = 1024) ?limit ?metrics () =
+let create ?(capacity = 1024) ?limit () =
   let limit =
     match limit with
     | None -> 0
@@ -119,8 +118,6 @@ let create ?(capacity = 1024) ?limit ?metrics () =
     start = 0;
     limit;
     dropped = 0;
-    drop_counter =
-      Option.map (fun m -> Metrics.counter m "obs.dropped_events") metrics;
   }
 
 let length t = t.len
@@ -167,10 +164,7 @@ let emit t kind ~time ~a ~b =
     Array.unsafe_set t.pa i a;
     Array.unsafe_set t.pb i b;
     t.start <- (if i + 1 = t.len then 0 else i + 1);
-    t.dropped <- t.dropped + 1;
-    match t.drop_counter with
-    | Some c -> Metrics.incr c
-    | None -> ()
+    t.dropped <- t.dropped + 1
   end
 
 let task_alloc t ~time ~task ~client = emit t Task_alloc ~time ~a:task ~b:client

@@ -67,7 +67,7 @@ type event = { kind : kind; time : float; a : int; b : int }
 
 type t
 
-val create : ?capacity:int -> ?limit:int -> ?metrics:Metrics.t -> unit -> t
+val create : ?capacity:int -> ?limit:int -> unit -> t
 (** An empty trace. [capacity] (default 1024) presizes the columns.
 
     With [limit] the trace is a bounded ring: it grows normally up to
@@ -77,10 +77,7 @@ val create : ?capacity:int -> ?limit:int -> ?metrics:Metrics.t -> unit -> t
     {!to_array}) always present the retained events oldest-first.
     Without [limit] (the default) the trace is unbounded, which is what
     seeded offline runs want — nothing is ever dropped, and equal runs
-    stay byte-identical.
-
-    [metrics] registers an [obs.dropped_events] counter in the given
-    registry, bumped once per overwritten event. *)
+    stay byte-identical. {!dropped} counts the overwritten events. *)
 
 val length : t -> int
 (** Number of retained events. *)

@@ -2,7 +2,6 @@ module Dag = Ic_dag.Dag
 module Slab = Ic_dag.Slab
 module Frontier = Ic_dag.Frontier
 module Trace = Ic_obs.Trace
-module Metrics = Ic_obs.Metrics
 module Live = Ic_obs.Live
 
 type order = Steal | Ic_priority
@@ -177,7 +176,7 @@ let steal_from ready victim =
   | Shards p -> Pool.try_steal p ~shard:victim
 
 let run ?domains ?(order = Steal) ?priority ?(capacity = 8192)
-    ?(park_min = 2e-6) ?(park_max = 1e-3) ?metrics ?sink ?live g ~task =
+    ?(park_min = 2e-6) ?(park_max = 1e-3) ?sink ?live g ~task =
   if (not (Float.is_finite park_min)) || park_min <= 0.0 then
     invalid_arg "Runtime.run: park_min must be finite and positive";
   if (not (Float.is_finite park_max)) || park_max < park_min then
@@ -186,18 +185,8 @@ let run ?domains ?(order = Steal) ?priority ?(capacity = 8192)
   let n_domains =
     max 1 (match domains with Some d -> d | None -> default_domains ())
   in
-  let record_metrics (st : stats) =
-    match metrics with
-    | None -> ()
-    | Some m ->
-      Metrics.incr ~by:st.tasks (Metrics.counter m "par.tasks");
-      Metrics.incr ~by:st.steals (Metrics.counter m "par.steals");
-      Metrics.incr ~by:st.steal_attempts (Metrics.counter m "par.steal_attempts");
-      Metrics.incr ~by:st.overflows (Metrics.counter m "par.overflows");
-      Metrics.incr ~by:st.parks (Metrics.counter m "par.parks");
-      Metrics.set (Metrics.gauge m "par.domains") (float_of_int st.domains);
-      Metrics.set (Metrics.gauge m "par.wall_s") st.wall_s
-  in
+  (* registered up front so an empty dag still reports zero counts *)
+  let lv = Option.map live_instr live in
   let record_live (st : stats) =
     match live with
     | None -> ()
@@ -218,7 +207,6 @@ let run ?domains ?(order = Steal) ?priority ?(capacity = 8192)
         per_domain_tasks = Array.make n_domains 0;
       }
     in
-    record_metrics st;
     record_live st;
     st
   end
@@ -240,7 +228,6 @@ let run ?domains ?(order = Steal) ?priority ?(capacity = 8192)
     let counts = Counts.create g in
     let completed = Atomic.make 0 in
     let off = Dag.succ_offsets g and dat = Dag.succ_targets g in
-    let lv = Option.map live_instr live in
     let workers =
       Array.init n_domains (fun id ->
           {
@@ -392,16 +379,15 @@ let run ?domains ?(order = Steal) ?priority ?(capacity = 8192)
         per_domain_tasks = Array.map (fun w -> w.tasks) workers;
       }
     in
-    record_metrics st;
     record_live st;
     st
   end
 
-let executor ?domains ?order ?priority ?capacity ?park_min ?park_max ?metrics
-    ?sink ?live ?on_stats () =
+let executor ?domains ?order ?priority ?capacity ?park_min ?park_max ?sink
+    ?live ?on_stats () =
  fun g step ->
   let st =
-    run ?domains ?order ?priority ?capacity ?park_min ?park_max ?metrics ?sink
-      ?live g ~task:step
+    run ?domains ?order ?priority ?capacity ?park_min ?park_max ?sink ?live g
+      ~task:step
   in
   match on_stats with None -> () | Some f -> f st

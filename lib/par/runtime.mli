@@ -49,7 +49,6 @@ val run :
   ?capacity:int ->
   ?park_min:float ->
   ?park_max:float ->
-  ?metrics:Ic_obs.Metrics.t ->
   ?sink:Ic_obs.Trace.t ->
   ?live:Ic_obs.Live.t ->
   Ic_dag.Dag.t ->
@@ -76,24 +75,23 @@ val run :
     dags. [Invalid_argument] unless [0 < park_min <= park_max], both
     finite.
 
-    [metrics], when given, receives after the run the counters
-    [par.tasks], [par.steals], [par.steal_attempts], [par.overflows],
-    [par.parks] and the gauges [par.domains], [par.wall_s] (counters
-    accumulate across runs sharing a registry). [sink], when given,
-    receives one [task_alloc]/[task_complete] pair per task, stamped
-    with wall-clock seconds since the run started and carrying the
-    executing domain as the client id — per-domain buffers are merged
-    into [sink] time-sorted after the join, so the Perfetto exporter
-    renders one track per domain. Neither costs anything when absent.
+    [sink], when given, receives one [task_alloc]/[task_complete] pair
+    per task, stamped with wall-clock seconds since the run started and
+    carrying the executing domain as the client id — per-domain buffers
+    are merged into [sink] time-sorted after the join, so the Perfetto
+    exporter renders one track per domain.
 
-    [live], when given, receives the same [par.*] counters {e while the
-    run is executing}: each domain increments its own shard of the
-    {!Ic_obs.Live} sharded cells (shard = worker id), plus a
-    [par.task_s] latency histogram per task — so a scrape endpoint in
+    [live], when given, receives the counters [par.tasks],
+    [par.steals], [par.steal_attempts], [par.overflows] and [par.parks]
+    {e while the run is executing}: each domain increments its own
+    shard of the {!Ic_obs.Live} sharded cells (shard = worker id), plus
+    a [par.task_s] latency histogram per task — so a scrape endpoint in
     another thread of control reads monotone, domain-safe counts
-    mid-run. The [par.domains] / [par.wall_s] gauges are set at the
-    join. Costs one branch per event when absent; create the registry
-    with [~shards] at least [domains] to keep the cells uncontended. *)
+    mid-run, and the totals are exact after the join (counters
+    accumulate across runs sharing a registry). The [par.domains] /
+    [par.wall_s] gauges are set at the join. Neither costs more than
+    one branch per event when absent; create the registry with
+    [~shards] at least [domains] to keep the cells uncontended. *)
 
 val executor :
   ?domains:int ->
@@ -102,7 +100,6 @@ val executor :
   ?capacity:int ->
   ?park_min:float ->
   ?park_max:float ->
-  ?metrics:Ic_obs.Metrics.t ->
   ?sink:Ic_obs.Trace.t ->
   ?live:Ic_obs.Live.t ->
   ?on_stats:(stats -> unit) ->

@@ -46,27 +46,13 @@ let record_of_json v =
 let records_of_json v =
   List.filter_map record_of_json (Json.to_list v)
 
-(* Accepts both the current format (a JSON array of records) and the
-   legacy NDJSON one object per line, so old baseline files keep
-   loading. *)
+(* a document that is not an array would otherwise load as no records
+   and make the gate compare nothing *)
 let load_string s =
   match Json.parse s with
-  | Ok v -> Ok (records_of_json v)
-  | Error _ ->
-    let lines = String.split_on_char '\n' s in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | line :: rest ->
-        if String.trim line = "" then go acc rest
-        else (
-          match Json.parse line with
-          | Ok v -> (
-            match record_of_json v with
-            | Some r -> go (r :: acc) rest
-            | None -> go acc rest)
-          | Error e -> Error (Printf.sprintf "bad record line %S: %s" line e))
-    in
-    go [] lines
+  | Ok (Json.Array _ as v) -> Ok (records_of_json v)
+  | Ok _ -> Error "not a JSON array of bench records"
+  | Error e -> Error e
 
 let load_file path =
   match

@@ -28,8 +28,8 @@ val records_of_json : Ic_obs.Json.value -> record list
     field are skipped. *)
 
 val load_string : string -> (record list, string) result
-(** Parse a whole document as a JSON array, falling back to legacy NDJSON
-    (one object per line) when the document as a whole doesn't parse. *)
+(** Parse a whole document as a JSON array of records. [Error] when it
+    is not JSON or its top-level value is not an array. *)
 
 val load_file : string -> (record list, string) result
 

@@ -1,6 +1,7 @@
 module Plan = Ic_fault.Plan
 module Heap = Ic_heuristics.Heap
 module Monotonic = Ic_prof.Monotonic
+module Live = Ic_obs.Live
 
 type config = {
   workers : int;
@@ -103,22 +104,18 @@ let sample s x =
 
 let to_array s = Array.sub s.xs 0 s.n
 
-let utilization_buckets =
-  [| 0.01; 0.02; 0.05; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 1.0 |]
+(* the harness-side end-of-run instruments, beside the server's own *)
+let record_run l srv busy makespan =
+  if makespan > 0.0 then begin
+    let h = Live.histogram l "served.worker_utilization" in
+    Array.iter (fun b -> Live.observe h (b /. makespan)) busy
+  end;
+  Live.set (Live.gauge l "served.makespan_s") makespan;
+  Live.set
+    (Live.gauge l "served.inflight_final")
+    (float_of_int (Server.stats srv).Server.inflight)
 
-let observe_utilization metrics busy makespan =
-  match metrics with
-  | None -> ()
-  | Some m ->
-    if makespan > 0.0 then begin
-      let h =
-        Ic_obs.Metrics.histogram m "served.worker_utilization"
-          ~buckets:utilization_buckets
-      in
-      Array.iter (fun b -> Ic_obs.Metrics.observe h (b /. makespan)) busy
-    end
-
-let drive ?metrics srv cfg =
+let drive ?live srv cfg =
   let t_start = Monotonic.now () in
   let w = cfg.workers in
   let status = Array.make w w_idle in
@@ -259,14 +256,7 @@ let drive ?metrics srv cfg =
   for i = 0 to w - 1 do
     end_busy i !now
   done;
-  observe_utilization metrics busy !now;
-  (match metrics with
-  | None -> ()
-  | Some m ->
-    Ic_obs.Metrics.set (Ic_obs.Metrics.gauge m "served.makespan_s") !now;
-    Ic_obs.Metrics.set
-      (Ic_obs.Metrics.gauge m "served.inflight_final")
-      (float_of_int (Server.stats srv).Server.inflight));
+  Option.iter (fun l -> record_run l srv busy !now) live;
   let grants = to_array grant_lat in
   let services = to_array service_lat in
   {
@@ -284,8 +274,8 @@ let drive ?metrics srv cfg =
     busy_s = busy;
   }
 
-let run_virtual ?metrics ?sink ?live ?flight ~server:scfg cfg g =
-  drive ?metrics (Server.create ?metrics ?sink ?live ?flight scfg g) cfg
+let run_virtual ?sink ?live ?flight ~server:scfg cfg g =
+  drive ?live (Server.create ?sink ?live ?flight scfg g) cfg
 
 (* ----------------------------------------------------------- chaos run *)
 
@@ -306,12 +296,12 @@ type cev =
   | C_to_worker of int * int * Wire.msg  (* worker, epoch at emission *)
   | C_retry of int * int * int  (* worker, epoch, request seq *)
 
-let run_chaos ?metrics ?sink ?live ?flight ~server:scfg ~wire
+let run_chaos ?sink ?live ?flight ~server:scfg ~wire
     ?(reply_timeout_s = 1.0) cfg g =
   if (not (Float.is_finite reply_timeout_s)) || reply_timeout_s <= 0.0 then
     invalid_arg "Hammer.run_chaos: reply_timeout_s must be finite and positive";
   let t_start = Monotonic.now () in
-  let srv = Server.create ?metrics ?sink ?live ?flight scfg g in
+  let srv = Server.create ?sink ?live ?flight scfg g in
   let w = cfg.workers in
   let c2s = Chaos.create wire ~dir:0 in
   let s2c = Chaos.create wire ~dir:1 in
@@ -506,19 +496,15 @@ let run_chaos ?metrics ?sink ?live ?flight ~server:scfg ~wire
   for i = 0 to w - 1 do
     end_busy i !now
   done;
-  observe_utilization metrics busy !now;
-  (match metrics with
+  (match live with
   | None -> ()
-  | Some m ->
-    Ic_obs.Metrics.set (Ic_obs.Metrics.gauge m "served.makespan_s") !now;
-    Ic_obs.Metrics.set
-      (Ic_obs.Metrics.gauge m "served.inflight_final")
-      (float_of_int (Server.stats srv).Server.inflight);
+  | Some l ->
+    record_run l srv busy !now;
     let link name (s : Chaos.stats) =
       let c field v =
-        Ic_obs.Metrics.incr ~by:v
-          (Ic_obs.Metrics.counter m
-             (Printf.sprintf "served.chaos.%s.%s" name field))
+        Live.incr
+          (Live.counter l (Printf.sprintf "served.chaos.%s.%s" name field))
+          ~shard:0 v
       in
       c "frames" s.Chaos.frames;
       c "delivered" s.Chaos.delivered;
@@ -532,8 +518,7 @@ let run_chaos ?metrics ?sink ?live ?flight ~server:scfg ~wire
     in
     link "c2s" (Chaos.stats c2s);
     link "s2c" (Chaos.stats s2c);
-    Ic_obs.Metrics.incr ~by:!retries
-      (Ic_obs.Metrics.counter m "served.chaos.retries"));
+    Live.incr (Live.counter l "served.chaos.retries") ~shard:0 !retries);
   let grants = to_array grant_lat in
   let services = to_array service_lat in
   {

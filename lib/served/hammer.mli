@@ -70,12 +70,11 @@ type result = {
   busy_s : float array;
       (** per-worker virtual time spent holding a lease batch; divided
           by [makespan_s] it is the worker's utilization, also emitted
-          as the [served.worker_utilization] histogram when a metrics
+          as the [served.worker_utilization] histogram when a live
           registry is given *)
 }
 
 val run_virtual :
-  ?metrics:Ic_obs.Metrics.t ->
   ?sink:Ic_obs.Trace.t ->
   ?live:Ic_obs.Live.t ->
   ?flight:Ic_obs.Flight.t ->
@@ -84,18 +83,19 @@ val run_virtual :
   Ic_dag.Dag.t ->
   result
 (** Run to completion (or to starvation, if churn killed every worker)
-    under the virtual clock. [metrics]/[sink] are handed to the embedded
-    {!Server}; with a fixed seed the registry's JSON dump and the trace
-    are byte-identical across runs. [live]/[flight] are likewise handed
-    to the server: the live registry mirrors the [served.*] meters
-    concurrently-readably, and neither perturbs the deterministic
-    [metrics]/[sink] artifacts. *)
+    under the virtual clock. [sink]/[live]/[flight] are handed to the
+    embedded {!Server}; [live] also receives the harness-side
+    instruments at the end of the run ([served.makespan_s],
+    [served.inflight_final], [served.worker_utilization]). With a fixed
+    seed {!Ic_obs.Live.to_json} of the registry and the trace are
+    byte-identical across runs; the flight ring does not perturb
+    either. *)
 
-val drive : ?metrics:Ic_obs.Metrics.t -> Server.t -> config -> result
+val drive : ?live:Ic_obs.Live.t -> Server.t -> config -> result
 (** {!run_virtual} against an {e existing} server — the recovery
     acceptance vehicle: journal a partial drain, crash, {!Server.recover}
     the state, then [drive] the worker fleet against the recovered server
-    and watch it reach exactly-once completion. [metrics] only receives
+    and watch it reach exactly-once completion. [live] only receives
     the harness-side instruments ([served.makespan_s],
     [served.inflight_final], [served.worker_utilization]); pass the same
     registry to {!Server.recover} for the server's own counters. *)
@@ -120,7 +120,6 @@ type chaos_result = {
 }
 
 val run_chaos :
-  ?metrics:Ic_obs.Metrics.t ->
   ?sink:Ic_obs.Trace.t ->
   ?live:Ic_obs.Live.t ->
   ?flight:Ic_obs.Flight.t ->
@@ -131,7 +130,7 @@ val run_chaos :
   Ic_dag.Dag.t ->
   chaos_result
 (** [reply_timeout_s] (default 1.0, positive) is how long a worker waits
-    for a reply before re-sending. With [metrics], the per-link
+    for a reply before re-sending. With [live], the per-link
     [served.chaos.{c2s,s2c}.*] counters and [served.chaos.retries] are
     recorded alongside the usual served instruments. *)
 

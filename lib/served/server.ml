@@ -1,7 +1,6 @@
 module Dag = Ic_dag.Dag
 module Shard_view = Ic_dag.Shard_view
 module Recovery = Ic_fault.Recovery
-module Metrics = Ic_obs.Metrics
 module Trace = Ic_obs.Trace
 module Live = Ic_obs.Live
 module Flight = Ic_obs.Flight
@@ -50,24 +49,10 @@ let task_bits = 31
 let task_mask = (1 lsl task_bits) - 1
 let expiry_entry v gen = (gen lsl task_bits) lor v
 
-type meters = {
-  m_leases : Metrics.counter;
-  m_leased_tasks : Metrics.counter;
-  m_completions : Metrics.counter;
-  m_duplicates : Metrics.counter;
-  m_reissues : Metrics.counter;
-  m_retry_afters : Metrics.counter;
-  m_heartbeats : Metrics.counter;
-  m_errors : Metrics.counter;
-  m_shard_leased : Metrics.counter array;
-  m_service : Metrics.histogram;
-  m_frontier : Metrics.gauge;
-  m_inflight : Metrics.gauge;
-}
-
-(* the domain-safe mirror of [meters], updated at the same sites so a
-   scrape endpoint in another thread of control can read mid-run; the
-   server itself is single-writer, so its cell shard is always 0 *)
+(* the served.* instruments, resolved once so each update is a field
+   read and one atomic op; a scrape endpoint in another thread of
+   control can read them mid-run. The server itself is single-writer,
+   so its cell shard is always 0 *)
 type live_meters = {
   l_leases : Live.counter;
   l_leased_tasks : Live.counter;
@@ -77,6 +62,7 @@ type live_meters = {
   l_retry_afters : Live.counter;
   l_heartbeats : Live.counter;
   l_errors : Live.counter;
+  l_shard_leased : Live.counter array;
   l_frontier : Live.gauge;
   l_inflight : Live.gauge;
   l_service : Live.histogram;
@@ -112,7 +98,6 @@ type t = {
   mutable recovered_reissues : int;
   mutable recovered_tasks : int;
   journal : Journal.t option;
-  meters : meters option;
   live : live_meters option;
   flight : Flight.t option;
   sink : Trace.t option;
@@ -128,7 +113,7 @@ type t = {
 
 (* allocate a server with every task Blocked and empty pools; [create]
    seeds the sources, [recover] replays a journal instead *)
-let mk ?metrics ?sink ?journal ?live ?flight cfg g =
+let mk ?sink ?journal ?live ?flight cfg g =
   let n = Dag.n_nodes g in
   let view = Shard_view.create ~n_shards:cfg.n_shards g in
   let pools = Shards.create ~n_shards:(Shard_view.n_shards view) () in
@@ -151,46 +136,14 @@ let mk ?metrics ?sink ?journal ?live ?flight cfg g =
           l_retry_afters = Live.counter l "served.retry_afters";
           l_heartbeats = Live.counter l "served.heartbeats";
           l_errors = Live.counter l "served.protocol_errors";
+          l_shard_leased =
+            Array.init (Shard_view.n_shards view) (fun s ->
+                Live.counter l (Printf.sprintf "served.shard%d.leased" s));
           l_frontier = Live.gauge l "served.frontier_depth";
           l_inflight = Live.gauge l "served.inflight";
           l_service = Live.histogram l "served.lease_service_s";
         }
   in
-  let meters =
-    match metrics with
-    | None -> None
-    | Some m ->
-      Some
-        {
-          m_leases = Metrics.counter m "served.leases";
-          m_leased_tasks = Metrics.counter m "served.leased_tasks";
-          m_completions = Metrics.counter m "served.completions";
-          m_duplicates = Metrics.counter m "served.duplicate_completes";
-          m_reissues = Metrics.counter m "served.reissues";
-          m_retry_afters = Metrics.counter m "served.retry_afters";
-          m_heartbeats = Metrics.counter m "served.heartbeats";
-          m_errors = Metrics.counter m "served.protocol_errors";
-          m_shard_leased =
-            Array.init (Shard_view.n_shards view) (fun s ->
-                Metrics.counter m (Printf.sprintf "served.shard%d.leased" s));
-          m_service =
-            Metrics.histogram m "served.lease_service_s"
-              ~buckets:
-                [|
-                  1e-4; 3e-4; 1e-3; 3e-3; 1e-2; 3e-2; 0.1; 0.3; 1.0; 3.0;
-                  10.0; 30.0; 100.0;
-                |];
-          m_frontier = Metrics.gauge m "served.frontier_depth";
-          m_inflight = Metrics.gauge m "served.inflight";
-        }
-  in
-  (match metrics with
-  | None -> ()
-  | Some m ->
-    Metrics.set (Metrics.gauge m "served.n_tasks") (float_of_int n);
-    Metrics.set
-      (Metrics.gauge m "served.n_shards")
-      (float_of_int (Shard_view.n_shards view)));
   {
     cfg;
     view;
@@ -217,7 +170,6 @@ let mk ?metrics ?sink ?journal ?live ?flight cfg g =
     recovered_reissues = 0;
     recovered_tasks = 0;
     journal;
-    meters;
     live;
     flight;
     sink;
@@ -227,13 +179,13 @@ let mk ?metrics ?sink ?journal ?live ?flight cfg g =
     live_inflight = -1;
   }
 
-let create ?metrics ?sink ?journal ?live ?flight cfg g =
+let create ?sink ?journal ?live ?flight cfg g =
   (match journal with
   | Some j when Journal.replayed j <> [] ->
     invalid_arg
       "Server.create: the journal holds prior records — use Server.recover"
   | _ -> ());
-  let t = mk ?metrics ?sink ?journal ?live ?flight cfg g in
+  let t = mk ?sink ?journal ?live ?flight cfg g in
   Shard_view.iter_initial t.view (fun ~shard v ->
       Bytes.set t.state v st_ready;
       Shards.push t.pools ~shard v);
@@ -246,7 +198,6 @@ let shard_of t v = Shard_view.shard_of t.view v
 
 let timeout_s t = Recovery.timeout_after t.cfg.recovery ~expected:t.cfg.expected_s
 
-let with_meters t f = match t.meters with None -> () | Some m -> f m
 let with_live t f = match t.live with None -> () | Some l -> f l
 
 let flight_record t kind ~time ~a ~b =
@@ -258,19 +209,19 @@ let done_reply t = Wire.Done { completed = completed t; reissues = t.reissues }
 
 let retry_reply t =
   t.retry_afters <- t.retry_afters + 1;
-  with_meters t (fun m -> Metrics.incr m.m_retry_afters);
   with_live t (fun l -> Live.incr l.l_retry_afters ~shard:0 1);
   t.retry
 
 let error_reply t =
   t.errors <- t.errors + 1;
-  with_meters t (fun m -> Metrics.incr m.m_errors);
   with_live t (fun l -> Live.incr l.l_errors ~shard:0 1);
   Wire.Ack
 
 (* pull up to [budget] Ready tasks out of the pools, starting at the
    round-robin cursor, touching as few shards as possible;
-   stale entries (tasks no longer Ready) are discarded on the way *)
+   stale entries (tasks no longer Ready) are discarded on the way. Every
+   task returned is leased, so the per-shard leased counters are bumped
+   here, once per shard visited rather than once per task *)
 let fill_batch t ~budget acc =
   let n_shards = Shards.n_shards t.pools in
   let got = ref 0 in
@@ -280,6 +231,7 @@ let fill_batch t ~budget acc =
     let b =
       Shards.pop_batch t.pools ~shard ~max:(budget - !got) t.scratch_pop
     in
+    let before = !got in
     for i = 0 to b - 1 do
       let v = t.scratch_pop.(i) in
       if Bytes.get t.state v = st_ready then begin
@@ -287,6 +239,10 @@ let fill_batch t ~budget acc =
         incr got
       end
     done;
+    (match t.live with
+    | Some l when !got > before ->
+      Live.incr l.l_shard_leased.(shard) ~shard:0 (!got - before)
+    | _ -> ());
     (* a shard that came back short is drained; move the cursor past it *)
     if !got < budget then incr tried
   done;
@@ -305,7 +261,6 @@ let record_lease t ~now v =
   if Float.is_finite tmo then
     Heap.push t.expiries (now +. tmo) (expiry_entry v t.gen.(v));
   let shard = shard_of t v in
-  with_meters t (fun m -> Metrics.incr m.m_shard_leased.(shard));
   flight_record t Trace.Task_alloc ~time:now ~a:v ~b:shard;
   match t.sink with
   | None -> ()
@@ -355,9 +310,6 @@ let apply_complete t ~now v =
   Bytes.set t.state v st_done;
   t.completions <- t.completions + 1;
   let service = now -. t.alloc_t.(v) in
-  with_meters t (fun m ->
-      Metrics.incr m.m_completions;
-      Metrics.observe m.m_service service);
   with_live t (fun l ->
       Live.incr l.l_completions ~shard:0 1;
       Live.observe l.l_service service);
@@ -373,8 +325,7 @@ let apply_complete t ~now v =
    an upper bound — exact whenever no lease has expired since the pool
    was last drained. *)
 let sample t ~now =
-  if t.meters != None || t.live != None || t.sink != None || t.flight != None
-  then begin
+  if t.live != None || t.sink != None || t.flight != None then begin
     let total = ref 0 in
     let n_shards = Shards.n_shards t.pools in
     for s = 0 to n_shards - 1 do
@@ -393,9 +344,6 @@ let sample t ~now =
     done;
     let depth = float_of_int !total in
     let inflight = float_of_int t.inflight in
-    with_meters t (fun m ->
-        Metrics.set m.m_frontier depth;
-        Metrics.set m.m_inflight inflight);
     with_live t (fun l ->
         if t.live_depth <> !total then begin
           t.live_depth <- !total;
@@ -447,9 +395,6 @@ let handle_msg t ~now (msg : Wire.msg) : Wire.msg =
                held tasks);
           t.leases <- t.leases + 1;
           t.leased_tasks <- t.leased_tasks + got;
-          with_meters t (fun m ->
-              Metrics.incr m.m_leases;
-              Metrics.incr ~by:got m.m_leased_tasks);
           with_live t (fun l ->
               Live.incr l.l_leases ~shard:0 1;
               Live.incr l.l_leased_tasks ~shard:0 got);
@@ -464,7 +409,6 @@ let handle_msg t ~now (msg : Wire.msg) : Wire.msg =
       let st = Bytes.get t.state task in
       if st = st_done then begin
         t.duplicates <- t.duplicates + 1;
-        with_meters t (fun m -> Metrics.incr m.m_duplicates);
         with_live t (fun l -> Live.incr l.l_duplicates ~shard:0 1);
         if is_done t then done_reply t else Wire.Ack
       end
@@ -480,7 +424,6 @@ let handle_msg t ~now (msg : Wire.msg) : Wire.msg =
     end
   | Heartbeat { worker } ->
     t.heartbeats <- t.heartbeats + 1;
-    with_meters t (fun m -> Metrics.incr m.m_heartbeats);
     with_live t (fun l -> Live.incr l.l_heartbeats ~shard:0 1);
     let tmo = timeout_s t in
     (if Float.is_finite tmo then
@@ -528,7 +471,6 @@ let expire t ~now =
       t.inflight <- t.inflight - 1;
       t.reissues <- t.reissues + 1;
       incr fired;
-      with_meters t (fun m -> Metrics.incr m.m_reissues);
       with_live t (fun l -> Live.incr l.l_reissues ~shard:0 1);
       flight_record t Trace.Timeout_fired ~time ~a:v ~b:(shard_of t v);
       (match t.sink with
@@ -539,8 +481,8 @@ let expire t ~now =
   done;
   !fired
 
-let recover ?metrics ?sink ?live ?flight ~journal cfg g =
-  let t = mk ?metrics ?sink ?live ?flight ~journal cfg g in
+let recover ?sink ?live ?flight ~journal cfg g =
+  let t = mk ?sink ?live ?flight ~journal cfg g in
   let n = n_tasks t in
   (* fold the journal into a done set and a leased-at-crash set; a later
      checkpoint supersedes everything before it *)
@@ -603,7 +545,6 @@ let recover ?metrics ?sink ?live ?flight ~journal cfg g =
     done;
     t.completions <- !n_done;
     t.recovered_tasks <- !n_done;
-    with_meters t (fun m -> Metrics.incr ~by:!n_done m.m_completions);
     with_live t (fun l -> Live.incr l.l_completions ~shard:0 !n_done);
     (* tasks leased but not completed at the crash are back in the pools
        (their predecessors are all done) and will be granted again: the
@@ -614,12 +555,12 @@ let recover ?metrics ?sink ?live ?flight ~journal cfg g =
         incr reissued
     done;
     t.recovered_reissues <- !reissued;
-    (match metrics with
+    (match live with
     | None -> ()
-    | Some m ->
-      Metrics.incr ~by:!reissued (Metrics.counter m "served.recovered_reissues");
-      Metrics.set
-        (Metrics.gauge m "served.recovered_tasks")
+    | Some l ->
+      Live.incr (Live.counter l "served.recovered_reissues") ~shard:0 !reissued;
+      Live.set
+        (Live.gauge l "served.recovered_tasks")
         (float_of_int !n_done));
     (* compact immediately: the restored state becomes the new baseline
        and the pre-crash tail is retired *)

@@ -61,7 +61,6 @@ val config :
 type t
 
 val create :
-  ?metrics:Ic_obs.Metrics.t ->
   ?sink:Ic_obs.Trace.t ->
   ?journal:Journal.t ->
   ?live:Ic_obs.Live.t ->
@@ -69,8 +68,14 @@ val create :
   config ->
   Ic_dag.Dag.t ->
   t
-(** [metrics], when given, receives the [served.*] counters, gauges and
-    the [served.lease_service_s] latency histogram. [sink], when given,
+(** [live], when given, receives the [served.*] counters (per-message
+    totals and a [served.shardN.leased] count per shard), the
+    [served.frontier_depth] and [served.inflight] gauges sampled after
+    every [handle], and the [served.lease_service_s] latency histogram,
+    all in a domain-safe {!Ic_obs.Live} registry that the scrape
+    endpoint and [ic_sched top] read while the server is running; with
+    the virtual clock its {!Ic_obs.Live.to_json} is byte-identical
+    across identically seeded runs. [sink], when given,
     receives one [Task_alloc]/[Task_complete] pair per task and a
     [Timeout_fired] per re-issue, with the task's {e shard} as the
     client id — so the Perfetto export renders one track per shard —
@@ -83,17 +88,11 @@ val create :
     raises [Invalid_argument] if it replayed prior records — that is
     {!recover}'s job.
 
-    [live], when given, mirrors the same [served.*] meters into a
-    domain-safe {!Ic_obs.Live} registry — including the
-    [served.frontier_depth] and [served.inflight] gauges sampled after
-    every [handle] — which is what the scrape endpoint and [ic_sched
-    top] read while the server is running. [flight], when given, writes
-    every allocation, completion and expiry into the crash-surviving
-    flight-recorder ring. Neither affects the deterministic [metrics] /
-    [sink] artifacts. *)
+    [flight], when given, writes every allocation, completion and
+    expiry into the crash-surviving flight-recorder ring. It does not
+    affect the deterministic [live] / [sink] artifacts. *)
 
 val recover :
-  ?metrics:Ic_obs.Metrics.t ->
   ?sink:Ic_obs.Trace.t ->
   ?live:Ic_obs.Live.t ->
   ?flight:Ic_obs.Flight.t ->

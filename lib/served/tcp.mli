@@ -36,7 +36,6 @@
     exercise the sans-IO core over real sockets. *)
 
 val serve :
-  ?metrics:Ic_obs.Metrics.t ->
   ?sink:Ic_obs.Trace.t ->
   ?on_listen:(int -> unit) ->
   ?once:bool ->
@@ -83,7 +82,7 @@ val serve :
     {!Ic_obs.Flight} recorder. *)
 
 (** Client-side view of a hammer run; the authoritative counters live in
-    the server's metrics registry. *)
+    the server's {!Ic_obs.Live} registry. *)
 type hammer_result = {
   workers : int;
   completes_sent : int;  (** [Complete] frames put on the wire *)

@@ -3,7 +3,7 @@ module Frontier = Ic_dag.Frontier
 module Policy = Ic_heuristics.Policy
 module Heap = Ic_heuristics.Heap
 module Trace = Ic_obs.Trace
-module Metrics = Ic_obs.Metrics
+module Live = Ic_obs.Live
 module Plan = Ic_fault.Plan
 module Recovery = Ic_fault.Recovery
 module Span = Ic_prof.Span
@@ -64,48 +64,43 @@ type result = {
   disconnects : int;
 }
 
-(* The registered instruments when a metrics registry is supplied, resolved
+(* The registered instruments when a [Live] registry is supplied, resolved
    once up front so the hot loop pays a single option branch per site. *)
 type meters = {
-  m_allocated : Metrics.counter;
-  m_completed : Metrics.counter;
-  m_failed : Metrics.counter;
-  m_stalls : Metrics.counter;
-  m_timeouts : Metrics.counter;
-  m_retries : Metrics.counter;
-  m_lost : Metrics.counter;
-  m_speculations : Metrics.counter;
-  m_cancelled : Metrics.counter;
-  m_crashes : Metrics.counter;
-  m_disconnects : Metrics.counter;
-  h_latency : Metrics.histogram;
-  h_e2e : Metrics.histogram;
-  h_queue_depth : Metrics.histogram;
-  h_stall : Metrics.histogram;
+  m_allocated : Live.counter;
+  m_completed : Live.counter;
+  m_failed : Live.counter;
+  m_stalls : Live.counter;
+  m_timeouts : Live.counter;
+  m_retries : Live.counter;
+  m_lost : Live.counter;
+  m_speculations : Live.counter;
+  m_cancelled : Live.counter;
+  m_crashes : Live.counter;
+  m_disconnects : Live.counter;
+  h_latency : Live.histogram;
+  h_e2e : Live.histogram;
+  h_queue_depth : Live.histogram;
+  h_stall : Live.histogram;
 }
-
-let latency_buckets = [| 0.25; 0.5; 1.0; 2.0; 4.0; 8.0; 16.0; 32.0 |]
-let e2e_buckets = [| 0.5; 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0; 128.0 |]
-let queue_buckets = [| 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0; 128.0 |]
-let stall_buckets = [| 0.125; 0.25; 0.5; 1.0; 2.0; 4.0; 8.0 |]
 
 let meters_of m =
   {
-    m_allocated = Metrics.counter m "sim.tasks_allocated";
-    m_completed = Metrics.counter m "sim.tasks_completed";
-    m_failed = Metrics.counter m "sim.tasks_failed";
-    m_stalls = Metrics.counter m "sim.stalls";
-    m_timeouts = Metrics.counter m "sim.timeouts";
-    m_retries = Metrics.counter m "sim.retries";
-    m_lost = Metrics.counter m "sim.tasks_lost";
-    m_speculations = Metrics.counter m "sim.speculations";
-    m_cancelled = Metrics.counter m "sim.replicas_cancelled";
-    m_crashes = Metrics.counter m "sim.client_crashes";
-    m_disconnects = Metrics.counter m "sim.client_disconnects";
-    h_latency = Metrics.histogram m "sim.task_latency" ~buckets:latency_buckets;
-    h_e2e = Metrics.histogram m "sim.task_e2e_latency" ~buckets:e2e_buckets;
-    h_queue_depth = Metrics.histogram m "sim.queue_depth" ~buckets:queue_buckets;
-    h_stall = Metrics.histogram m "sim.stall_duration" ~buckets:stall_buckets;
+    m_allocated = Live.counter m "sim.tasks_allocated";
+    m_completed = Live.counter m "sim.tasks_completed";
+    m_failed = Live.counter m "sim.tasks_failed";
+    m_stalls = Live.counter m "sim.stalls";
+    m_timeouts = Live.counter m "sim.timeouts";
+    m_retries = Live.counter m "sim.retries";
+    m_lost = Live.counter m "sim.tasks_lost";
+    m_speculations = Live.counter m "sim.speculations";
+    m_cancelled = Live.counter m "sim.replicas_cancelled";
+    m_crashes = Live.counter m "sim.client_crashes";
+    m_disconnects = Live.counter m "sim.client_disconnects";
+    h_latency = Live.histogram m "sim.task_latency";
+    h_e2e = Live.histogram m "sim.task_e2e_latency";
+    h_queue_depth = Live.histogram m "sim.queue_depth";
+    h_stall = Live.histogram m "sim.stall_duration";
   }
 
 (* One client-side run of one task. An attempt is [closed] once it no
@@ -138,7 +133,7 @@ let st_waiting = -2
 let st_offline = -3
 let st_dead = -4
 
-let run ?sink ?metrics cfg policy ~workload g =
+let run ?sink ?live cfg policy ~workload g =
   Span.time "sim.run" @@ fun () ->
   Span.enter "sim.setup";
   let n = Dag.n_nodes g in
@@ -164,7 +159,10 @@ let run ?sink ?metrics cfg policy ~workload g =
   let robust = Policy.Robust.create policy g in
   let fr = Frontier.create g in
   let now = ref 0.0 in
-  let meters = match metrics with None -> None | Some m -> Some (meters_of m) in
+  let meters = Option.map meters_of live in
+  let count pick =
+    match meters with None -> () | Some mt -> Live.incr (pick mt) ~shard:0 1
+  in
   (* frontier push/pop events are stamped with the simulated clock *)
   (match sink with
   | None -> ()
@@ -197,7 +195,7 @@ let run ?sink ?metrics cfg policy ~workload g =
   (* per-task state *)
   let computed_by = Array.make (max n 1) (-1) in
   let attempts_made = Array.make (max n 1) 0 in
-  let live = Array.make (max n 1) 0 in
+  let replicas = Array.make (max n 1) 0 in
   let open_attempts = Array.make (max n 1) [] in
   let pending = Array.make (max n 1) false in
   let retries_of = Array.make (max n 1) 0 in
@@ -253,14 +251,14 @@ let run ?sink ?metrics cfg policy ~workload g =
     (match sink with
     | None -> ()
     | Some tr -> Trace.client_resume tr ~time:!now ~client:c);
-    match meters with None -> () | Some mt -> Metrics.observe mt.h_stall d
+    match meters with None -> () | Some mt -> Live.observe mt.h_stall d
   in
   let close_attempt id =
     let a = att id in
     a.at_closed <- true;
     busy.(a.at_client) <- busy.(a.at_client) +. (!now -. a.at_alloc);
-    live.(a.at_task) <- live.(a.at_task) - 1;
-    if live.(a.at_task) = 0 then decr inflight
+    replicas.(a.at_task) <- replicas.(a.at_task) - 1;
+    if replicas.(a.at_task) = 0 then decr inflight
   in
   let launch client v =
     allocation_order := v :: !allocation_order;
@@ -299,11 +297,11 @@ let run ?sink ?metrics cfg policy ~workload g =
         }
     in
     st.(client) <- id;
-    live.(v) <- live.(v) + 1;
-    if live.(v) = 1 then incr inflight;
+    replicas.(v) <- replicas.(v) + 1;
+    if replicas.(v) = 1 then incr inflight;
     open_attempts.(v) <- id :: open_attempts.(v);
     if Float.is_nan first_alloc.(v) then first_alloc.(v) <- !now;
-    (match meters with None -> () | Some mt -> Metrics.incr mt.m_allocated);
+    count (fun m -> m.m_allocated);
     (match sink with
     | None -> ()
     | Some tr ->
@@ -323,7 +321,7 @@ let run ?sink ?metrics cfg policy ~workload g =
     if n - !completed - !inflight > 0 then begin
       (* a genuine gridlock event: work remains but none is allocatable *)
       incr stalls;
-      (match meters with None -> () | Some mt -> Metrics.incr mt.m_stalls);
+      count (fun m -> m.m_stalls);
       if Float.is_nan stalled_since.(client) then begin
         stalled_since.(client) <- !now;
         match sink with
@@ -339,7 +337,7 @@ let run ?sink ?metrics cfg policy ~workload g =
       | None -> ()
       | Some mt ->
         (* the depth the server chose from, before removing the pick *)
-        Metrics.observe mt.h_queue_depth
+        Live.observe mt.h_queue_depth
           (float_of_int (Policy.Robust.size robust)));
       match Policy.Robust.select robust with
       | Some v -> launch client v
@@ -391,7 +389,7 @@ let run ?sink ?metrics cfg policy ~workload g =
       else begin
         retries_of.(v) <- k + 1;
         incr retries;
-        (match meters with None -> () | Some mt -> Metrics.incr mt.m_retries);
+        count (fun m -> m.m_retries);
         (match sink with
         | None -> ()
         | Some tr -> Trace.retry_scheduled tr ~time:!now ~task:v ~retry:k);
@@ -416,13 +414,13 @@ let run ?sink ?metrics cfg policy ~workload g =
       st.(c) <- st_idle;
       (match meters with
       | None -> ()
-      | Some mt -> Metrics.observe mt.h_latency (!now -. a.at_alloc));
+      | Some mt -> Live.observe mt.h_latency (!now -. a.at_alloc));
       let freed = ref [] in
       if Frontier.is_executed fr v then begin
         (* a replica of an already-finished task ran to term: discard *)
         a.at_resolved <- true;
         incr cancelled;
-        (match meters with None -> () | Some mt -> Metrics.incr mt.m_cancelled);
+        count (fun m -> m.m_cancelled);
         match sink with
         | None -> ()
         | Some tr -> Trace.replica_cancelled tr ~time:!now ~task:v ~client:c
@@ -431,14 +429,14 @@ let run ?sink ?metrics cfg policy ~workload g =
         (* the result vanished in transit: the server stays unaware and
            only the liveness timeout can recover the task *)
         incr lost;
-        (match meters with None -> () | Some mt -> Metrics.incr mt.m_lost);
+        count (fun m -> m.m_lost);
         match sink with
         | None -> ()
         | Some tr -> Trace.task_fail tr ~time:!now ~task:v ~client:c
       end
       else if a.at_failed then begin
         incr failures;
-        (match meters with None -> () | Some mt -> Metrics.incr mt.m_failed);
+        count (fun m -> m.m_failed);
         (match sink with
         | None -> ()
         | Some tr -> Trace.task_fail tr ~time:!now ~task:v ~client:c);
@@ -462,8 +460,8 @@ let run ?sink ?metrics cfg policy ~workload g =
         (match meters with
         | None -> ()
         | Some mt ->
-          Metrics.incr mt.m_completed;
-          Metrics.observe mt.h_e2e (!now -. first_alloc.(v)));
+          Live.incr mt.m_completed ~shard:0 1;
+          Live.observe mt.h_e2e (!now -. first_alloc.(v)));
         if Policy.Robust.pooled robust v then Policy.Robust.withdraw robust v;
         pending.(v) <- false;
         Frontier.execute fr ~on_promote:(Policy.Robust.notify robust) v;
@@ -478,9 +476,7 @@ let run ?sink ?metrics cfg policy ~workload g =
                 st.(a'.at_client) <- st_idle;
                 freed := a'.at_client :: !freed;
                 incr cancelled;
-                (match meters with
-                | None -> ()
-                | Some mt -> Metrics.incr mt.m_cancelled);
+                count (fun m -> m.m_cancelled);
                 match sink with
                 | None -> ()
                 | Some tr ->
@@ -505,7 +501,7 @@ let run ?sink ?metrics cfg policy ~workload g =
       (* presumed lost; a late result may still arrive and win *)
       a.at_resolved <- true;
       incr timeouts;
-      (match meters with None -> () | Some mt -> Metrics.incr mt.m_timeouts);
+      count (fun m -> m.m_timeouts);
       (match sink with
       | None -> ()
       | Some tr -> Trace.timeout_fired tr ~time:!now ~task:v ~client:a.at_client);
@@ -520,12 +516,12 @@ let run ?sink ?metrics cfg policy ~workload g =
       (not a.at_closed)
       && (not a.at_resolved)
       && (not (Frontier.is_executed fr v))
-      && live.(v) < rc.Recovery.max_replicas
+      && replicas.(v) < rc.Recovery.max_replicas
       && (not (Policy.Robust.pooled robust v))
       && not pending.(v)
     then begin
       incr speculations;
-      (match meters with None -> () | Some mt -> Metrics.incr mt.m_speculations);
+      count (fun m -> m.m_speculations);
       (match sink with
       | None -> ()
       | Some tr -> Trace.speculative_launch tr ~time:!now ~task:v);
@@ -547,7 +543,7 @@ let run ?sink ?metrics cfg policy ~workload g =
   let handle_crash c =
     if st.(c) <> st_dead then begin
       incr crashes;
-      (match meters with None -> () | Some mt -> Metrics.incr mt.m_crashes);
+      count (fun m -> m.m_crashes);
       drop_client c ~transient:false
     end
   in
@@ -556,7 +552,7 @@ let run ?sink ?metrics cfg policy ~workload g =
        nothing to re-draw or schedule here *)
     if st.(c) <> st_dead && st.(c) <> st_offline then begin
       incr disconnects;
-      (match meters with None -> () | Some mt -> Metrics.incr mt.m_disconnects);
+      count (fun m -> m.m_disconnects);
       drop_client c ~transient:true
     end
   in
@@ -696,19 +692,19 @@ let run ?sink ?metrics cfg policy ~workload g =
     }
   in
   Span.enter "sim.obs_export";
-  (match metrics with
+  (match live with
   | None -> ()
   | Some m ->
-    Metrics.set (Metrics.gauge m "sim.makespan") result.makespan;
-    Metrics.set (Metrics.gauge m "sim.utilization") result.utilization;
-    Metrics.set (Metrics.gauge m "sim.mean_eligible") result.mean_eligible;
-    Metrics.set
-      (Metrics.gauge m "sim.unfinished")
+    Live.set (Live.gauge m "sim.makespan") result.makespan;
+    Live.set (Live.gauge m "sim.utilization") result.utilization;
+    Live.set (Live.gauge m "sim.mean_eligible") result.mean_eligible;
+    Live.set
+      (Live.gauge m "sim.unfinished")
       (float_of_int (List.length result.unfinished));
     Array.iteri
       (fun i b ->
-        Metrics.set
-          (Metrics.gauge m (Printf.sprintf "sim.client%d.busy_fraction" i))
+        Live.set
+          (Live.gauge m (Printf.sprintf "sim.client%d.busy_fraction" i))
           (if makespan > 0.0 then b /. makespan else 0.0))
       busy);
   Span.leave () (* sim.obs_export *);

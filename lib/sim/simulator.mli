@@ -104,7 +104,7 @@ type result = {
 }
 
 val run :
-  ?sink:Ic_obs.Trace.t -> ?metrics:Ic_obs.Metrics.t ->
+  ?sink:Ic_obs.Trace.t -> ?live:Ic_obs.Live.t ->
   config -> Ic_heuristics.Policy.t -> workload:Workload.t -> Ic_dag.Dag.t ->
   result
 (** [run cfg policy ~workload g] simulates one complete execution of [g]
@@ -122,16 +122,17 @@ val run :
     sample whenever the allocatable pool changes, and the fault/recovery
     events (timeout fired, retry scheduled, speculative launch, replica
     cancelled, client crash / disconnect / rejoin) — ready for
-    {!Ic_obs.Exporter.chrome_trace}. [metrics], when given, accumulates
-    [sim.*] counters (tasks allocated / completed / failed / lost,
-    stalls, timeouts, retries, speculations, replicas cancelled, client
-    crashes / disconnects), histograms (per-attempt task latency,
-    end-to-end first-allocation-to-completion latency, queue depth at
-    allocation, stall duration) and end-of-run gauges (makespan,
-    utilization, mean eligible, unfinished count, per-client busy
-    fraction). With neither installed the run costs one branch per
-    instrumentation site; identically seeded runs produce identical
-    results and identical traces.
+    {!Ic_obs.Exporter.chrome_trace}. [live], when given, accumulates
+    [sim.*] counters on cell shard 0 (tasks allocated / completed /
+    failed / lost, stalls, timeouts, retries, speculations, replicas
+    cancelled, client crashes / disconnects), log-bucketed histograms
+    (per-attempt task latency, end-to-end first-allocation-to-completion
+    latency, queue depth at allocation, stall duration) and end-of-run
+    gauges (makespan, utilization, mean eligible, unfinished count,
+    per-client busy fraction). With neither installed the run costs one
+    branch per instrumentation site; identically seeded runs produce
+    identical results, identical traces and byte-identical
+    {!Ic_obs.Live.to_json}.
 
     Raises [Invalid_argument] if [cfg.speed] yields a non-positive or
     non-finite speed for any client. *)

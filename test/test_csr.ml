@@ -68,11 +68,12 @@ let agrees_with_oracle g { osucc; opred } =
       (Array.to_list (Array.mapi (fun u l -> List.map (fun v -> (u, v)) l) osucc)
       |> List.concat)
   in
-  Alcotest.(check (list (pair int int))) "iter_arcs lexicographic" lex
+  Alcotest.(check (list (pair int int))) "fold_arcs lexicographic" lex
     (List.rev (Dag.fold_arcs g [] (fun acc u v -> (u, v) :: acc)));
-  (* the deprecated wrapper must stay consistent until it is removed *)
-  Alcotest.(check (list (pair int int))) "arcs wrapper" lex
-    (Dag.arcs g [@alert "-deprecated"])
+  let arcs = ref [] in
+  Dag.iter_arcs g (fun u v -> arcs := (u, v) :: !arcs);
+  Alcotest.(check (list (pair int int))) "iter_arcs lexicographic" lex
+    (List.rev !arcs)
 
 let test_oracle_random () =
   let rng = Random.State.make [| 0xC52 |] in

@@ -241,22 +241,6 @@ let test_scratch_tier_boundaries () =
     c4.Frontier.unpacked;
   check_int "65536 leaves packed16 alone" c3.Frontier.packed16 c4.Frontier.packed16
 
-let test_scratch_metrics_idempotent () =
-  profile_star 3;
-  let reg = Ic_obs.Metrics.create () in
-  Frontier.record_scratch_metrics reg;
-  Frontier.record_scratch_metrics reg;
-  let totals = Frontier.scratch_counts () in
-  let value name =
-    Ic_obs.Metrics.counter_value (Ic_obs.Metrics.counter reg name)
-  in
-  check_int "packed8 metric" totals.Frontier.packed8
-    (value "frontier.profile.scratch_packed8");
-  check_int "packed16 metric" totals.Frontier.packed16
-    (value "frontier.profile.scratch_packed16");
-  check_int "unpacked metric" totals.Frontier.unpacked
-    (value "frontier.profile.scratch_unpacked")
-
 let () =
   Alcotest.run "frontier"
     [
@@ -284,7 +268,5 @@ let () =
         [
           Alcotest.test_case "in-degree boundaries" `Quick
             test_scratch_tier_boundaries;
-          Alcotest.test_case "metrics idempotent" `Quick
-            test_scratch_metrics_idempotent;
         ] );
     ]

@@ -1,10 +1,9 @@
 (* Tests for the Ic_obs observability subsystem: the flat trace buffer,
-   the metrics registry, the Chrome-trace/CSV exporters (round-tripped
+   the Live metrics registry, the Chrome-trace/CSV exporters (round-tripped
    through the bundled JSON reader), and the wiring through Simulator and
    Engine — including byte-level determinism of exports. *)
 
 module Trace = Ic_obs.Trace
-module Metrics = Ic_obs.Metrics
 module Exporter = Ic_obs.Exporter
 module Json = Ic_obs.Json
 module Live = Ic_obs.Live
@@ -91,8 +90,7 @@ let test_kind_names () =
 (* --- bounded ring mode --- *)
 
 let test_trace_ring () =
-  let m = Metrics.create () in
-  let t = Trace.create ~capacity:2 ~limit:8 ~metrics:m () in
+  let t = Trace.create ~capacity:2 ~limit:8 () in
   check_int "limit recorded" 8 (Trace.limit t);
   (* below the limit the ring behaves exactly like an unbounded trace *)
   for i = 0 to 4 do
@@ -108,8 +106,6 @@ let test_trace_ring () =
   done;
   check_int "length pinned at limit" 8 (Trace.length t);
   check_int "drop count" 12 (Trace.dropped t);
-  check_int "dropped counter mirrors" 12
-    (Metrics.counter_value (Metrics.counter m "obs.dropped_events"));
   for i = 0 to 7 do
     let e = Trace.get t i in
     check_int (Printf.sprintf "retained event %d" i) (12 + i) e.Trace.a;
@@ -141,82 +137,49 @@ let test_trace_ring () =
 (* --- metrics registry --- *)
 
 let test_metrics_counter_gauge () =
-  let m = Metrics.create () in
-  let c = Metrics.counter m "tasks" in
-  Metrics.incr c;
-  Metrics.incr ~by:4 c;
-  check_int "counter accumulates" 5 (Metrics.counter_value c);
+  let l = Live.create () in
+  let c = Live.counter l "tasks" in
+  Live.incr c ~shard:0 1;
+  Live.incr c ~shard:0 4;
+  check_int "counter accumulates" 5 (Live.counter_value c);
   (* same name returns the same counter *)
-  Metrics.incr (Metrics.counter m "tasks");
-  check_int "registry dedups by name" 6 (Metrics.counter_value c);
-  (match Metrics.incr ~by:(-1) c with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative increment must raise");
-  let g = Metrics.gauge m "makespan" in
-  Metrics.set g 12.5;
-  check "gauge holds last value" true (Metrics.gauge_value g = 12.5);
+  Live.incr (Live.counter l "tasks") ~shard:0 1;
+  check_int "registry dedups by name" 6 (Live.counter_value c);
+  let g = Live.gauge l "makespan" in
+  Live.set g 12.5;
+  check "gauge holds last value" true (Live.gauge_value g = 12.5);
   (* a name registered as a counter cannot be re-registered as a gauge *)
-  match Metrics.gauge m "tasks" with
+  match Live.gauge l "tasks" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "cross-type re-registration must raise"
 
 let test_metrics_histogram () =
-  let m = Metrics.create () in
-  let h = Metrics.histogram m "latency" ~buckets:[| 1.0; 2.0; 4.0 |] in
-  List.iter (Metrics.observe h) [ 0.5; 1.0; 1.5; 3.0; 100.0 ];
-  check_int "count" 5 (Metrics.histogram_count h);
-  check "sum" true (Float.abs (Metrics.histogram_sum h -. 106.0) < 1e-9);
-  (* le semantics: 0.5 and 1.0 land in le-1, 1.5 in le-2, 3.0 in le-4,
-     100.0 overflows *)
-  let buckets = Metrics.histogram_buckets h in
-  check "bucket shape" true
-    (Array.map fst buckets = [| 1.0; 2.0; 4.0; infinity |]);
-  check "bucket counts" true (Array.map snd buckets = [| 2; 1; 1; 1 |]);
-  (* re-registration with identical buckets is the same histogram *)
-  Metrics.observe (Metrics.histogram m "latency" ~buckets:[| 1.0; 2.0; 4.0 |]) 0.1;
-  check_int "dedup by name+buckets" 6 (Metrics.histogram_count h);
-  (match Metrics.histogram m "latency" ~buckets:[| 1.0; 3.0 |] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "different buckets must raise");
-  (match Metrics.histogram m "bad" ~buckets:[| 2.0; 1.0 |] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "non-increasing buckets must raise");
-  match Metrics.histogram m "bad" ~buckets:[| infinity |] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "non-finite bucket must raise"
-
-let test_metrics_reset () =
-  let m = Metrics.create () in
-  let c = Metrics.counter m "tasks" in
-  let g = Metrics.gauge m "makespan" in
-  let h = Metrics.histogram m "latency" ~buckets:[| 1.0; 2.0 |] in
-  Metrics.incr ~by:7 c;
-  Metrics.set g 3.5;
-  List.iter (Metrics.observe h) [ 0.5; 1.5; 9.0 ];
-  Metrics.reset m;
-  check_int "counter zeroed" 0 (Metrics.counter_value c);
-  check "gauge zeroed" true (Metrics.gauge_value g = 0.0);
-  check_int "histogram count zeroed" 0 (Metrics.histogram_count h);
-  check "histogram sum zeroed" true (Metrics.histogram_sum h = 0.0);
-  check "bucket counts zeroed" true
-    (Array.for_all (fun (_, c) -> c = 0) (Metrics.histogram_buckets h));
-  (* handles registered before the reset stay live *)
-  Metrics.incr c;
-  Metrics.observe h 1.5;
-  check_int "counter accumulates again" 1 (Metrics.counter_value c);
-  check_int "histogram accumulates again" 1 (Metrics.histogram_count h);
-  (* a reset registry dumps identically to re-accumulated state: two
-     identical runs separated by reset produce byte-identical JSON *)
-  let m2 = Metrics.create () in
-  let run (m : Metrics.t) =
-    Metrics.incr ~by:2 (Metrics.counter m "r.c");
-    Metrics.observe (Metrics.histogram m "r.h" ~buckets:[| 1.0 |]) 0.5
+  let l = Live.create () in
+  let h = Live.histogram l "latency" in
+  List.iter (Live.observe h) [ 0.5; 1.0; 1.5; 3.0; 100.0 ];
+  let s = Live.histogram_snapshot h in
+  check_int "count" 5 s.Live.count;
+  check "sum" true (Float.abs (s.Live.sum -. 106.0) < 1e-9);
+  (* each value lands in the bucket whose bounds bracket it: bucket [i]
+     holds [bucket_upper (i - 1) <= x < bucket_upper i] *)
+  let bucket_of x =
+    let rec go i =
+      if i = Live.n_buckets - 1 || x < Live.bucket_upper i then i
+      else go (i + 1)
+    in
+    go 0
   in
-  run m2;
-  let first = Metrics.to_json m2 in
-  Metrics.reset m2;
-  run m2;
-  check "reset + rerun dumps identical JSON" true (first = Metrics.to_json m2)
+  List.iter
+    (fun x ->
+      check
+        (Printf.sprintf "%g counted in its bucket" x)
+        true
+        (s.Live.counts.(bucket_of x) > 0))
+    [ 0.5; 1.0; 1.5; 3.0; 100.0 ];
+  check_int "bucket counts add up" 5 (Array.fold_left ( + ) 0 s.Live.counts);
+  (* re-registration is the same histogram *)
+  Live.observe (Live.histogram l "latency") 0.1;
+  check_int "dedup by name" 6 (Live.histogram_snapshot h).Live.count
 
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
@@ -224,14 +187,14 @@ let contains_sub s sub =
   go 0
 
 let test_metrics_dumps () =
-  let m = Metrics.create () in
-  Metrics.incr ~by:3 (Metrics.counter m "sim.tasks_completed");
-  Metrics.set (Metrics.gauge m "sim.makespan") 7.25;
-  Metrics.observe (Metrics.histogram m "sim.task_latency" ~buckets:[| 1.0; 2.0 |]) 1.5;
-  let text = Format.asprintf "%a" Metrics.pp_text m in
+  let l = Live.create () in
+  Live.incr (Live.counter l "sim.tasks_completed") ~shard:0 3;
+  Live.set (Live.gauge l "sim.makespan") 7.25;
+  Live.observe (Live.histogram l "sim.task_latency") 1.5;
+  let text = Live.openmetrics ~process:false l in
   check "text mentions counter" true
-    (String.length text > 0 && contains_sub text "sim.tasks_completed");
-  let json = Metrics.to_json m in
+    (contains_sub text "sim_tasks_completed_total 3");
+  let json = Live.to_json l in
   match Json.parse json with
   | Error e -> Alcotest.fail ("metrics JSON invalid: " ^ e)
   | Ok doc ->
@@ -247,10 +210,11 @@ let test_metrics_dumps () =
       (Option.bind (Json.member "histograms" doc) (Json.member "sim.task_latency")
       <> None)
 
+(* names and values chosen to break naive JSON emission: quotes,
+   backslashes, tabs, newlines and control bytes in names, and gauges
+   with no JSON number (an empty quantile is nan) must all survive a
+   Live.to_json -> Json.parse round trip *)
 let test_metrics_hostile_names () =
-  (* instrument names chosen to break naive JSON emission: quotes,
-     backslashes, tabs, newlines and control bytes must all survive a
-     Metrics.to_json -> Json.parse round trip *)
   let hostile =
     [
       "mesh \"2x2\"";
@@ -260,13 +224,16 @@ let test_metrics_hostile_names () =
       "ctrl\001byte";
     ]
   in
-  let m = Metrics.create () in
-  List.iteri (fun i name -> Metrics.incr ~by:(i + 1) (Metrics.counter m name)) hostile;
-  Metrics.set (Metrics.gauge m "gauge \"g\"\n") 1.5;
-  Metrics.observe
-    (Metrics.histogram m "hist\t\"h\"" ~buckets:[| 1.0 |])
-    0.5;
-  match Json.parse (Metrics.to_json m) with
+  let l = Live.create () in
+  List.iteri
+    (fun i name -> Live.incr (Live.counter l name) ~shard:0 (i + 1))
+    hostile;
+  Live.set (Live.gauge l "gauge \"g\"\n") 1.5;
+  Live.set (Live.gauge l "p50 of nothing") nan;
+  Live.set (Live.gauge l "inf") infinity;
+  Live.set (Live.gauge l "-inf") neg_infinity;
+  Live.observe (Live.histogram l "hist\t\"h\"") 0.5;
+  match Json.parse (Live.to_json l) with
   | Error e -> Alcotest.fail ("hostile names broke metrics JSON: " ^ e)
   | Ok doc ->
     List.iteri
@@ -282,9 +249,33 @@ let test_metrics_hostile_names () =
       (Option.bind (Json.member "gauges" doc) (Json.member "gauge \"g\"\n")
        |> Option.map (fun v -> Json.to_number v = Some 1.5)
       = Some true);
+    List.iter
+      (fun name ->
+        check (name ^ " gauge is null") true
+          (Option.bind (Json.member "gauges" doc) (Json.member name)
+          = Some Json.Null))
+      [ "p50 of nothing"; "inf"; "-inf" ];
     check "hostile histogram round-trips" true
       (Option.bind (Json.member "histograms" doc) (Json.member "hist\t\"h\"")
       <> None)
+
+(* any byte string is a valid instrument name as far as the JSON dump is
+   concerned *)
+let prop_metrics_arbitrary_names =
+  QCheck2.Test.make ~name:"arbitrary names round-trip through to_json"
+    ~count:200 ~print:String.escaped
+    QCheck2.Gen.(string_size ~gen:(char_range '\000' '\127') (int_range 0 12))
+    (fun name ->
+      let l = Live.create () in
+      Live.incr (Live.counter l name) ~shard:0 7;
+      Live.set (Live.gauge l (name ^ "/g")) nan;
+      match Json.parse (Live.to_json l) with
+      | Error _ -> false
+      | Ok doc ->
+        Option.bind (Json.member "counters" doc) (Json.member name)
+        = Some (Json.Number 7.0)
+        && Option.bind (Json.member "gauges" doc) (Json.member (name ^ "/g"))
+           = Some Json.Null)
 
 let test_exporter_hostile_labels () =
   (* dag labels and process names flow into the chrome trace verbatim;
@@ -512,18 +503,34 @@ let test_fault_events_export () =
 let test_metrics_from_simulation () =
   let g = Ic_families.Mesh.out_mesh 8 in
   let cfg = Sim.config ~n_clients:4 ~jitter:0.5 ~seed:9 () in
-  let m = Metrics.create () in
-  let r = Sim.run ~metrics:m cfg Policy.fifo ~workload:Ic_sim.Workload.unit g in
+  let l = Live.create () in
+  let r = Sim.run ~live:l cfg Policy.fifo ~workload:Ic_sim.Workload.unit g in
   check_int "completions counted" (Dag.n_nodes g)
-    (Metrics.counter_value (Metrics.counter m "sim.tasks_completed"));
+    (Live.counter_value (Live.counter l "sim.tasks_completed"));
   check_int "stalls counted" r.Sim.stalls
-    (Metrics.counter_value (Metrics.counter m "sim.stalls"));
+    (Live.counter_value (Live.counter l "sim.stalls"));
   check "makespan gauge" true
-    (Metrics.gauge_value (Metrics.gauge m "sim.makespan") = r.Sim.makespan);
+    (Live.gauge_value (Live.gauge l "sim.makespan") = r.Sim.makespan);
   check_int "latency histogram count" (Dag.n_nodes g)
-    (Metrics.histogram_count
-       (Metrics.histogram m "sim.task_latency"
-          ~buckets:[| 0.25; 0.5; 1.0; 2.0; 4.0; 8.0; 16.0; 32.0 |]))
+    (Live.histogram_snapshot (Live.histogram l "sim.task_latency")).Live.count;
+  (* a faulty seeded run dumps byte-identical JSON every time *)
+  let faulty_json () =
+    let cfg =
+      Sim.config ~n_clients:6 ~jitter:0.3 ~seed:31
+        ~faults:
+          (Ic_fault.Plan.make ~crash_rate:0.03 ~straggler_probability:0.3
+             ~straggler_factor:8.0 ~fail_probability:0.1 ())
+        ~recovery:
+          (Ic_fault.Recovery.make ~timeout_factor:3.0 ~detection_latency:0.25
+             ~backoff_base:0.1 ~backoff_jitter:0.5 ~speculation_factor:2.0 ())
+        ()
+    in
+    let l = Live.create () in
+    let r = Sim.run ~live:l cfg Policy.fifo ~workload:Ic_sim.Workload.unit g in
+    check "faults fired" true (r.Sim.crashes > 0 || r.Sim.retries > 0);
+    Live.to_json l
+  in
+  check_str "faulty run: byte-identical JSON" (faulty_json ()) (faulty_json ())
 
 let test_engine_sink () =
   let g = Dag.make_exn ~n:4 ~arcs:[ (0, 1); (0, 2); (1, 3); (2, 3) ] () in
@@ -551,7 +558,7 @@ let test_sink_does_not_change_results () =
   let cfg = Sim.config ~n_clients:4 ~jitter:0.5 ~seed:5 () in
   let bare = Sim.run cfg Policy.fifo ~workload:Ic_sim.Workload.unit g in
   let traced =
-    Sim.run ~sink:(Trace.create ()) ~metrics:(Metrics.create ()) cfg Policy.fifo
+    Sim.run ~sink:(Trace.create ()) ~live:(Live.create ()) cfg Policy.fifo
       ~workload:Ic_sim.Workload.unit g
   in
   check "observability is transparent" true (bare = traced)
@@ -893,11 +900,10 @@ let () =
         [
           Alcotest.test_case "counters and gauges" `Quick test_metrics_counter_gauge;
           Alcotest.test_case "histograms" `Quick test_metrics_histogram;
-          Alcotest.test_case "reset zeroes values, keeps registrations" `Quick
-            test_metrics_reset;
           Alcotest.test_case "text and json dumps" `Quick test_metrics_dumps;
           Alcotest.test_case "hostile names round-trip" `Quick
             test_metrics_hostile_names;
+          QCheck_alcotest.to_alcotest prop_metrics_arbitrary_names;
         ] );
       ( "json reader",
         [ Alcotest.test_case "parse" `Quick test_json_parse ] );

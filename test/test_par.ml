@@ -1,12 +1,10 @@
-(* Tests for the domains-based parallel runtime (lib/par). Only built on
-   OCaml >= 5.0 — see the enabled_if on this stanza in test/dune. *)
+(* Tests for the domains-based parallel runtime (lib/par). *)
 
 module Dag = Ic_dag.Dag
 module Runtime = Ic_par.Runtime
 module Payload = Ic_par.Payload
 module Deque = Ic_par.Deque
 module Pool = Ic_par.Pool
-module Metrics = Ic_obs.Metrics
 module Live = Ic_obs.Live
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
@@ -265,13 +263,13 @@ let test_mesh256_records_steals () =
     work := !acc
   in
   let rec attempt k =
-    let m = Metrics.create () in
-    let st = Runtime.run ~domains:4 ~metrics:m g ~task in
-    let recorded = Metrics.counter_value (Metrics.counter m "par.steals") in
+    let l = Live.create ~shards:4 () in
+    let st = Runtime.run ~domains:4 ~live:l g ~task in
+    let recorded = Live.counter_value (Live.counter l "par.steals") in
     Alcotest.(check int) "metrics steals = stats steals" st.Runtime.steals
       recorded;
     Alcotest.(check int) "metrics tasks" st.Runtime.tasks
-      (Metrics.counter_value (Metrics.counter m "par.tasks"));
+      (Live.counter_value (Live.counter l "par.tasks"));
     if recorded >= 1 then ()
     else if k >= 20 then
       Alcotest.failf "no steal recorded in %d 4-domain mesh-256 runs" k

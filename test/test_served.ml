@@ -1,6 +1,6 @@
 (* The served subsystem: wire codec properties, the sharded lease server
    state machine, the deterministic virtual load harness, and the TCP
-   transport over loopback. Only built on OCaml 5 (with ic_served). *)
+   transport over loopback. *)
 
 module Wire = Ic_served.Wire
 module Server = Ic_served.Server
@@ -12,7 +12,7 @@ module Dag = Ic_dag.Dag
 module Mesh = Ic_families.Mesh
 module Plan = Ic_fault.Plan
 module Recovery = Ic_fault.Recovery
-module Metrics = Ic_obs.Metrics
+module Live = Ic_obs.Live
 module Trace = Ic_obs.Trace
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
@@ -421,19 +421,22 @@ let test_protocol_errors_and_drain () =
 let test_sharded_run_spreads_leases () =
   let g = Mesh.out_mesh 20 in
   let n = Dag.n_nodes g in
-  let m = Metrics.create () in
+  let live = Live.create () in
   let srv =
-    Server.create ~metrics:m (Server.config ~n_shards:3 ~max_lease:16 ()) g
+    Server.create ~live (Server.config ~n_shards:3 ~max_lease:16 ()) g
   in
   (* one greedy in-process worker drains the dag *)
   let continue = ref true in
   let now = ref 0.0 in
+  let granted = Array.make 3 0 in
   while !continue do
     now := !now +. 0.001;
     match Server.handle srv ~now:!now (Wire.Lease_req { worker = 0; k = 16 }) with
     | Wire.Lease { tasks; _ } ->
       Array.iter
         (fun v ->
+          let s = Server.shard_of srv v in
+          granted.(s) <- granted.(s) + 1;
           ignore (Server.handle srv ~now:!now (Wire.Complete { worker = 0; task = v })))
         tasks
     | Wire.Done _ -> continue := false
@@ -444,8 +447,14 @@ let test_sharded_run_spreads_leases () =
   Alcotest.(check int) "every task applied once" n st.Server.completions;
   let shard_total = ref 0 in
   for s = 0 to 2 do
-    let c = Metrics.counter_value (Metrics.counter m (Printf.sprintf "served.shard%d.leased" s)) in
+    let c =
+      Live.counter_value
+        (Live.counter live (Printf.sprintf "served.shard%d.leased" s))
+    in
     if c = 0 then Alcotest.failf "shard %d never leased" s;
+    Alcotest.(check int)
+      (Printf.sprintf "shard %d counter = its granted tasks" s)
+      granted.(s) c;
     shard_total := !shard_total + c
   done;
   Alcotest.(check int) "per-shard counters account for every leased task"
@@ -479,7 +488,7 @@ let test_hammer_small_clean () =
    every task applied exactly once, metrics byte-identical across runs *)
 let acceptance_run () =
   let g = Mesh.out_mesh 256 in
-  let m = Metrics.create () in
+  let live = Live.create () in
   let scfg =
     Server.config ~n_shards:3 ~max_lease:64 ~expected_s:0.2 ~retry_after_s:0.2
       ~recovery:(Recovery.make ~timeout_factor:4.0 ())
@@ -493,8 +502,8 @@ let acceptance_run () =
     Hammer.config ~workers:10_000 ~k:8 ~mean_service_s:0.01 ~think_s:0.001
       ~churn ~seed:42 ()
   in
-  let r = Hammer.run_virtual ~metrics:m ~server:scfg cfg g in
-  (r, Metrics.to_json m)
+  let r = Hammer.run_virtual ~live ~server:scfg cfg g in
+  (r, Live.to_json live)
 
 let test_mesh256_churn_exactly_once () =
   let r, json1 = acceptance_run () in
@@ -569,14 +578,14 @@ let test_pinned_virtual_run () =
         recovered_tasks = 0;
       })
 
-(* live telemetry must not perturb the deterministic artifacts: the
-   same seeded virtual run, with a Live registry mirroring every meter,
-   dumps byte-identical Metrics JSON — and the mirror agrees with the
-   server's own stats once the run is over *)
+(* telemetry must not perturb the run it watches: the same seeded
+   virtual run with and without a Live registry reaches identical
+   results, two registries filled by identical runs dump byte-identical
+   JSON, and the registry agrees with the server's own stats once the
+   run is over *)
 let test_live_mirror_preserves_determinism () =
   let run ?live () =
     let g = Mesh.out_mesh 64 in
-    let m = Metrics.create () in
     let scfg =
       Server.config ~n_shards:3 ~max_lease:64 ~expected_s:0.2
         ~retry_after_s:0.2
@@ -591,20 +600,24 @@ let test_live_mirror_preserves_determinism () =
       Hammer.config ~workers:2_000 ~k:8 ~mean_service_s:0.01 ~think_s:0.001
         ~churn ~seed:42 ()
     in
-    let r = Hammer.run_virtual ~metrics:m ?live ~server:scfg cfg g in
-    (r, Metrics.to_json m)
+    Hammer.run_virtual ?live ~server:scfg cfg g
   in
-  let r_bare, json_bare = run () in
-  let live = Ic_obs.Live.create () in
-  let r_live, json_live = run ~live () in
+  let r_bare = run () in
+  let live = Live.create () in
+  let r_live = run ~live () in
+  let again = Live.create () in
+  let _ = run ~live:again () in
   Alcotest.(check string)
-    "metrics JSON byte-identical with the live mirror on" json_bare json_live;
+    "live JSON byte-identical across identical runs" (Live.to_json live)
+    (Live.to_json again);
   Alcotest.(check int) "same completions" r_bare.Hammer.completed
     r_live.Hammer.completed;
   Alcotest.(check (float 0.0)) "same virtual makespan" r_bare.Hammer.makespan_s
     r_live.Hammer.makespan_s;
-  (* the mirror itself is exact once quiescent *)
-  let lc name = Ic_obs.Live.counter_value (Ic_obs.Live.counter live name) in
+  Alcotest.(check bool) "same server stats" true
+    (r_bare.Hammer.server = r_live.Hammer.server);
+  (* the registry itself is exact once quiescent *)
+  let lc name = Live.counter_value (Live.counter live name) in
   let st = r_live.Hammer.server in
   Alcotest.(check int) "live leases = stats" st.Server.leases
     (lc "served.leases");
@@ -617,15 +630,19 @@ let test_live_mirror_preserves_determinism () =
   Alcotest.(check int) "live retry_afters = stats" st.Server.retry_afters
     (lc "served.retry_afters");
   let s =
-    Ic_obs.Live.histogram_snapshot
-      (Ic_obs.Live.histogram live "served.lease_service_s")
+    Live.histogram_snapshot (Live.histogram live "served.lease_service_s")
   in
   Alcotest.(check int) "one service observation per completion"
-    st.Server.completions s.Ic_obs.Live.count;
+    st.Server.completions s.Live.count;
+  let u =
+    Live.histogram_snapshot (Live.histogram live "served.worker_utilization")
+  in
+  Alcotest.(check int) "one utilization observation per worker" 2_000
+    u.Live.count;
   (* rerunning against the same registry doubles the counters — the
-     mirror accumulates, it is not reset per run *)
+     registry accumulates, it is not reset per run *)
   let _ = run ~live () in
-  Alcotest.(check int) "mirror accumulates across runs"
+  Alcotest.(check int) "registry accumulates across runs"
     (2 * st.Server.completions)
     (lc "served.completions")
 
@@ -857,11 +874,11 @@ let test_mesh256_kill_recover_exactly_once () =
      torn half-record sits at the tail *)
   append_raw path "\xFF\xFF\x00\x00half";
   let run () =
-    let m = Metrics.create () in
+    let live = Live.create () in
     let j = open_exn ~checkpoint_every:1024 path in
     let srv =
       match
-        Server.recover ~metrics:m ~journal:j
+        Server.recover ~live ~journal:j
           (Server.config ~n_shards:3 ~max_lease:64 ~expected_s:0.2
              ~retry_after_s:0.2
              ~recovery:(Recovery.make ~timeout_factor:4.0 ())
@@ -884,9 +901,11 @@ let test_mesh256_kill_recover_exactly_once () =
       Hammer.config ~workers:10_000 ~k:8 ~mean_service_s:0.01 ~think_s:0.001
         ~churn ~seed:42 ()
     in
-    let r = Hammer.drive ~metrics:m srv cfg in
+    let r = Hammer.drive ~live srv cfg in
     Journal.close j;
-    (r, Metrics.to_json m)
+    Alcotest.(check int) "recovered completions primed the counter" n
+      (Live.counter_value (Live.counter live "served.completions"));
+    (r, Live.to_json live)
   in
   (* recovery must not consume the journal: snapshot it so the second,
      determinism-checking run replays the identical file *)
@@ -906,7 +925,7 @@ let test_mesh256_kill_recover_exactly_once () =
 
 let chaos_run ~wire () =
   let g = Mesh.out_mesh 64 in
-  let m = Metrics.create () in
+  let live = Live.create () in
   let scfg =
     Server.config ~n_shards:3 ~max_lease:64 ~expected_s:0.2 ~retry_after_s:0.2
       ~recovery:(Recovery.make ~timeout_factor:4.0 ())
@@ -916,8 +935,8 @@ let chaos_run ~wire () =
     Hammer.config ~workers:1_000 ~k:8 ~mean_service_s:0.01 ~think_s:0.001
       ~seed:42 ()
   in
-  let r = Hammer.run_chaos ~metrics:m ~server:scfg ~wire ~reply_timeout_s:0.5 cfg g in
-  (r, Metrics.to_json m)
+  let r = Hammer.run_chaos ~live ~server:scfg ~wire ~reply_timeout_s:0.5 cfg g in
+  (r, Live.to_json live)
 
 let test_chaos_hostile_wire_exactly_once () =
   let wire =
@@ -1272,23 +1291,6 @@ let test_tcp_journal_recover_roundtrip () =
   Alcotest.(check int) "total exactly once" n st.Server.completions;
   Alcotest.(check int) "nothing left leased" 0 st.Server.inflight
 
-(* ------------------------------------------- metrics reuse across runs *)
-
-let test_metrics_reset_between_repeats () =
-  let g = Mesh.out_mesh 10 in
-  let m = Metrics.create () in
-  let iteration () =
-    Metrics.reset m;
-    let scfg = Server.config ~n_shards:2 () in
-    let cfg = Hammer.config ~workers:100 ~k:4 ~mean_service_s:0.001 () in
-    ignore (Hammer.run_virtual ~metrics:m ~server:scfg cfg g);
-    Metrics.to_json m
-  in
-  let first = iteration () in
-  let second = iteration () in
-  Alcotest.(check string) "repeat iterations see a zeroed registry" first
-    second
-
 let () =
   Alcotest.run "ic_served"
     [
@@ -1338,8 +1340,6 @@ let () =
           Alcotest.test_case
             "mesh-256, 10^4 churning workers: exactly once, deterministic"
             `Quick test_mesh256_churn_exactly_once;
-          Alcotest.test_case "metrics registry resets between repeats" `Quick
-            test_metrics_reset_between_repeats;
           Alcotest.test_case "seeded churning run matches pinned values" `Quick
             test_pinned_virtual_run;
           Alcotest.test_case "config bounds workers to the event field" `Quick

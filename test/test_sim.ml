@@ -467,7 +467,7 @@ let test_disconnect_rejoin () =
 let test_fault_metrics () =
   (* the metrics registry separates per-attempt latency from end-to-end
      latency: attempts >= completions under retries/stragglers *)
-  let m = Ic_obs.Metrics.create () in
+  let live = Ic_obs.Live.create () in
   let cfg =
     Sim.config ~n_clients:6 ~seed:13
       ~faults:
@@ -478,21 +478,16 @@ let test_fault_metrics () =
            ~backoff_base:0.1 ~backoff_jitter:0.5 ())
       ()
   in
-  let r = Sim.run ~metrics:m cfg Policy.fifo ~workload:Workload.unit mesh in
+  let r = Sim.run ~live cfg Policy.fifo ~workload:Workload.unit mesh in
   check_partition mesh r;
   let count name =
-    Ic_obs.Metrics.counter_value (Ic_obs.Metrics.counter m name)
+    Ic_obs.Live.counter_value (Ic_obs.Live.counter live name)
   in
-  (* re-registration requires the bucket bounds to match the simulator's *)
-  let hist name buckets =
-    Ic_obs.Metrics.histogram_count (Ic_obs.Metrics.histogram m name ~buckets)
+  let hist name =
+    (Ic_obs.Live.histogram_snapshot (Ic_obs.Live.histogram live name))
+      .Ic_obs.Live.count
   in
-  let latency =
-    hist "sim.task_latency" [| 0.25; 0.5; 1.0; 2.0; 4.0; 8.0; 16.0; 32.0 |]
-  and e2e =
-    hist "sim.task_e2e_latency"
-      [| 0.5; 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0; 128.0 |]
-  in
+  let latency = hist "sim.task_latency" and e2e = hist "sim.task_e2e_latency" in
   check_int "completed counter" (List.length r.Sim.completion_order)
     (count "sim.tasks_completed");
   check_int "e2e latency: one sample per completed task"
