@@ -1046,7 +1046,7 @@ let hammer_cmd =
         ?metrics_out ()
     with
     | Error e ->
-      Format.eprintf "hammer: %s@." e;
+      Format.eprintf "ic_sched hammer: %s@." e;
       exit 1
     | Ok r ->
       Format.printf
@@ -1171,14 +1171,7 @@ let top_cmd =
       & info [ "once" ]
           ~doc:"Print a single plain sample and exit (for scripts)")
   in
-  let scrape host port =
-    let addr =
-      let ip =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      in
-      Unix.ADDR_INET (ip, port)
-    in
+  let scrape addr =
     let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
     Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     @@ fun () ->
@@ -1232,6 +1225,13 @@ let top_cmd =
     n >= 6 && String.sub name (n - 6) 6 = "_total"
   in
   let run host port interval iterations once =
+    let addr =
+      match Ic_served.Tcp.resolve ~host ~port with
+      | Ok a -> a
+      | Error e ->
+        Format.eprintf "ic_sched top: %s@." e;
+        exit 1
+    in
     let iterations = if once then 1 else iterations in
     let prev = ref [] in
     let t_prev = ref 0.0 in
@@ -1241,7 +1241,7 @@ let top_cmd =
         if !i > 0 then Unix.sleepf interval;
         incr i;
         let t = Unix.gettimeofday () in
-        let sample = parse (scrape host port) in
+        let sample = parse (scrape addr) in
         if not once then print_string "\027[H\027[2J";
         Format.printf "ic_sched top — %s:%d — sample %d@." host port !i;
         List.iter
@@ -1268,7 +1268,7 @@ let top_cmd =
         t_prev := t
       done
     with Unix.Unix_error (e, fn, _) ->
-      Format.eprintf "top: %s: %s@." fn (Unix.error_message e);
+      Format.eprintf "ic_sched top: %s: %s@." fn (Unix.error_message e);
       exit 1
   in
   Cmd.v

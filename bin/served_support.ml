@@ -188,6 +188,7 @@ let hammer ~host ~port ~workers ~connections ~k ~churn ~seed ~mean_service_s
            finalize inside Tcp.hammer and land in the [r] branch below,
            so the CSV/JSON artifacts survive a server that died *)
         Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
+      | exception Invalid_argument msg -> Error msg
       | r ->
         Option.iter
           (fun file ->

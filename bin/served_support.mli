@@ -106,5 +106,6 @@ val hammer :
    writes the client-side hammer.* registry as JSON. Both files are
    written on every exit that produced a result — including runs cut
    short by a dead server once the reconnect/reply-timeout budget is
-   exhausted, which previously discarded them. Errors: invalid config
-   or the initial dial refused. *)
+   exhausted, which previously discarded them. Errors: invalid config,
+   a [host] that does not resolve (Ic_served.Tcp.resolve), or the
+   initial dial refused. *)

@@ -44,16 +44,6 @@ let service_s cfg ~worker ~draw =
   let x_m = cfg.mean_service_s *. (cfg.pareto_alpha -. 1.0) /. cfg.pareto_alpha in
   Float.min (x_m *. (u ** (-1.0 /. cfg.pareto_alpha))) (100.0 *. cfg.mean_service_s)
 
-let quantile xs q =
-  let n = Array.length xs in
-  if n = 0 then nan
-  else begin
-    let s = Array.copy xs in
-    Array.sort compare s;
-    let i = int_of_float (Float.of_int (n - 1) *. q +. 0.5) in
-    s.(max 0 (min (n - 1) i))
-  end
-
 type result = {
   n_tasks : int;
   completed : int;
@@ -88,7 +78,7 @@ let ev kind i ep = (((ep lsl worker_bits) lor i) lsl 2) lor kind
 let ev_worker e = (e lsr 2) land (max_workers - 1)
 let ev_epoch e = e lsr (worker_bits + 2)
 
-(* a growing float sample buffer; quantiles are computed at the end *)
+(* a growing float sample buffer; quantiles are selected at the end *)
 type samples = { mutable xs : float array; mutable n : int }
 
 let samples () = { xs = Array.make 1024 0.0; n = 0 }
@@ -102,7 +92,92 @@ let sample s x =
   s.xs.(s.n) <- x;
   s.n <- s.n + 1
 
-let to_array s = Array.sub s.xs 0 s.n
+(* nearest rank of [q] among [n] samples *)
+let rank n q =
+  max 0 (min (n - 1) (int_of_float (Float.of_int (n - 1) *. q +. 0.5)))
+
+(* sort [a.(lo..hi)] in place: the selection's fallback *)
+let sort_range a lo hi =
+  let m = Array.sub a lo (hi - lo + 1) in
+  Array.sort Float.compare m;
+  Array.blit m 0 a lo (hi - lo + 1)
+
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
+
+(* quickselect over [a.(lo..hi)], which holds no nan, so the native float
+   order agrees with [Float.compare]: on return [a.(k)] holds the rank-[k]
+   value, with nothing larger to its left and nothing smaller to its
+   right. Median-of-three Hoare partitions; a round that keeps more than
+   3/4 of its range is unproductive, and after log2 n of those the range
+   left is sorted instead, so no input costs more than O(n log n) *)
+let select a lo hi k =
+  let lo = ref lo and hi = ref hi in
+  let strikes = ref (log2 (!hi - !lo + 1)) in
+  while !lo < !hi do
+    if !strikes = 0 then begin
+      sort_range a !lo !hi;
+      lo := !hi
+    end
+    else begin
+      let x = a.(!lo) and y = a.(!lo + ((!hi - !lo) / 2)) and z = a.(!hi) in
+      let p =
+        if x < y then if y < z then y else if x < z then z else x
+        else if x < z then x
+        else if y < z then z
+        else y
+      in
+      (* two of the three sampled values are <= p and two are >= p, so
+         both scans stop inside the range and [j] lands in [lo, hi) *)
+      let i = ref (!lo - 1) and j = ref (!hi + 1) and go = ref true in
+      while !go do
+        incr i;
+        while a.(!i) < p do incr i done;
+        decr j;
+        while a.(!j) > p do decr j done;
+        if !i < !j then begin
+          let t = a.(!i) in
+          a.(!i) <- a.(!j);
+          a.(!j) <- t
+        end
+        else go := false
+      done;
+      let len = !hi - !lo + 1 in
+      if k <= !j then hi := !j else lo := !j + 1;
+      if 4 * (!hi - !lo + 1) > 3 * len then decr strikes
+    end
+  done
+
+let quantiles s q1 q2 =
+  let a = s.xs and n = s.n in
+  if n = 0 then (nan, nan)
+  else begin
+    (* nan is the least value under [Float.compare]: gather them first *)
+    let nans = ref 0 in
+    for i = 0 to n - 1 do
+      let x = a.(i) in
+      if Float.is_nan x then begin
+        a.(i) <- a.(!nans);
+        a.(!nans) <- x;
+        incr nans
+      end
+    done;
+    let at k lo hi =
+      if k < !nans then nan
+      else begin
+        select a (max lo !nans) hi k;
+        a.(k)
+      end
+    in
+    let k1 = rank n q1 and k2 = rank n q2 in
+    let v1 = at k1 0 (n - 1) in
+    (* [a] is now split at [k1]: select [k2] on its side only *)
+    let v2 =
+      if k2 = k1 then v1
+      else if k2 > k1 then at k2 (k1 + 1) (n - 1)
+      else at k2 0 (k1 - 1)
+    in
+    (v1, v2)
+  end
 
 (* the harness-side end-of-run instruments, beside the server's own *)
 let record_run l srv busy makespan =
@@ -257,8 +332,8 @@ let drive ?live srv cfg =
     end_busy i !now
   done;
   Option.iter (fun l -> record_run l srv busy !now) live;
-  let grants = to_array grant_lat in
-  let services = to_array service_lat in
+  let grant_p50, grant_p99 = quantiles grant_lat 0.5 0.99 in
+  let service_p50, service_p99 = quantiles service_lat 0.5 0.99 in
   {
     n_tasks = Server.n_tasks srv;
     completed = Server.completed srv;
@@ -267,10 +342,10 @@ let drive ?live srv cfg =
     server = Server.stats srv;
     crashed = !crashed;
     disconnects = !disconnects;
-    lease_grant_p50_s = quantile grants 0.5;
-    lease_grant_p99_s = quantile grants 0.99;
-    task_service_p50_s = quantile services 0.5;
-    task_service_p99_s = quantile services 0.99;
+    lease_grant_p50_s = grant_p50;
+    lease_grant_p99_s = grant_p99;
+    task_service_p50_s = service_p50;
+    task_service_p99_s = service_p99;
     busy_s = busy;
   }
 
@@ -519,8 +594,8 @@ let run_chaos ?sink ?live ?flight ~server:scfg ~wire
     link "c2s" (Chaos.stats c2s);
     link "s2c" (Chaos.stats s2c);
     Live.incr (Live.counter l "served.chaos.retries") ~shard:0 !retries);
-  let grants = to_array grant_lat in
-  let services = to_array service_lat in
+  let grant_p50, grant_p99 = quantiles grant_lat 0.5 0.99 in
+  let service_p50, service_p99 = quantiles service_lat 0.5 0.99 in
   {
     base =
       {
@@ -531,10 +606,10 @@ let run_chaos ?sink ?live ?flight ~server:scfg ~wire
         server = Server.stats srv;
         crashed = !crashed;
         disconnects = !disconnects;
-        lease_grant_p50_s = quantile grants 0.5;
-        lease_grant_p99_s = quantile grants 0.99;
-        task_service_p50_s = quantile services 0.5;
-        task_service_p99_s = quantile services 0.99;
+        lease_grant_p50_s = grant_p50;
+        lease_grant_p99_s = grant_p99;
+        task_service_p50_s = service_p50;
+        task_service_p99_s = service_p99;
         busy_s = busy;
       };
     c2s = Chaos.stats c2s;

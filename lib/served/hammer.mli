@@ -134,11 +134,6 @@ val run_chaos :
     [served.chaos.{c2s,s2c}.*] counters and [served.chaos.retries] are
     recorded alongside the usual served instruments. *)
 
-val quantile : float array -> float -> float
-(** [quantile xs q] with [q] in [0,1]: nearest-rank quantile of [xs]
-    (sorted internally; nan on empty). Shared by both transports'
-    reporting. *)
-
 (** {1 Worker-model internals shared with the TCP driver} *)
 
 val service_s : config -> worker:int -> draw:int -> float
@@ -151,5 +146,18 @@ type samples
 
 val samples : unit -> samples
 val sample : samples -> float -> unit
-val to_array : samples -> float array
-(** The samples recorded so far, in recording order. *)
+
+val quantiles : samples -> float -> float -> float * float
+(** [quantiles s q1 q2] is the pair of nearest-rank quantiles [q1] and
+    [q2] (each in [0,1]) of the samples in [s]: the value of rank
+    [int_of_float ((n-1)·q + 0.5)], clamped to [0, n-1], under
+    [Float.compare] order — what sorting the [n] samples and indexing
+    would return, bit for bit. [(nan, nan)] when [s] is empty. All three
+    drivers report their grant and service p50/p99 through it.
+
+    It selects in place rather than sorting: [q1] by quickselect, then
+    [q2] within the side of [q1]'s rank that holds it. Expected O(n); a
+    run of unproductive partition rounds falls back to sorting what is
+    left, so no input costs more than O(n log n). It {e reorders} the
+    recorded samples, so the buffer is not in recording order
+    afterwards. *)

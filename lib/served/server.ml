@@ -373,7 +373,9 @@ let handle_msg t ~now (msg : Wire.msg) : Wire.msg =
       let budget =
         min (min k t.cfg.max_lease) (t.cfg.max_inflight - t.inflight)
       in
-      if budget <= 0 then retry_reply t
+      (* with every pool empty [fill_batch] would pop nothing, bump no
+         counter and leave the cursor where it is: refuse without it *)
+      if budget <= 0 || Shards.total t.pools = 0 then retry_reply t
       else begin
         let got = fill_batch t ~budget t.scratch in
         if got = 0 then retry_reply t

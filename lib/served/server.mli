@@ -120,7 +120,14 @@ val handle : t -> now:float -> Wire.msg -> Wire.msg
     origin) and return the reply. Server-side messages and out-of-range
     ids are counted as protocol errors and answered with [Ack]. [now]
     must be non-decreasing across calls. Every [Retry_after] reply of
-    one server is the same value, built once at creation. *)
+    one server is the same value, built once at creation.
+
+    A [Lease_req] refused because every shard pool is empty — the
+    gridlock case, where most requests are refused — costs O(shards):
+    one size check per pool, no pops. A pool that still holds stale
+    entries (tasks completed by a straggler after their lease expired)
+    is drained through the normal batch fill, which moves the shard
+    cursor past it. *)
 
 val next_expiry : t -> float
 (** Time at which the earliest outstanding lease expires; [infinity]

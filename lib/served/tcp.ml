@@ -297,20 +297,33 @@ let reconnect_policy =
 
 let max_reconnect_attempts = 12
 
+(* a literal address as is; a name through the system resolver, an
+   IPv4 answer first since [serve] listens on IPv4 loopback only *)
+let resolve ~host ~port =
+  match
+    Unix.getaddrinfo host (string_of_int port)
+      [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM ]
+  with
+  | [] -> Error (Printf.sprintf "cannot resolve host %S" host)
+  | first :: _ as answers ->
+    let ai =
+      Option.value ~default:first
+        (List.find_opt (fun a -> a.Unix.ai_family = Unix.PF_INET) answers)
+    in
+    Ok ai.Unix.ai_addr
+
 let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
     ?(reply_timeout_s = 2.0) ?(log = fun _ -> ()) ~port (cfg : Hammer.config) =
+  let addr =
+    match resolve ~host ~port with
+    | Ok a -> a
+    | Error e -> invalid_arg ("Tcp.hammer: " ^ e)
+  in
   Lazy.force ignore_sigpipe;
   let t_start = Monotonic.now () in
   let elapsed () = Monotonic.now () -. t_start in
   let w = cfg.Hammer.workers in
   let nconn = max 1 (min connections w) in
-  let addr =
-    Unix.ADDR_INET
-      ( (if host = "127.0.0.1" || host = "localhost" then
-           Unix.inet_addr_loopback
-         else Unix.inet_addr_of_string host),
-        port )
-  in
   let socks = Array.make nconn Unix.stdin in
   let readers = Array.init nconn (fun _ -> Wire.Reader.create ()) in
   let pendings : pending Queue.t array =
@@ -360,7 +373,7 @@ let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
      next flush; [strict] (the initial dial) lets a refused connection
      raise out to the caller, a redial just reports failure *)
   let connect_conn ~strict c =
-    let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    let s = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
     match
       Unix.connect s addr;
       (try Unix.setsockopt s Unix.TCP_NODELAY true
@@ -650,8 +663,8 @@ let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
   for i = 0 to w - 1 do
     end_busy i tend
   done;
-  let grants = Hammer.to_array grant_lat in
-  let services = Hammer.to_array service_lat in
+  let grant_p50, grant_p99 = Hammer.quantiles grant_lat 0.5 0.99 in
+  let service_p50, service_p99 = Hammer.quantiles service_lat 0.5 0.99 in
   {
     workers = w;
     completes_sent = !completes_sent;
@@ -660,9 +673,9 @@ let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
     disconnects = !disconnects;
     reconnects = !reconnects;
     wall_s = tend;
-    lease_grant_p50_s = Hammer.quantile grants 0.5;
-    lease_grant_p99_s = Hammer.quantile grants 0.99;
-    task_service_p50_s = Hammer.quantile services 0.5;
-    task_service_p99_s = Hammer.quantile services 0.99;
+    lease_grant_p50_s = grant_p50;
+    lease_grant_p99_s = grant_p99;
+    task_service_p50_s = service_p50;
+    task_service_p99_s = service_p99;
     busy_s = busy;
   }

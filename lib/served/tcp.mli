@@ -81,6 +81,14 @@ val serve :
     requested without it; [flight] hands the server a crash-surviving
     {!Ic_obs.Flight} recorder. *)
 
+val resolve : host:string -> port:int -> (Unix.sockaddr, string) result
+(** The stream address of [host]:[port]: a literal IPv4 or IPv6 address
+    as is, otherwise the system resolver's answer, an IPv4 one preferred
+    when there are several ({!serve} listens on IPv4 loopback only).
+    [Error] (one line) when the name does not resolve. Shared by
+    {!hammer} and the [top] subcommand; the socket domain follows from
+    the address ([Unix.domain_of_sockaddr]). *)
+
 (** Client-side view of a hammer run; the authoritative counters live in
     the server's {!Ic_obs.Live} registry. *)
 type hammer_result = {
@@ -124,4 +132,7 @@ val hammer :
     connection is cut and redialed. [chaos] mangles outgoing non-[Hello]
     frames through {!Chaos.mangle} (direction = connection index),
     exercising the server's reader-error path over real sockets; the
-    initial dial still raises if the server is unreachable. *)
+    initial dial still raises if the server is unreachable.
+
+    [host] goes through {!resolve}, so a name or an IPv6 literal works;
+    raises [Invalid_argument] when it does not resolve. *)

@@ -300,6 +300,64 @@ let test_refusals_share_one_reply () =
   Alcotest.(check int) "both refusals counted" 2
     (Server.stats srv).Server.retry_afters
 
+(* a refusal with every pool empty skips the batch fill, which would pop
+   nothing there: the reply, the counters and later re-issue must not
+   notice. A pool holding only a stale entry still goes through the
+   fill, which discards the entry *)
+let test_empty_pools_refusal () =
+  let live = Live.create () in
+  let cfg =
+    Server.config ~expected_s:1.0
+      ~recovery:(Recovery.make ~timeout_factor:2.0 ())
+      ()
+  in
+  let srv = Server.create ~live cfg (tiny ()) in
+  let retries () =
+    ( (Server.stats srv).Server.retry_afters,
+      Live.counter_value (Live.counter live "served.retry_afters") )
+  in
+  let depth () = Live.gauge_value (Live.gauge live "served.frontier_depth") in
+  let req ~now worker =
+    Server.handle srv ~now (Wire.Lease_req { worker; k = 1 })
+  in
+  Alcotest.(check (array int)) "leased the source" [| 0 |]
+    (lease_tasks (req ~now:0.0 1));
+  let a = req ~now:0.1 2 in
+  (match a with
+  | Wire.Retry_after _ -> ()
+  | _ -> Alcotest.fail "expected Retry_after with every task leased");
+  Alcotest.(check (pair int int)) "one refusal, stats and live" (1, 1)
+    (retries ());
+  Alcotest.(check bool) "the shared reply" true (a == req ~now:0.2 3);
+  Alcotest.(check (pair int int)) "two refusals" (2, 2) (retries ());
+  Alcotest.(check int) "the lease expires" 1 (Server.expire srv ~now:2.0);
+  Alcotest.(check (array int)) "and re-issues" [| 0 |]
+    (lease_tasks (req ~now:2.1 4));
+  (* drain down to two sinks, each held by its own lease *)
+  ignore (Server.handle srv ~now:2.2 (Wire.Complete { worker = 4; task = 0 }));
+  let first = (lease_tasks (req ~now:2.3 5)).(0) in
+  let second = (lease_tasks (req ~now:3.0 6)).(0) in
+  Alcotest.(check (list int)) "both sinks leased" [ 1; 2 ]
+    (List.sort compare [ first; second ]);
+  Alcotest.(check int) "first sink expires" 1 (Server.expire srv ~now:4.3);
+  (match
+     Server.handle srv ~now:4.4 (Wire.Complete { worker = 5; task = first })
+   with
+  | Wire.Ack -> ()
+  | _ -> Alcotest.fail "straggler completion rejected");
+  Alcotest.(check (float 0.0)) "its pool entry is stale" 1.0 (depth ());
+  let before = fst (retries ()) in
+  (match req ~now:4.5 7 with
+  | Wire.Retry_after _ -> ()
+  | _ -> Alcotest.fail "expected Retry_after over a stale pool");
+  Alcotest.(check int) "refused" (before + 1) (fst (retries ()));
+  Alcotest.(check (float 0.0)) "the fill discarded the stale entry" 0.0
+    (depth ());
+  Alcotest.(check int) "the other lease still expires" 1
+    (Server.expire srv ~now:5.0);
+  Alcotest.(check (array int)) "and re-issues" [| second |]
+    (lease_tasks (req ~now:5.1 8))
+
 let test_expiry_reissue_and_duplicate () =
   (* timeout = 0 detection + 2 * 1.0 expected = 2.0 *)
   let cfg =
@@ -1008,6 +1066,10 @@ let test_pinned_chaos_run () =
     "grant p50" 0x1.00d4ffc34ebap-3 b.Hammer.lease_grant_p50_s;
   Alcotest.(check (float 0.0))
     "grant p99" 0x1.68d5fc705cb86p+0 b.Hammer.lease_grant_p99_s;
+  Alcotest.(check (float 0.0))
+    "service p50" 0x1.d19ad1f771fp-8 b.Hammer.task_service_p50_s;
+  Alcotest.(check (float 0.0))
+    "service p99" 0x1.0cee2aecc4cd2p-1 b.Hammer.task_service_p99_s;
   Alcotest.(check (list int))
     "completed, crashed, disconnects, retries" [ 561; 131; 1184; 295 ]
     [
@@ -1033,6 +1095,84 @@ let test_pinned_chaos_run () =
         recovered_reissues = 0;
         recovered_tasks = 0;
       })
+
+(* --------------------------------------------------------- quantiles *)
+
+let samples_of xs =
+  let s = Hammer.samples () in
+  Array.iter (Hammer.sample s) xs;
+  s
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let rank_qs = [ 0.0; 0.01; 0.5; 0.99; 1.0 ]
+
+(* every ordered pair of [rank_qs], each on a fresh buffer since the
+   selection reorders it, against the oracle: sort, then index the
+   nearest rank *)
+let quantiles_match xs =
+  let n = Array.length xs in
+  let sorted = Array.copy xs in
+  Array.sort Float.compare sorted;
+  let oracle q =
+    if n = 0 then nan
+    else
+      sorted.(max 0
+                (min (n - 1) (int_of_float (Float.of_int (n - 1) *. q +. 0.5))))
+  in
+  List.for_all
+    (fun q1 ->
+      List.for_all
+        (fun q2 ->
+          let v1, v2 = Hammer.quantiles (samples_of xs) q1 q2 in
+          same_bits v1 (oracle q1) && same_bits v2 (oracle q2))
+        rank_qs)
+    rank_qs
+
+(* [Float.compare] ties -0.0 with 0.0 and every nan with every other, so
+   any order-based method may return either of a tied pair; the values
+   are normalized so a tie is also a bit-identical pair *)
+let gen_latencies =
+  QCheck.Gen.(
+    let value =
+      frequency
+        [
+          (6, map float_of_int (int_range (-20) 20));
+          (3, float);
+          (1, oneofl [ nan; infinity; neg_infinity ]);
+        ]
+    in
+    let normal x = if Float.is_nan x then nan else if x = 0.0 then 0.0 else x in
+    array_size (int_range 0 2000) (map normal value))
+
+let prop_quantiles_match_sort =
+  QCheck.Test.make ~name:"selected quantiles equal the sorted nearest rank"
+    ~count:200
+    (QCheck.make
+       ~print:(fun xs -> Printf.sprintf "<%d samples>" (Array.length xs))
+       gen_latencies)
+    quantiles_match
+
+(* sorted, reversed and all-equal inputs split well under a
+   median-of-three pivot; organ pipe defeats it (the sample is the
+   range's minimum every round), so it runs the sort fallback *)
+let test_quantiles_fixed_inputs () =
+  let n = 10_001 in
+  List.iter
+    (fun (name, xs) ->
+      Alcotest.(check bool) name true (quantiles_match xs))
+    [
+      ("empty", [||]);
+      ("one", [| 3.5 |]);
+      ("two", [| 2.0; 1.0 |]);
+      ("sorted", Array.init n float_of_int);
+      ("reversed", Array.init n (fun i -> float_of_int (n - i)));
+      ("all equal", Array.make n 0.25);
+      ( "organ pipe",
+        Array.init n (fun i -> float_of_int (min i (n - 1 - i))) );
+      ( "nans and values",
+        Array.init n (fun i ->
+            if i mod 3 = 0 then nan else float_of_int (i mod 7)) );
+    ]
 
 (* ------------------------------------------------------- TCP transport *)
 
@@ -1063,6 +1203,34 @@ let test_tcp_loopback_roundtrip () =
   Alcotest.(check int) "server applied every task once" n st.Server.completions;
   Alcotest.(check int) "no lingering leases" 0 st.Server.inflight;
   Alcotest.(check bool) "client sent completions" true (hr.Tcp.completes_sent > 0)
+
+(* literals and names resolve alike, and the socket domain follows the
+   address: the hammer once accepted only 127.0.0.1/localhost literals
+   and always opened an IPv4 socket *)
+let test_tcp_resolve () =
+  let domain host =
+    match Tcp.resolve ~host ~port:7 with
+    | Ok a -> Unix.domain_of_sockaddr a
+    | Error e -> Alcotest.failf "%s: %s" host e
+  in
+  Alcotest.(check bool) "IPv4 literal" true (domain "127.0.0.1" = Unix.PF_INET);
+  Alcotest.(check bool) "IPv6 literal" true (domain "::1" = Unix.PF_INET6);
+  Alcotest.(check bool) "localhost, IPv4 first" true
+    (domain "localhost" = Unix.PF_INET);
+  (match Tcp.resolve ~host:"127.0.0.1" ~port:7 with
+  | Ok (Unix.ADDR_INET (ip, 7)) ->
+    Alcotest.(check string) "address" "127.0.0.1" (Unix.string_of_inet_addr ip)
+  | _ -> Alcotest.fail "expected 127.0.0.1:7");
+  (match Tcp.resolve ~host:"no-such-host.invalid" ~port:7 with
+  | Error e ->
+    Alcotest.(check bool) "one-line error" false (String.contains e '\n')
+  | Ok _ -> Alcotest.fail "an unresolvable name resolved");
+  let cfg = Hammer.config ~workers:1 () in
+  match Tcp.hammer ~host:"no-such-host.invalid" ~port:1 cfg with
+  | exception Invalid_argument _ -> ()
+  | exception e ->
+    Alcotest.failf "unresolvable host raised %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "hammered an unresolvable host"
 
 (* kill the wire, not the server: chaos-mangled client frames force the
    server to drop connections, the hammer heals by redialing *)
@@ -1322,6 +1490,8 @@ let () =
           Alcotest.test_case "admission control" `Quick test_backpressure;
           Alcotest.test_case "refusals share one reply" `Quick
             test_refusals_share_one_reply;
+          Alcotest.test_case "empty pools refuse without a fill" `Quick
+            test_empty_pools_refusal;
           Alcotest.test_case "expiry re-issues; duplicate counted once" `Quick
             test_expiry_reissue_and_duplicate;
           Alcotest.test_case "heartbeat renews leases" `Quick
@@ -1346,7 +1516,10 @@ let () =
             test_config_bounds_workers;
           Alcotest.test_case "live mirror preserves byte-determinism" `Quick
             test_live_mirror_preserves_determinism;
-        ] );
+          Alcotest.test_case "quantiles: sorted, reversed, equal, organ pipe"
+            `Quick test_quantiles_fixed_inputs;
+        ]
+        @ qcheck [ prop_quantiles_match_sort ] );
       ( "journal",
         Alcotest.test_case "records round-trip through a reopen" `Quick
           test_journal_roundtrip
@@ -1377,6 +1550,8 @@ let () =
         [
           Alcotest.test_case "loopback serve + hammer" `Quick
             test_tcp_loopback_roundtrip;
+          Alcotest.test_case "host names and IPv6 literals resolve" `Quick
+            test_tcp_resolve;
           Alcotest.test_case "chaos wire heals by reconnect" `Quick
             test_tcp_chaos_reconnects_and_finishes;
           Alcotest.test_case "journal + recover over real sockets" `Quick
