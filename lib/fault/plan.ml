@@ -41,11 +41,6 @@ let make ?(crash_rate = 0.0) ?(disconnect_rate = 0.0) ?(mean_downtime = 1.0)
   }
 
 let none = make ()
-let of_failure_probability ?seed q = make ?seed ~fail_probability:q ()
-
-let with_fail_probability t q =
-  check_probability "fail_probability" q;
-  { t with fail_probability = q }
 
 let is_none t =
   t.crash_rate = 0.0 && t.disconnect_rate = 0.0

@@ -55,14 +55,6 @@ val make :
     [0, 1), [straggler_factor >= 1], [mean_downtime > 0]. Defaults are
     all-zero (= {!none}) with [seed 0xFA17]. *)
 
-val of_failure_probability : ?seed:int -> float -> t
-(** The compat constructor for the simulator's historical single
-    end-of-task coin flip: [make ~fail_probability:q ()]. *)
-
-val with_fail_probability : t -> float -> t
-(** Override the reported-failure probability (used to fold the legacy
-    [Simulator.config.failure_probability] field into a plan). *)
-
 val is_none : t -> bool
 (** No fault of any kind can ever fire under this plan. *)
 

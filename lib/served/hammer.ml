@@ -59,25 +59,6 @@ type result = {
   busy_s : float array;
 }
 
-(* worker status *)
-let w_idle = 0
-let w_busy = 1
-let w_offline = 2
-let w_dead = 3
-let w_finished = 4
-
-(* worker events carry the worker's churn epoch: an event scheduled
-   before a disconnect/crash must not fire into the session that follows
-   the rejoin, so churn bumps the epoch and stale events are dropped.
-   A churn event carries no epoch: its kind waits in a per-worker slot,
-   since a worker has at most one churn event outstanding. *)
-let ev_request = 0  (* asks for a lease *)
-let ev_complete = 1  (* finishes the head of its batch *)
-let ev_churn = 2
-let ev kind i ep = (((ep lsl worker_bits) lor i) lsl 2) lor kind
-let ev_worker e = (e lsr 2) land (max_workers - 1)
-let ev_epoch e = e lsr (worker_bits + 2)
-
 (* a growing float sample buffer; quantiles are selected at the end *)
 type samples = { mutable xs : float array; mutable n : int }
 
@@ -179,175 +160,293 @@ let quantiles s q1 q2 =
     (v1, v2)
   end
 
-(* the harness-side end-of-run instruments, beside the server's own *)
-let record_run l srv busy makespan =
-  if makespan > 0.0 then begin
-    let h = Live.histogram l "served.worker_utilization" in
-    Array.iter (fun b -> Live.observe h (b /. makespan)) busy
-  end;
-  Live.set (Live.gauge l "served.makespan_s") makespan;
-  Live.set
-    (Live.gauge l "served.inflight_final")
-    (float_of_int (Server.stats srv).Server.inflight)
+(* ------------------------------------------------------------ the fleet *)
+
+module Fleet = struct
+  (* worker status *)
+  let w_idle = 0
+  let w_busy = 1
+  let w_offline = 2
+  let w_dead = 3
+  let w_finished = 4
+
+  type t = {
+    cfg : config;
+    status : int array;
+    epoch : int array;  (* bumped by churn: stale events are dropped *)
+    batch : int list array;
+    batch_t0 : float array;  (* alloc time of the batch *)
+    draws : int array;  (* service draws taken *)
+    first_req : float array;  (* first unanswered request, or nan *)
+    churn : Plan.Churn.cursor array;
+    pending : Plan.Churn.kind array;  (* kind of the next churn event *)
+    (* per-worker utilization: a busy interval opens on a Lease and closes
+       when the batch empties (or churn/finish cuts it) *)
+    busy : float array;
+    busy_since : float array;
+    grant : samples;
+    service : samples;
+    mutable n_crashed : int;
+    mutable n_disconnects : int;
+  }
+
+  let create cfg =
+    let w = cfg.workers in
+    {
+      cfg;
+      status = Array.make w w_idle;
+      epoch = Array.make w 0;
+      batch = Array.make w [];
+      batch_t0 = Array.make w 0.0;
+      draws = Array.make w 0;
+      first_req = Array.make w nan;
+      churn = Array.init w (fun i -> Plan.Churn.create cfg.churn ~client:i);
+      pending = Array.make w Plan.Churn.Crash;
+      busy = Array.make w 0.0;
+      busy_since = Array.make w nan;
+      grant = samples ();
+      service = samples ();
+      n_crashed = 0;
+      n_disconnects = 0;
+    }
+
+  let epoch f i = f.epoch.(i)
+  let is_idle f i = f.status.(i) = w_idle
+  let is_busy f i = f.status.(i) = w_busy
+  let alive f i = is_idle f i || is_busy f i
+  let has_more f i = match f.batch.(i) with [] -> false | _ -> true
+
+  (* stagger the opening burst deterministically over one mean service
+     time so the first leases do not all carry time 0 *)
+  let opening f i =
+    let rng = Random.State.make [| f.cfg.seed; 0x0F; i |] in
+    Random.State.float rng f.cfg.mean_service_s
+
+  let next_churn f i =
+    match Plan.Churn.next f.churn.(i) with
+    | None -> infinity
+    | Some { Plan.Churn.time; kind } ->
+      f.pending.(i) <- kind;
+      time
+
+  let end_busy f i t =
+    let s = f.busy_since.(i) in
+    if not (Float.is_nan s) then begin
+      f.busy.(i) <- f.busy.(i) +. (t -. s);
+      f.busy_since.(i) <- nan
+    end
+
+  let next_service f i t =
+    let d = f.draws.(i) in
+    f.draws.(i) <- d + 1;
+    t +. service_s f.cfg ~worker:i ~draw:d
+
+  let request f i t = if Float.is_nan f.first_req.(i) then f.first_req.(i) <- t
+
+  let lease f i t tasks =
+    let r = f.first_req.(i) in
+    if not (Float.is_nan r) then begin
+      sample f.grant (t -. r);
+      f.first_req.(i) <- nan
+    end;
+    f.status.(i) <- w_busy;
+    f.busy_since.(i) <- t;
+    f.batch.(i) <- Array.to_list tasks;
+    f.batch_t0.(i) <- t;
+    next_service f i t
+
+  let take f i t =
+    if f.status.(i) <> w_busy then -1
+    else
+      match f.batch.(i) with
+      | [] -> (* batch vanished to churn *) -1
+      | task :: rest ->
+        f.batch.(i) <- rest;
+        sample f.service (t -. f.batch_t0.(i));
+        task
+
+  let go_idle f i t =
+    end_busy f i t;
+    f.status.(i) <- w_idle;
+    t +. f.cfg.think_s
+
+  let ack f i t = if has_more f i then next_service f i t else go_idle f i t
+
+  let finish f i t =
+    if f.status.(i) <> w_dead then begin
+      end_busy f i t;
+      f.status.(i) <- w_finished
+    end
+
+  (* the worker loses its session and batch: its leases expire and
+     re-issue server-side *)
+  let drop f i t st =
+    f.epoch.(i) <- f.epoch.(i) + 1;
+    end_busy f i t;
+    f.status.(i) <- st;
+    f.batch.(i) <- [];
+    f.first_req.(i) <- nan
+
+  let requeue f i t = drop f i t w_idle
+
+  type churned = Unchanged | Crashed | Disconnected | Rejoined
+
+  let churn f i t =
+    match f.pending.(i) with
+    | Plan.Churn.Crash ->
+      if f.status.(i) = w_finished then Unchanged
+      else begin
+        f.n_crashed <- f.n_crashed + 1;
+        drop f i t w_dead;
+        Crashed
+      end
+    | Plan.Churn.Disconnect _ ->
+      if not (alive f i) then Unchanged
+      else begin
+        f.n_disconnects <- f.n_disconnects + 1;
+        drop f i t w_offline;
+        Disconnected
+      end
+    | Plan.Churn.Rejoin ->
+      if f.status.(i) <> w_offline then Unchanged
+      else begin
+        f.epoch.(i) <- f.epoch.(i) + 1;
+        f.status.(i) <- w_idle;
+        Rejoined
+      end
+
+  type report = {
+    crashed : int;
+    disconnects : int;
+    grant_p50_s : float;
+    grant_p99_s : float;
+    service_p50_s : float;
+    service_p99_s : float;
+    busy_s : float array;
+  }
+
+  let close f t =
+    for i = 0 to f.cfg.workers - 1 do
+      end_busy f i t
+    done;
+    let grant_p50_s, grant_p99_s = quantiles f.grant 0.5 0.99 in
+    let service_p50_s, service_p99_s = quantiles f.service 0.5 0.99 in
+    {
+      crashed = f.n_crashed;
+      disconnects = f.n_disconnects;
+      grant_p50_s;
+      grant_p99_s;
+      service_p50_s;
+      service_p99_s;
+      busy_s = f.busy;
+    }
+end
+
+(* ----------------------------------------------------------- the drivers *)
+
+(* close the fleet at the virtual time [now] of the run's last event;
+   [live] gets the harness-side instruments, beside the server's own *)
+let finish_run ?live srv f ~t_start now =
+  let r = Fleet.close f now in
+  Option.iter
+    (fun l ->
+      if now > 0.0 then begin
+        let h = Live.histogram l "served.worker_utilization" in
+        Array.iter (fun b -> Live.observe h (b /. now)) r.Fleet.busy_s
+      end;
+      Live.set (Live.gauge l "served.makespan_s") now;
+      Live.set
+        (Live.gauge l "served.inflight_final")
+        (float_of_int (Server.stats srv).Server.inflight))
+    live;
+  {
+    n_tasks = Server.n_tasks srv;
+    completed = Server.completed srv;
+    makespan_s = now;
+    wall_s = Monotonic.now () -. t_start;
+    server = Server.stats srv;
+    crashed = r.Fleet.crashed;
+    disconnects = r.Fleet.disconnects;
+    lease_grant_p50_s = r.Fleet.grant_p50_s;
+    lease_grant_p99_s = r.Fleet.grant_p99_s;
+    task_service_p50_s = r.Fleet.service_p50_s;
+    task_service_p99_s = r.Fleet.service_p99_s;
+    busy_s = r.Fleet.busy_s;
+  }
+
+let fire_expiries srv t =
+  while Server.next_expiry srv <= t do
+    ignore (Server.expire srv ~now:(Server.next_expiry srv))
+  done
+
+(* worker events carry the worker's churn epoch: an event scheduled
+   before a disconnect/crash must not fire into the session that follows
+   the rejoin, so churn bumps the epoch and stale events are dropped.
+   A churn event carries no epoch: its kind waits in the fleet, since a
+   worker has at most one churn event outstanding. *)
+let ev_request = 0  (* asks for a lease *)
+let ev_complete = 1  (* finishes the head of its batch *)
+let ev_churn = 2
+let ev kind i ep = (((ep lsl worker_bits) lor i) lsl 2) lor kind
+let ev_worker e = (e lsr 2) land (max_workers - 1)
+let ev_epoch e = e lsr (worker_bits + 2)
 
 let drive ?live srv cfg =
   let t_start = Monotonic.now () in
   let w = cfg.workers in
-  let status = Array.make w w_idle in
-  let batch : int list array = Array.make w [] in
-  let batch_t0 : float array = Array.make w 0.0 in  (* alloc time of batch *)
-  let draws = Array.make w 0 in
-  let epoch = Array.make w 0 in
-  let first_req = Array.make w nan in
-  let churn = Array.init w (fun i -> Plan.Churn.create cfg.churn ~client:i) in
-  let churn_kind = Array.make w Plan.Churn.Crash in
+  let f = Fleet.create cfg in
   let lease_req =
     Array.init w (fun i -> Wire.Lease_req { worker = i; k = cfg.k })
   in
-  let crashed = ref 0 in
-  let disconnects = ref 0 in
-  let grant_lat = samples () in
-  let service_lat = samples () in
-  (* per-worker utilization: a busy interval opens on a Lease and closes
-     when the batch empties (or churn/finish cuts it) *)
-  let busy = Array.make w 0.0 in
-  let busy_since = Array.make w nan in
-  let end_busy i t =
-    if not (Float.is_nan busy_since.(i)) then begin
-      busy.(i) <- busy.(i) +. (t -. busy_since.(i));
-      busy_since.(i) <- nan
-    end
-  in
   let events : int Heap.t = Heap.create () in
   let schedule_churn i =
-    match Plan.Churn.next churn.(i) with
-    | None -> ()
-    | Some { Plan.Churn.time; kind } ->
-      churn_kind.(i) <- kind;
-      Heap.push events time (ev ev_churn i 0)
+    let t = Fleet.next_churn f i in
+    if t < infinity then Heap.push events t (ev ev_churn i 0)
   in
   for i = 0 to w - 1 do
-    (* stagger the opening burst deterministically over one mean service
-       time so the first leases do not all carry time 0 *)
-    let rng = Random.State.make [| cfg.seed; 0x0F; i |] in
-    Heap.push events
-      (Random.State.float rng cfg.mean_service_s)
-      (ev ev_request i 0);
+    Heap.push events (Fleet.opening f i) (ev ev_request i 0);
     schedule_churn i
   done;
   let now = ref 0.0 in
-  let next_service i t =
-    draws.(i) <- draws.(i) + 1;
-    t +. service_s cfg ~worker:i ~draw:(draws.(i) - 1)
-  in
-  let fire_expiries t =
-    while Server.next_expiry srv <= t do
-      ignore (Server.expire srv ~now:(Server.next_expiry srv))
-    done
-  in
-  let alive i = status.(i) = w_idle || status.(i) = w_busy in
-  let finish i t =
-    end_busy i t;
-    status.(i) <- w_finished
-  in
-  let handle_request i t =
-    if alive i then begin
-      if Float.is_nan first_req.(i) then first_req.(i) <- t;
+  let handle_request i ep t =
+    if Fleet.alive f i then begin
+      Fleet.request f i t;
       match Server.handle srv ~now:t lease_req.(i) with
       | Wire.Lease { tasks; expires_in_s = _ } ->
-        sample grant_lat (t -. first_req.(i));
-        first_req.(i) <- nan;
-        status.(i) <- w_busy;
-        busy_since.(i) <- t;
-        batch.(i) <- Array.to_list tasks;
-        batch_t0.(i) <- t;
-        Heap.push events (next_service i t) (ev ev_complete i epoch.(i))
+        Heap.push events (Fleet.lease f i t tasks) (ev ev_complete i ep)
       | Wire.Retry_after { delay_s } ->
         (* due a constant delay after the non-decreasing clock: in order *)
-        Heap.append events
-          (t +. Float.max delay_s 1e-6)
-          (ev ev_request i epoch.(i))
-      | Wire.Done _ -> finish i t
-      | _ -> finish i t
+        Heap.append events (t +. Float.max delay_s 1e-6) (ev ev_request i ep)
+      | _ -> Fleet.finish f i t
     end
   in
-  let handle_complete_due i t =
-    if status.(i) = w_busy then begin
-      match batch.(i) with
-      | [] -> (* batch vanished to churn *) ()
-      | task :: rest -> (
-        batch.(i) <- rest;
-        sample service_lat (t -. batch_t0.(i));
-        match Server.handle srv ~now:t (Wire.Complete { worker = i; task }) with
-        | Wire.Done _ -> finish i t
-        | _ ->
-          if rest <> [] then
-            Heap.push events (next_service i t) (ev ev_complete i epoch.(i))
-          else begin
-            end_busy i t;
-            status.(i) <- w_idle;
-            Heap.push events (t +. cfg.think_s) (ev ev_request i epoch.(i))
-          end)
-    end
-  in
-  let handle_churn i kind t =
-    (match kind with
-    | Plan.Churn.Crash ->
-      if status.(i) <> w_finished then begin
-        incr crashed;
-        epoch.(i) <- epoch.(i) + 1;
-        end_busy i t;
-        status.(i) <- w_dead;
-        batch.(i) <- [];
-        first_req.(i) <- nan
-      end
-    | Plan.Churn.Disconnect _downtime ->
-      if alive i then begin
-        incr disconnects;
-        epoch.(i) <- epoch.(i) + 1;
-        end_busy i t;
-        status.(i) <- w_offline;
-        batch.(i) <- [];
-        first_req.(i) <- nan
-      end
-    | Plan.Churn.Rejoin ->
-      if status.(i) = w_offline then begin
-        epoch.(i) <- epoch.(i) + 1;
-        status.(i) <- w_idle;
-        Heap.push events t (ev ev_request i epoch.(i))
-      end);
-    schedule_churn i
+  let handle_complete_due i ep t =
+    let task = Fleet.take f i t in
+    if task >= 0 then
+      match Server.handle srv ~now:t (Wire.Complete { worker = i; task }) with
+      | Wire.Done _ -> Fleet.finish f i t
+      | _ ->
+        let due = Fleet.ack f i t in
+        Heap.push events due
+          (ev (if Fleet.has_more f i then ev_complete else ev_request) i ep)
   in
   while (not (Server.is_done srv)) && not (Heap.is_empty events) do
     let t = Heap.min_key events in
     let e = Heap.pop_min events in
-    fire_expiries t;
+    fire_expiries srv t;
     now := t;
-    let i = ev_worker e and kind = e land 3 in
-    if kind = ev_churn then handle_churn i churn_kind.(i) t
-    else if ev_epoch e = epoch.(i) then
-      if kind = ev_request then handle_request i t else handle_complete_due i t
+    let i = ev_worker e and kind = e land 3 and ep = ev_epoch e in
+    if kind = ev_churn then begin
+      (match Fleet.churn f i t with
+      | Fleet.Rejoined -> Heap.push events t (ev ev_request i (Fleet.epoch f i))
+      | _ -> ());
+      schedule_churn i
+    end
+    else if ep = Fleet.epoch f i then
+      if kind = ev_request then handle_request i ep t
+      else handle_complete_due i ep t
   done;
-  for i = 0 to w - 1 do
-    end_busy i !now
-  done;
-  Option.iter (fun l -> record_run l srv busy !now) live;
-  let grant_p50, grant_p99 = quantiles grant_lat 0.5 0.99 in
-  let service_p50, service_p99 = quantiles service_lat 0.5 0.99 in
-  {
-    n_tasks = Server.n_tasks srv;
-    completed = Server.completed srv;
-    makespan_s = !now;
-    wall_s = Monotonic.now () -. t_start;
-    server = Server.stats srv;
-    crashed = !crashed;
-    disconnects = !disconnects;
-    lease_grant_p50_s = grant_p50;
-    lease_grant_p99_s = grant_p99;
-    task_service_p50_s = service_p50;
-    task_service_p99_s = service_p99;
-    busy_s = busy;
-  }
+  finish_run ?live srv f ~t_start !now
 
 let run_virtual ?sink ?live ?flight ~server:scfg cfg g =
   drive ?live (Server.create ?sink ?live ?flight scfg g) cfg
@@ -366,7 +465,7 @@ type chaos_result = {
 type cev =
   | C_request of int * int
   | C_complete_due of int * int
-  | C_churn of int * Plan.Churn.kind
+  | C_churn of int
   | C_to_server of Wire.msg
   | C_to_worker of int * int * Wire.msg  (* worker, epoch at emission *)
   | C_retry of int * int * int  (* worker, epoch, request seq *)
@@ -380,26 +479,8 @@ let run_chaos ?sink ?live ?flight ~server:scfg ~wire
   let w = cfg.workers in
   let c2s = Chaos.create wire ~dir:0 in
   let s2c = Chaos.create wire ~dir:1 in
-  let status = Array.make w w_idle in
-  let batch : int list array = Array.make w [] in
-  let batch_t0 = Array.make w 0.0 in
-  let draws = Array.make w 0 in
-  let epoch = Array.make w 0 in
-  let first_req = Array.make w nan in
-  let churn = Array.init w (fun i -> Plan.Churn.create cfg.churn ~client:i) in
-  let crashed = ref 0 in
-  let disconnects = ref 0 in
+  let f = Fleet.create cfg in
   let retries = ref 0 in
-  let grant_lat = samples () in
-  let service_lat = samples () in
-  let busy = Array.make w 0.0 in
-  let busy_since = Array.make w nan in
-  let end_busy i t =
-    if not (Float.is_nan busy_since.(i)) then begin
-      busy.(i) <- busy.(i) +. (t -. busy_since.(i));
-      busy_since.(i) <- nan
-    end
-  in
   (* an unanswered request keeps its sequence number until any reply that
      can answer it lands; the timeout probe resends while it is open *)
   let seq = Array.make w 0 in
@@ -407,37 +488,20 @@ let run_chaos ?sink ?live ?flight ~server:scfg ~wire
   let last_msg : Wire.msg option array = Array.make w None in
   let events : cev Heap.t = Heap.create () in
   let schedule_churn i =
-    match Plan.Churn.next churn.(i) with
-    | None -> ()
-    | Some { Plan.Churn.time; kind } -> Heap.push events time (C_churn (i, kind))
+    let t = Fleet.next_churn f i in
+    if t < infinity then Heap.push events t (C_churn i)
   in
   for i = 0 to w - 1 do
-    let rng = Random.State.make [| cfg.seed; 0x0F; i |] in
-    Heap.push events
-      (Random.State.float rng cfg.mean_service_s)
-      (C_request (i, 0));
+    Heap.push events (Fleet.opening f i) (C_request (i, 0));
     schedule_churn i
   done;
   let now = ref 0.0 in
-  let next_service i t =
-    draws.(i) <- draws.(i) + 1;
-    t +. service_s cfg ~worker:i ~draw:(draws.(i) - 1)
-  in
-  let fire_expiries t =
-    while Server.next_expiry srv <= t do
-      ignore (Server.expire srv ~now:(Server.next_expiry srv))
-    done
-  in
-  let alive i = status.(i) = w_idle || status.(i) = w_busy in
-  let finish i t =
-    end_busy i t;
-    status.(i) <- w_finished
-  in
   let uplink i t msg =
     List.iter
       (fun (dt, m) -> Heap.push events dt (C_to_server m))
       (Chaos.send c2s ~now:t msg);
-    Heap.push events (t +. reply_timeout_s) (C_retry (i, epoch.(i), seq.(i)))
+    Heap.push events (t +. reply_timeout_s)
+      (C_retry (i, Fleet.epoch f i, seq.(i)))
   in
   let transmit i t msg =
     seq.(i) <- seq.(i) + 1;
@@ -450,97 +514,52 @@ let run_chaos ?sink ?live ?flight ~server:scfg ~wire
     last_msg.(i) <- None
   in
   let deliver i t m =
+    let ep = Fleet.epoch f i in
     match m with
     | Wire.Done _ ->
       reset_session i;
-      if status.(i) <> w_dead then finish i t
-    | Wire.Welcome _ -> ()
-    | Wire.Lease { tasks; expires_in_s = _ } ->
-      (* only an idle worker with an open request accepts; a duplicated
-         or stale Lease is dropped here and its tasks re-issue by expiry *)
-      if status.(i) = w_idle && awaiting.(i) >= 0 then begin
-        reset_session i;
-        if not (Float.is_nan first_req.(i)) then begin
-          sample grant_lat (t -. first_req.(i));
-          first_req.(i) <- nan
-        end;
-        status.(i) <- w_busy;
-        busy_since.(i) <- t;
-        batch.(i) <- Array.to_list tasks;
-        batch_t0.(i) <- t;
-        Heap.push events (next_service i t) (C_complete_due (i, epoch.(i)))
-      end
-    | Wire.Retry_after { delay_s } ->
-      if status.(i) = w_idle && awaiting.(i) >= 0 then begin
-        reset_session i;
-        Heap.append events
-          (t +. Float.max delay_s 1e-6)
-          (C_request (i, epoch.(i)))
-      end
-    | Wire.Ack ->
-      if status.(i) = w_busy && awaiting.(i) >= 0 then begin
-        reset_session i;
-        if batch.(i) <> [] then
-          Heap.push events (next_service i t) (C_complete_due (i, epoch.(i)))
-        else begin
-          end_busy i t;
-          status.(i) <- w_idle;
-          Heap.push events (t +. cfg.think_s) (C_request (i, epoch.(i)))
-        end
-      end
+      Fleet.finish f i t
+    (* only a worker with an open request accepts a reply, and a Lease or
+       Retry_after only when idle: a duplicated or stale Lease is dropped
+       here and its tasks re-issue by expiry *)
+    | _ when awaiting.(i) < 0 -> ()
+    | Wire.Lease { tasks; expires_in_s = _ } when Fleet.is_idle f i ->
+      reset_session i;
+      Heap.push events (Fleet.lease f i t tasks) (C_complete_due (i, ep))
+    | Wire.Retry_after { delay_s } when Fleet.is_idle f i ->
+      reset_session i;
+      Heap.append events (t +. Float.max delay_s 1e-6) (C_request (i, ep))
+    | Wire.Ack when Fleet.is_busy f i ->
+      reset_session i;
+      let due = Fleet.ack f i t in
+      Heap.push events due
+        (if Fleet.has_more f i then C_complete_due (i, ep)
+         else C_request (i, ep))
     | _ -> ()
-  in
-  let handle_churn i kind t =
-    (match kind with
-    | Plan.Churn.Crash ->
-      if status.(i) <> w_finished then begin
-        incr crashed;
-        epoch.(i) <- epoch.(i) + 1;
-        end_busy i t;
-        status.(i) <- w_dead;
-        batch.(i) <- [];
-        first_req.(i) <- nan;
-        reset_session i
-      end
-    | Plan.Churn.Disconnect _ ->
-      if alive i then begin
-        incr disconnects;
-        epoch.(i) <- epoch.(i) + 1;
-        end_busy i t;
-        status.(i) <- w_offline;
-        batch.(i) <- [];
-        first_req.(i) <- nan;
-        reset_session i
-      end
-    | Plan.Churn.Rejoin ->
-      if status.(i) = w_offline then begin
-        epoch.(i) <- epoch.(i) + 1;
-        status.(i) <- w_idle;
-        Heap.push events t (C_request (i, epoch.(i)))
-      end);
-    schedule_churn i
   in
   while (not (Server.is_done srv)) && not (Heap.is_empty events) do
     let t = Heap.min_key events in
     let ev = Heap.pop_min events in
-    fire_expiries t;
+    fire_expiries srv t;
     now := t;
     match ev with
     | C_request (i, ep) ->
-      if ep = epoch.(i) && status.(i) = w_idle && awaiting.(i) < 0 then begin
-        if Float.is_nan first_req.(i) then first_req.(i) <- t;
+      if ep = Fleet.epoch f i && Fleet.is_idle f i && awaiting.(i) < 0
+      then begin
+        Fleet.request f i t;
         transmit i t (Wire.Lease_req { worker = i; k = cfg.k })
       end
     | C_complete_due (i, ep) ->
-      if ep = epoch.(i) && status.(i) = w_busy then begin
-        match batch.(i) with
-        | [] -> ()
-        | task :: rest ->
-          batch.(i) <- rest;
-          sample service_lat (t -. batch_t0.(i));
-          transmit i t (Wire.Complete { worker = i; task })
+      if ep = Fleet.epoch f i then begin
+        let task = Fleet.take f i t in
+        if task >= 0 then transmit i t (Wire.Complete { worker = i; task })
       end
-    | C_churn (i, kind) -> handle_churn i kind t
+    | C_churn i ->
+      (match Fleet.churn f i t with
+      | Fleet.Crashed | Fleet.Disconnected -> reset_session i
+      | Fleet.Rejoined -> Heap.push events t (C_request (i, Fleet.epoch f i))
+      | Fleet.Unchanged -> ());
+      schedule_churn i
     | C_to_server m -> (
       let reply = Server.handle srv ~now:t m in
       let target =
@@ -555,64 +574,40 @@ let run_chaos ?sink ?live ?flight ~server:scfg ~wire
       if target >= 0 && target < w then
         List.iter
           (fun (dt, r) ->
-            Heap.push events dt (C_to_worker (target, epoch.(target), r)))
+            Heap.push events dt (C_to_worker (target, Fleet.epoch f target, r)))
           (Chaos.send s2c ~now:t reply))
-    | C_to_worker (i, ep, m) -> if ep = epoch.(i) then deliver i t m
+    | C_to_worker (i, ep, m) -> if ep = Fleet.epoch f i then deliver i t m
     | C_retry (i, ep, s) ->
       (* the request is still open: the frame (or its reply) died on
          the wire — resend the same message as a fresh frame *)
-      if ep = epoch.(i) && awaiting.(i) = s && alive i then begin
+      if ep = Fleet.epoch f i && awaiting.(i) = s && Fleet.alive f i then begin
         incr retries;
         match last_msg.(i) with
         | Some m -> uplink i t m
         | None -> ()
       end
   done;
-  for i = 0 to w - 1 do
-    end_busy i !now
-  done;
-  (match live with
-  | None -> ()
-  | Some l ->
-    record_run l srv busy !now;
-    let link name (s : Chaos.stats) =
-      let c field v =
-        Live.incr
-          (Live.counter l (Printf.sprintf "served.chaos.%s.%s" name field))
-          ~shard:0 v
+  let base = finish_run ?live srv f ~t_start !now in
+  Option.iter
+    (fun l ->
+      let link name (s : Chaos.stats) =
+        let c field v =
+          Live.incr
+            (Live.counter l (Printf.sprintf "served.chaos.%s.%s" name field))
+            ~shard:0 v
+        in
+        c "frames" s.Chaos.frames;
+        c "delivered" s.Chaos.delivered;
+        c "dropped" s.Chaos.dropped;
+        c "duplicated" s.Chaos.duplicated;
+        c "reordered" s.Chaos.reordered;
+        c "truncated" s.Chaos.truncated;
+        c "corrupted" s.Chaos.corrupted;
+        c "reader_errors" s.Chaos.reader_errors;
+        c "resyncs" s.Chaos.resyncs
       in
-      c "frames" s.Chaos.frames;
-      c "delivered" s.Chaos.delivered;
-      c "dropped" s.Chaos.dropped;
-      c "duplicated" s.Chaos.duplicated;
-      c "reordered" s.Chaos.reordered;
-      c "truncated" s.Chaos.truncated;
-      c "corrupted" s.Chaos.corrupted;
-      c "reader_errors" s.Chaos.reader_errors;
-      c "resyncs" s.Chaos.resyncs
-    in
-    link "c2s" (Chaos.stats c2s);
-    link "s2c" (Chaos.stats s2c);
-    Live.incr (Live.counter l "served.chaos.retries") ~shard:0 !retries);
-  let grant_p50, grant_p99 = quantiles grant_lat 0.5 0.99 in
-  let service_p50, service_p99 = quantiles service_lat 0.5 0.99 in
-  {
-    base =
-      {
-        n_tasks = Server.n_tasks srv;
-        completed = Server.completed srv;
-        makespan_s = !now;
-        wall_s = Monotonic.now () -. t_start;
-        server = Server.stats srv;
-        crashed = !crashed;
-        disconnects = !disconnects;
-        lease_grant_p50_s = grant_p50;
-        lease_grant_p99_s = grant_p99;
-        task_service_p50_s = service_p50;
-        task_service_p99_s = service_p99;
-        busy_s = busy;
-      };
-    c2s = Chaos.stats c2s;
-    s2c = Chaos.stats s2c;
-    retries = !retries;
-  }
+      link "c2s" (Chaos.stats c2s);
+      link "s2c" (Chaos.stats s2c);
+      Live.incr (Live.counter l "served.chaos.retries") ~shard:0 !retries)
+    live;
+  { base; c2s = Chaos.stats c2s; s2c = Chaos.stats s2c; retries = !retries }

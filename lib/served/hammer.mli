@@ -1,14 +1,14 @@
 (** The load harness: simulate 10^4..10^6 transient workers against a
     {!Server}.
 
-    Two transports, one worker model. {!run_virtual} drives the server
-    core directly under a discrete-event virtual clock — no sockets, no
-    wall time — so a fixed seed yields byte-identical metrics and traces
-    at any worker count; it is the exactly-once/determinism acceptance
-    vehicle and the gridlock bench (a fleet asking for work faster than
-    work becomes eligible, so most requests are refused and retried).
-    {!Tcp.hammer} runs the same worker model in real time against a
-    listening server over loopback TCP.
+    Three transports, one worker model ({!Fleet}). {!run_virtual} drives
+    the server core directly under a discrete-event virtual clock — no
+    sockets, no wall time — so a fixed seed yields byte-identical metrics
+    and traces at any worker count; it is the exactly-once/determinism
+    acceptance vehicle and the gridlock bench (a fleet asking for work
+    faster than work becomes eligible, so most requests are refused and
+    retried). {!run_chaos} adds a mangling wire, still in virtual time;
+    {!Tcp.hammer} runs the fleet in real time over loopback TCP.
 
     The worker model: each worker asks for a batch of [k] tasks, runs
     them sequentially with heavy-tailed (bounded Pareto) service
@@ -136,9 +136,77 @@ val run_chaos :
 
 (** {1 Worker-model internals shared with the TCP driver} *)
 
-val service_s : config -> worker:int -> draw:int -> float
-(** The [draw]-th service latency of [worker]: deterministic bounded
-    Pareto with the configured mean and tail. *)
+(** The worker model, defined once: every worker's state and the run's
+    latency samples, changed only by these transitions. {!drive},
+    {!run_chaos} and {!Tcp.hammer} keep only their transport: each
+    applies a transition to worker [i] at time [t] when an event or a
+    reply arrives, and schedules the due time it returns as an event of
+    its own. *)
+module Fleet : sig
+  type t
+
+  val create : config -> t
+
+  val epoch : t -> int -> int
+  (** Bumped whenever churn or {!requeue} ends a session: an event
+      stamped with an older epoch is stale. *)
+
+  val alive : t -> int -> bool
+  (** Idle or busy. *)
+
+  val has_more : t -> int -> bool
+  (** Tasks are left in the batch. *)
+
+  val opening : t -> int -> float
+  (** Due time of the first request: seeded, within one mean service
+      time. *)
+
+  val next_churn : t -> int -> float
+  (** Due time of the next churn event, whose kind {!churn} applies;
+      [infinity] once the stream has ended. *)
+
+  val request : t -> int -> float -> unit
+  (** A [Lease_req] goes out. *)
+
+  val lease : t -> int -> float -> int array -> float
+  (** A batch arrived: the first completion's due time. *)
+
+  val take : t -> int -> float -> int
+  (** A busy worker's next task; [-1] when not busy or none is left. *)
+
+  val ack : t -> int -> float -> float
+  (** A [Complete] was acknowledged: due time of the next completion
+      while {!has_more}, else {!go_idle}'s. *)
+
+  val go_idle : t -> int -> float -> float
+  (** The next request's due time, after think time. *)
+
+  val requeue : t -> int -> float -> unit
+  (** The transport lost the session: the batch is dropped (its leases
+      expire server-side) and the worker idles in a new epoch. *)
+
+  val finish : t -> int -> float -> unit
+  (** [Done]: the worker stops, unless it crashed. *)
+
+  type churned = Unchanged | Crashed | Disconnected | Rejoined
+
+  val churn : t -> int -> float -> churned
+  (** Apply the event {!next_churn} announced; a [Rejoined] worker must
+      ask for work at [t]. *)
+
+  type report = {
+    crashed : int;
+    disconnects : int;
+    grant_p50_s : float;
+    grant_p99_s : float;
+    service_p50_s : float;
+    service_p99_s : float;
+    busy_s : float array;
+  }
+
+  val close : t -> float -> report
+  (** The run ended at [t]: close every busy interval and report. *)
+end
 
 type samples
 (** A growable buffer of unboxed float samples (grant and service
@@ -152,8 +220,8 @@ val quantiles : samples -> float -> float -> float * float
     [q2] (each in [0,1]) of the samples in [s]: the value of rank
     [int_of_float ((n-1)·q + 0.5)], clamped to [0, n-1], under
     [Float.compare] order — what sorting the [n] samples and indexing
-    would return, bit for bit. [(nan, nan)] when [s] is empty. All three
-    drivers report their grant and service p50/p99 through it.
+    would return, bit for bit. [(nan, nan)] when [s] is empty.
+    {!Fleet.close} reports the grant and service p50/p99 through it.
 
     It selects in place rather than sorting: [q1] by quickselect, then
     [q2] within the side of [q1]'s rank that holds it. Expected O(n); a

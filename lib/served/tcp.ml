@@ -1,6 +1,6 @@
 module Heap = Ic_heuristics.Heap
 module Monotonic = Ic_prof.Monotonic
-module Plan = Ic_fault.Plan
+module Fleet = Hammer.Fleet
 module Recovery = Ic_fault.Recovery
 module Live = Ic_obs.Live
 
@@ -269,17 +269,10 @@ type hammer_result = {
   busy_s : float array;
 }
 
-(* worker status, as in Hammer's virtual loop *)
-let w_idle = 0
-let w_busy = 1
-let w_offline = 2
-let w_dead = 3
-let w_finished = 4
-
 type ev =
   | Request of int * int
   | Complete_due of int * int
-  | Churn_ev of int * Plan.Churn.kind
+  | Churn_ev of int
   | Reconnect of int  (** connection index: try to dial again *)
 
 type pkind = P_hello | P_lease | P_comp
@@ -336,39 +329,21 @@ let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
   let total_pending = ref 0 in
   let reconnects = ref 0 in
   let conn_of i = i mod nconn in
-  let status = Array.make w w_idle in
-  let batch : int list array = Array.make w [] in
-  let batch_t0 = Array.make w 0.0 in
-  let draws = Array.make w 0 in
-  let epoch = Array.make w 0 in
-  let first_req = Array.make w nan in
-  let churn = Array.init w (fun i -> Plan.Churn.create cfg.Hammer.churn ~client:i) in
+  let f = Fleet.create cfg in
+  (* workers finished or dead: the run ends when all are *)
   let settled = ref 0 in
-  let crashed = ref 0 in
-  let disconnects = ref 0 in
+  let finish i =
+    Fleet.finish f i (elapsed ());
+    incr settled
+  in
   let completes_sent = ref 0 in
   let done_seen = ref false in
-  let grant_lat = Hammer.samples () in
-  let service_lat = Hammer.samples () in
-  let busy = Array.make w 0.0 in
-  let busy_since = Array.make w nan in
-  let end_busy i t =
-    if not (Float.is_nan busy_since.(i)) then begin
-      busy.(i) <- busy.(i) +. (t -. busy_since.(i));
-      busy_since.(i) <- nan
-    end
-  in
   let events : ev Heap.t = Heap.create () in
   (* each connection's frames of the current loop turn, sent by [flush]
      in one write; [chaos_buf] holds one encoded frame for chaos to mangle *)
   let outs = Array.init nconn (fun _ -> Buffer.create 4096) in
   let chaos_buf = Buffer.create 64 in
   let rbuf = Bytes.create 65536 in
-  let settle i st =
-    if status.(i) <> w_finished && status.(i) <> w_dead then incr settled;
-    end_busy i (elapsed ());
-    status.(i) <- st
-  in
   (* dial connection [c] and queue a Hello announcing the session for the
      next flush; [strict] (the initial dial) lets a refused connection
      raise out to the caller, a redial just reports failure *)
@@ -398,15 +373,11 @@ let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
      batch (its leases will expire and re-issue server-side) and ask
      again shortly, into whichever socket is alive by then *)
   let requeue_worker i t =
-    if status.(i) = w_idle || status.(i) = w_busy then begin
-      end_busy i t;
-      epoch.(i) <- epoch.(i) + 1;
-      status.(i) <- w_idle;
-      batch.(i) <- [];
-      first_req.(i) <- nan;
+    if Fleet.alive f i then begin
+      Fleet.requeue f i t;
       Heap.push events
         (t +. 0.05 +. (0.002 *. float_of_int (i land 63)))
-        (Request (i, epoch.(i)))
+        (Request (i, Fleet.epoch f i))
     end
   in
   let close_conn c t =
@@ -428,7 +399,7 @@ let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
   in
   let send i msg ~kind =
     let c = conn_of i in
-    if dead.(c) then settle i w_finished
+    if dead.(c) then finish i
     else if not open_.(c) then requeue_worker i (elapsed ())
     else begin
       (match chaos with
@@ -441,7 +412,8 @@ let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
         List.iter (Buffer.add_bytes outs.(c))
           (Chaos.mangle plan ~dir:c ~frame:fr (Buffer.to_bytes chaos_buf)));
       Queue.add
-        { p_worker = i; p_ep = epoch.(i); p_kind = kind; p_t = elapsed () }
+        { p_worker = i; p_ep = Fleet.epoch f i; p_kind = kind;
+          p_t = elapsed () }
         pendings.(c);
       incr total_pending
     end
@@ -457,68 +429,37 @@ let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
           | exception Unix.Unix_error _ -> close_conn c (elapsed ()))
       outs
   in
-  let alive i = status.(i) = w_idle || status.(i) = w_busy in
   let schedule_churn i =
-    match Plan.Churn.next churn.(i) with
-    | None -> ()
-    | Some { Plan.Churn.time; kind } -> Heap.push events time (Churn_ev (i, kind))
+    let t = Fleet.next_churn f i in
+    if t < infinity then Heap.push events t (Churn_ev i)
   in
   for c = 0 to nconn - 1 do
     ignore (connect_conn ~strict:true c)
   done;
   for i = 0 to w - 1 do
-    let rng = Random.State.make [| cfg.Hammer.seed; 0x0F; i |] in
-    Heap.push events
-      (Random.State.float rng cfg.Hammer.mean_service_s)
-      (Request (i, 0));
+    Heap.push events (Fleet.opening f i) (Request (i, 0));
     schedule_churn i
   done;
-  let next_service i =
-    draws.(i) <- draws.(i) + 1;
-    Hammer.service_s cfg ~worker:i ~draw:(draws.(i) - 1)
-  in
   let dispatch_event ev t =
     match ev with
     | Request (i, ep) ->
-      if ep = epoch.(i) && alive i then begin
-        if Float.is_nan first_req.(i) then first_req.(i) <- t;
+      if ep = Fleet.epoch f i && Fleet.alive f i then begin
+        Fleet.request f i t;
         send i (Wire.Lease_req { worker = i; k = cfg.Hammer.k }) ~kind:P_lease
       end
     | Complete_due (i, ep) ->
-      if ep = epoch.(i) && status.(i) = w_busy then begin
-        match batch.(i) with
-        | [] -> ()
-        | task :: rest ->
-          batch.(i) <- rest;
-          Hammer.sample service_lat (t -. batch_t0.(i));
+      if ep = Fleet.epoch f i then begin
+        let task = Fleet.take f i t in
+        if task >= 0 then begin
           incr completes_sent;
           send i (Wire.Complete { worker = i; task }) ~kind:P_comp
+        end
       end
-    | Churn_ev (i, kind) ->
-      (match kind with
-      | Plan.Churn.Crash ->
-        if status.(i) <> w_finished then begin
-          incr crashed;
-          epoch.(i) <- epoch.(i) + 1;
-          settle i w_dead;
-          batch.(i) <- [];
-          first_req.(i) <- nan
-        end
-      | Plan.Churn.Disconnect _ ->
-        if alive i then begin
-          incr disconnects;
-          epoch.(i) <- epoch.(i) + 1;
-          end_busy i t;
-          status.(i) <- w_offline;
-          batch.(i) <- [];
-          first_req.(i) <- nan
-        end
-      | Plan.Churn.Rejoin ->
-        if status.(i) = w_offline then begin
-          epoch.(i) <- epoch.(i) + 1;
-          status.(i) <- w_idle;
-          Heap.push events t (Request (i, epoch.(i)))
-        end);
+    | Churn_ev i ->
+      (match Fleet.churn f i t with
+      | Fleet.Crashed -> incr settled
+      | Fleet.Rejoined -> Heap.push events t (Request (i, Fleet.epoch f i))
+      | Fleet.Disconnected | Fleet.Unchanged -> ());
       schedule_churn i
     | Reconnect c ->
       if (not dead.(c)) && not open_.(c) then begin
@@ -545,33 +486,22 @@ let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
       match msg with
       | Wire.Done _ ->
         done_seen := true;
-        if alive i then settle i w_finished
-      | _ when p_ep <> epoch.(i) -> ()
+        if Fleet.alive f i then finish i
+      | _ when p_ep <> Fleet.epoch f i -> ()
       | Wire.Lease { tasks; expires_in_s = _ } ->
-        let t = elapsed () in
-        if not (Float.is_nan first_req.(i)) then begin
-          Hammer.sample grant_lat (t -. first_req.(i));
-          first_req.(i) <- nan
-        end;
-        status.(i) <- w_busy;
-        busy_since.(i) <- t;
-        batch.(i) <- Array.to_list tasks;
-        batch_t0.(i) <- t;
-        Heap.push events (t +. next_service i) (Complete_due (i, epoch.(i)))
+        Heap.push events
+          (Fleet.lease f i (elapsed ()) tasks)
+          (Complete_due (i, p_ep))
       | Wire.Retry_after { delay_s } ->
         (* due a constant delay after the monotonic clock: in order *)
         Heap.append events
           (elapsed () +. Float.max delay_s 1e-4)
-          (Request (i, epoch.(i)))
+          (Request (i, p_ep))
       | Wire.Ack ->
         let t = elapsed () in
-        if p_kind = P_comp && batch.(i) <> [] then
-          Heap.push events (t +. next_service i) (Complete_due (i, epoch.(i)))
-        else begin
-          end_busy i t;
-          status.(i) <- w_idle;
-          Heap.push events (t +. cfg.Hammer.think_s) (Request (i, epoch.(i)))
-        end
+        if p_kind = P_comp && Fleet.has_more f i then
+          Heap.push events (Fleet.ack f i t) (Complete_due (i, p_ep))
+        else Heap.push events (Fleet.go_idle f i t) (Request (i, p_ep))
       | _ -> ())
   in
   let progress_possible () =
@@ -660,22 +590,18 @@ let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
       dead.(c) <- true;
       close_conn c tend)
     socks;
-  for i = 0 to w - 1 do
-    end_busy i tend
-  done;
-  let grant_p50, grant_p99 = Hammer.quantiles grant_lat 0.5 0.99 in
-  let service_p50, service_p99 = Hammer.quantiles service_lat 0.5 0.99 in
+  let r = Fleet.close f tend in
   {
     workers = w;
     completes_sent = !completes_sent;
     done_seen = !done_seen;
-    crashed = !crashed;
-    disconnects = !disconnects;
+    crashed = r.Fleet.crashed;
+    disconnects = r.Fleet.disconnects;
     reconnects = !reconnects;
     wall_s = tend;
-    lease_grant_p50_s = grant_p50;
-    lease_grant_p99_s = grant_p99;
-    task_service_p50_s = service_p50;
-    task_service_p99_s = service_p99;
-    busy_s = busy;
+    lease_grant_p50_s = r.Fleet.grant_p50_s;
+    lease_grant_p99_s = r.Fleet.grant_p99_s;
+    task_service_p50_s = r.Fleet.service_p50_s;
+    task_service_p99_s = r.Fleet.service_p99_s;
+    busy_s = r.Fleet.busy_s;
   }

@@ -3,9 +3,9 @@
     {!serve} wraps a {!Server} in a single-threaded select loop:
     length-prefixed frames in, one reply per request, lease expiries
     fired from the monotonic clock between polls. {!hammer} is the matching
-    real-time client: it runs {!Hammer}'s worker model (same batch
-    discipline, same seeded Pareto service latencies, same
-    {!Ic_fault.Plan.Churn} stream) but multiplexes the virtual workers
+    real-time client: its workers are a {!Hammer.Fleet}, the worker model
+    the virtual drivers run (same batch discipline, same seeded Pareto
+    service latencies, same {!Ic_fault.Plan.Churn} stream), multiplexed
     over a handful of real connections — the protocol is strict
     request/response, so replies on a connection are matched to
     outstanding requests FIFO.
@@ -121,7 +121,8 @@ val hammer :
     time: service latencies and think times become actual delays in the
     event loop. Returns when every worker is finished (saw [Done]) or
     dead (crashed by the churn plan, or stranded on a connection that
-    exhausted its redial budget) and no replies are outstanding.
+    exhausted its redial budget) and no replies are outstanding. Workers
+    change state only through {!Hammer.Fleet}; this is the transport.
 
     Each (re)connection opens with a [Hello] carrying the connection
     index, resuming the session server-side. A lost connection requeues

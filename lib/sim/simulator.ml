@@ -12,7 +12,6 @@ type config = {
   n_clients : int;
   speed : int -> float;
   jitter : float;
-  failure_probability : float;
   comm_time : float;
   seed : int;
   faults : Plan.t;
@@ -20,11 +19,9 @@ type config = {
 }
 
 let config ?(n_clients = 4) ?(speed = fun _ -> 1.0) ?(jitter = 0.25)
-    ?(failure_probability = 0.0) ?(comm_time = 0.0) ?(seed = 0x5EED)
-    ?(faults = Plan.none) ?(recovery = Recovery.default) () =
+    ?(comm_time = 0.0) ?(seed = 0x5EED) ?(faults = Plan.none)
+    ?(recovery = Recovery.default) () =
   if n_clients < 1 then invalid_arg "Simulator.config: need a client";
-  if failure_probability < 0.0 || failure_probability >= 1.0 then
-    invalid_arg "Simulator.config: failure probability must be in [0, 1)";
   if comm_time < 0.0 then invalid_arg "Simulator.config: negative comm time";
   if (not (Float.is_finite jitter)) || jitter < 0.0 then
     invalid_arg "Simulator.config: jitter must be finite and non-negative";
@@ -32,7 +29,6 @@ let config ?(n_clients = 4) ?(speed = fun _ -> 1.0) ?(jitter = 0.25)
     n_clients;
     speed;
     jitter;
-    failure_probability;
     comm_time;
     seed;
     faults;
@@ -149,11 +145,6 @@ let run ?sink ?live cfg policy ~workload g =
                i s);
         s)
   in
-  let plan =
-    if cfg.failure_probability > 0.0 then
-      Plan.with_fail_probability cfg.faults cfg.failure_probability
-    else cfg.faults
-  in
   let rc = cfg.recovery in
   let rng = Random.State.make [| cfg.seed |] in
   let robust = Policy.Robust.create policy g in
@@ -265,7 +256,7 @@ let run ?sink ?live cfg policy ~workload g =
     let attempt_no = attempts_made.(v) in
     attempts_made.(v) <- attempt_no + 1;
     Span.enter "sim.fault_draw";
-    let fate = Plan.attempt plan ~task:v ~attempt:attempt_no in
+    let fate = Plan.attempt cfg.faults ~task:v ~attempt:attempt_no in
     Span.leave ();
     let noise = 1.0 +. (cfg.jitter *. Random.State.float rng 1.0) in
     (* parents computed elsewhere must ship their results over the
@@ -582,7 +573,9 @@ let run ?sink ?live cfg policy ~workload g =
   (* schedule each client's fate, then hand out the initial work: every
      crash/disconnect/rejoin comes from the plan's churn stream, one
      pending event per client at a time *)
-  let churn = Array.init cfg.n_clients (fun c -> Plan.Churn.create plan ~client:c) in
+  let churn =
+    Array.init cfg.n_clients (fun c -> Plan.Churn.create cfg.faults ~client:c)
+  in
   let schedule_churn c =
     match Plan.Churn.next churn.(c) with
     | None -> ()

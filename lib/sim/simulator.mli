@@ -28,12 +28,6 @@ type config = {
       (** multiplicative execution-time noise amplitude: a task's duration
           is [work/speed * (1 + jitter * u)], [u ~ U(0,1)]. Must be finite
           and non-negative. *)
-  failure_probability : float;
-      (** chance that an allocated task is lost (client crashed, result
-          never returned) and must be re-allocated — the unreliable-client
-          regime of the paper's reference [14]. Must be in [0, 1). Kept as
-          the compat knob for the historical end-of-task coin flip; when
-          positive it overrides [faults]'s [fail_probability]. *)
   comm_time : float;
       (** Internet-transfer time per dependence arc whose endpoint tasks
           ran on different clients (a parent's result must travel via the
@@ -51,10 +45,10 @@ type config = {
 
 val config :
   ?n_clients:int -> ?speed:(int -> float) -> ?jitter:float ->
-  ?failure_probability:float -> ?comm_time:float -> ?seed:int ->
-  ?faults:Ic_fault.Plan.t -> ?recovery:Ic_fault.Recovery.t -> unit -> config
-(** Defaults: 4 clients, unit speeds, jitter 0.25, no failures, free
-    communication, seed 0x5EED, no faults, default recovery. Raises
+  ?comm_time:float -> ?seed:int -> ?faults:Ic_fault.Plan.t ->
+  ?recovery:Ic_fault.Recovery.t -> unit -> config
+(** Defaults: 4 clients, unit speeds, jitter 0.25, free communication,
+    seed 0x5EED, no faults, default recovery. Raises
     [Invalid_argument] on out-of-range knobs (including negative or
     non-finite jitter). *)
 

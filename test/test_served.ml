@@ -597,6 +597,16 @@ let test_config_bounds_workers () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "a fleet past the worker field was accepted"
 
+(* the busy accounting, pinned as the sum of the per-worker busy times
+   (in worker order) and the number of workers that were ever busy *)
+let check_busy_checksum sum workers busy_s =
+  Alcotest.(check (float 0.0))
+    "busy_s sum" sum
+    (Array.fold_left ( +. ) 0.0 busy_s);
+  Alcotest.(check int)
+    "workers with busy_s > 0" workers
+    (Array.fold_left (fun n b -> if b > 0.0 then n + 1 else n) 0 busy_s)
+
 (* one seeded churning run, pinned to recorded constants: reruns of one
    binary agree with each other even after a change that reorders the
    run's events, so only constants catch such a change *)
@@ -619,6 +629,15 @@ let test_pinned_virtual_run () =
     "makespan" 0x1.39998184d06dbp+0 r.Hammer.makespan_s;
   Alcotest.(check (list int)) "completed, crashed, disconnects" [ 561; 47; 363 ]
     [ r.Hammer.completed; r.Hammer.crashed; r.Hammer.disconnects ];
+  Alcotest.(check (float 0.0))
+    "grant p50" 0x1.99999999999ap-5 r.Hammer.lease_grant_p50_s;
+  Alcotest.(check (float 0.0))
+    "grant p99" 0x1.6666666666668p-1 r.Hammer.lease_grant_p99_s;
+  Alcotest.(check (float 0.0))
+    "service p50" 0x1.fce2a42d9c9cp-8 r.Hammer.task_service_p50_s;
+  Alcotest.(check (float 0.0))
+    "service p99" 0x1.8419d78f4be6p-5 r.Hammer.task_service_p99_s;
+  check_busy_checksum 0x1.2a7cabd39d85dp+2 152 r.Hammer.busy_s;
   let s = r.Hammer.server in
   Alcotest.(check bool) "server stats" true
     (s
@@ -1080,6 +1099,7 @@ let test_pinned_chaos_run () =
     "c2s and s2c frames, dropped" [ 7008; 149; 6637; 127 ]
     [ r.Hammer.c2s.Chaos.frames; r.Hammer.c2s.Chaos.dropped;
       r.Hammer.s2c.Chaos.frames; r.Hammer.s2c.Chaos.dropped ];
+  check_busy_checksum 0x1.53641418f8ec6p+5 138 b.Hammer.busy_s;
   Alcotest.(check bool) "server stats" true
     (b.Hammer.server
     = {
@@ -1176,7 +1196,8 @@ let test_quantiles_fixed_inputs () =
 
 (* ------------------------------------------------------- TCP transport *)
 
-let test_tcp_loopback_roundtrip () =
+(* drain mesh-10 (66 tasks, 11 deep) over loopback with [cfg]'s fleet *)
+let tcp_loopback_drain scfg cfg =
   let g = Mesh.out_mesh 10 in
   let n = Dag.n_nodes g in
   let port = Atomic.make 0 in
@@ -1184,9 +1205,7 @@ let test_tcp_loopback_roundtrip () =
     Domain.spawn (fun () ->
         Tcp.serve
           ~on_listen:(fun p -> Atomic.set port p)
-          ~once:true ~port:0
-          (Server.config ~n_shards:2 ~expected_s:0.5 ())
-          g)
+          ~once:true ~port:0 scfg g)
   in
   let deadline = Unix.gettimeofday () +. 5.0 in
   while Atomic.get port = 0 && Unix.gettimeofday () < deadline do
@@ -1194,15 +1213,61 @@ let test_tcp_loopback_roundtrip () =
   done;
   let p = Atomic.get port in
   if p = 0 then Alcotest.fail "server never listened";
-  let cfg =
-    Hammer.config ~workers:50 ~k:4 ~mean_service_s:0.0005 ~think_s:0.0001 ()
-  in
   let hr = Tcp.hammer ~connections:4 ~port:p cfg in
   let st = Domain.join server in
   Alcotest.(check bool) "client saw Done" true hr.Tcp.done_seen;
   Alcotest.(check int) "server applied every task once" n st.Server.completions;
   Alcotest.(check int) "no lingering leases" 0 st.Server.inflight;
-  Alcotest.(check bool) "client sent completions" true (hr.Tcp.completes_sent > 0)
+  Alcotest.(check bool) "client sent completions" true (hr.Tcp.completes_sent > 0);
+  Array.iteri
+    (fun i b ->
+      if not (b >= 0.0 && b <= hr.Tcp.wall_s) then
+        Alcotest.failf "worker %d busy %gs outside [0, %gs]" i b hr.Tcp.wall_s)
+    hr.Tcp.busy_s;
+  hr
+
+let test_tcp_loopback_roundtrip () =
+  ignore
+    (tcp_loopback_drain
+       (Server.config ~n_shards:2 ~expected_s:0.5 ())
+       (Hammer.config ~workers:50 ~k:4 ~mean_service_s:0.0005 ~think_s:0.0001
+          ()));
+  (* a churning fleet: mostly disconnect/rejoin, a few crashes *)
+  let workers = 50 and mean_service_s = 0.01 in
+  let churn =
+    Plan.make ~crash_rate:0.2 ~disconnect_rate:3.0 ~mean_downtime:0.05
+      ~seed:13 ()
+  in
+  (* the seeded plan makes the churn certain and harmless: the fleet's
+     first churn event is a disconnect well inside the shortest possible
+     run (11 tasks in a chain, each served for at least the Pareto floor
+     of a third of the mean), and most of the fleet outlives any
+     plausible run, so the drain completes *)
+  let first =
+    List.init workers (fun i ->
+        Plan.Churn.next (Plan.Churn.create churn ~client:i))
+    |> List.filter_map Fun.id
+    |> List.sort (fun a b -> Float.compare a.Plan.Churn.time b.Plan.Churn.time)
+    |> List.hd
+  in
+  (match first.Plan.Churn.kind with
+  | Plan.Churn.Disconnect _ -> ()
+  | _ -> Alcotest.fail "the first churn event is not a disconnect");
+  Alcotest.(check bool) "first disconnect early" true
+    (first.Plan.Churn.time < 11.0 *. (mean_service_s /. 3.0) /. 4.0);
+  Alcotest.(check bool) "most workers outlive 5 s" true
+    (List.length
+       (List.filter
+          (fun i -> Plan.crash_time churn ~client:i > 5.0)
+          (List.init workers Fun.id))
+    >= workers / 4);
+  let hr =
+    tcp_loopback_drain
+      (Server.config ~n_shards:2 ~expected_s:0.05 ())
+      (Hammer.config ~workers ~k:4 ~mean_service_s ~think_s:0.0001 ~churn ())
+  in
+  Alcotest.(check bool) "churn disconnected workers" true
+    (hr.Tcp.disconnects > 0)
 
 (* literals and names resolve alike, and the socket domain follows the
    address: the hammer once accepted only 127.0.0.1/localhost literals

@@ -3,6 +3,8 @@ module Policy = Ic_heuristics.Policy
 module Sim = Ic_sim.Simulator
 module Workload = Ic_sim.Workload
 module Assessment = Ic_sim.Assessment
+module Plan = Ic_fault.Plan
+module Recovery = Ic_fault.Recovery
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -141,7 +143,8 @@ let test_single_client_is_list_schedule () =
 let test_unreliable_clients () =
   (* with failures, everything still completes exactly once, and lost
      allocations are accounted *)
-  let cfg = Sim.config ~n_clients:4 ~failure_probability:0.3 ~seed:11 () in
+  let faults = Plan.make ~fail_probability:0.3 () in
+  let cfg = Sim.config ~n_clients:4 ~faults ~seed:11 () in
   let r = run ~config:cfg Policy.fifo mesh in
   check_int "all completed once" (Dag.n_nodes mesh)
     (List.length r.Sim.completion_order);
@@ -156,7 +159,7 @@ let test_unreliable_clients () =
   let r0 = run ~config:(Sim.config ~n_clients:4 ~seed:11 ()) Policy.fifo mesh in
   check "failures slow things down" true (r.Sim.makespan > r0.Sim.makespan);
   check_int "no failures by default" 0 r0.Sim.failures;
-  match Sim.config ~failure_probability:1.0 () with
+  match Plan.make ~fail_probability:1.0 () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "q = 1 must be rejected"
 
@@ -286,9 +289,6 @@ let test_burst_sweep () =
   | _ -> Alcotest.fail "unexpected sweep shape"
 
 (* --- fault injection and recovery (Ic_fault) --- *)
-
-module Plan = Ic_fault.Plan
-module Recovery = Ic_fault.Recovery
 
 (* the run either finished with every task completed exactly once, or
    aborted with [completed] and [unfinished] partitioning the dag *)
