@@ -115,10 +115,10 @@ type scratch_tier = Packed8 | Packed16 | Unpacked
     plain int array beyond. *)
 
 val scratch_tier : Dag.t -> scratch_tier
-(** The tier {!profile} would pick for this dag — also the packing a
-    parallel runtime can use for its shared remaining-counts, since the
-    tier bound is exactly the largest value any count can take. [O(n)]
-    (scans the predecessor offsets). *)
+(** The tier {!profile} would pick for this dag — also the packing of
+    {!Shard_view}'s shared atomic counts, since the tier bound is exactly
+    the largest value any count can take. [O(n)] (scans the predecessor
+    offsets). *)
 
 val fill_remaining : Dag.t -> (int -> int -> unit) -> unit
 (** [fill_remaining g f] calls [f v (in-degree of v)] for every node [v]

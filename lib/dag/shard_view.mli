@@ -6,13 +6,20 @@
     can hand out eligible tasks concurrently.
     The view owns only the {e dependence} side of the state — one
     remaining-predecessor count per node, decremented with an atomic
-    fetch-and-add exactly as the parallel runtime's packed counts are —
-    and reports each node that becomes eligible, tagged with its owning
-    shard, through a callback. What the caller does with a newly
-    eligible node (push it into a per-shard pool, lease it over a
-    socket) is its business; the view guarantees that each node is
-    reported eligible exactly once, on the {!complete} call of its last
-    outstanding predecessor, from whichever thread made it.
+    fetch-and-add — and reports each node that becomes eligible, tagged
+    with its owning shard, through a callback. What the caller does with
+    a newly eligible node (push it into a per-shard pool, lease it over a
+    socket, run it on a domain) is its business; the view guarantees that
+    each node is reported eligible exactly once, on the {!complete} call
+    of its last outstanding predecessor, from whichever thread made it.
+    It is the one concurrent dependence count: the lease server
+    ([Ic_served.Server]) and the parallel runtime ([Ic_par.Runtime]) both
+    complete through it. {!Frontier} stays the sequential count.
+
+    Counts are packed by {!Frontier.scratch_tier}, whose bound is the
+    largest value any count can take: 7 8-bit counts per atomic word
+    when every in-degree is at most 255, 3 16-bit counts per word up to
+    65535, one count per word beyond.
 
     Nodes are partitioned into contiguous blocks (node [v] belongs to
     shard [v / ceil (n / n_shards)]), so the families' level-ordered
@@ -21,7 +28,10 @@
     Thread-safety: {!complete} may be called from any thread, but each
     node must be completed at most once — the caller's exactly-once
     completion logic (e.g. the served state machine's done-bitset) is
-    what establishes that. *)
+    what establishes that. The precondition protects more than the node
+    itself: a second completion decrements its successors' counts below
+    zero, and a packed count that goes below zero borrows from the
+    neighbouring counts in its word. *)
 
 type t
 

@@ -1,0 +1,17 @@
+let table =
+  lazy
+    (Array.init 256 (fun n ->
+         let c = ref n in
+         for _ = 0 to 7 do
+           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+         done;
+         !c))
+
+let digest b off len =
+  let table = Lazy.force table in
+  let c = ref 0xFFFFFFFF in
+  for i = off to off + len - 1 do
+    c := table.((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xFF)
+         lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF

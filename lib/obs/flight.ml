@@ -29,26 +29,6 @@ let slot_size = 40
 let header_size = 16
 let default_slots = 4096
 
-(* ------------------------------------------------------------- CRC32 *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32 b off len =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  for i = off to off + len - 1 do
-    c := table.((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xFF)
-         lxor (!c lsr 8)
-  done;
-  !c lxor 0xFFFFFFFF
-
 (* ------------------------------------------------------------ frames *)
 
 let encode_frame scratch ~seq ~time ~kind ~a ~b =
@@ -57,7 +37,7 @@ let encode_frame scratch ~seq ~time ~kind ~a ~b =
   Bytes.set_int64_le scratch 16 (Int64.of_int a);
   Bytes.set_int64_le scratch 24 (Int64.of_int b);
   Bytes.set_int32_le scratch 32 (Int32.of_int (Trace.kind_to_int kind));
-  Bytes.set_int32_le scratch 36 (Int32.of_int (crc32 scratch 0 36))
+  Bytes.set_int32_le scratch 36 (Int32.of_int (Crc32.digest scratch 0 36))
 
 type event = { seq : int; time : float; kind : Trace.kind; a : int; b : int }
 
@@ -67,7 +47,7 @@ let decode_frame b off =
   if seq <= 0 then None
   else begin
     let crc = Int32.to_int (Bytes.get_int32_le b (off + 36)) land 0xFFFFFFFF in
-    if crc32 b off 36 <> crc then None
+    if Crc32.digest b off 36 <> crc then None
     else
       let kind_i =
         Int32.to_int (Bytes.get_int32_le b (off + 32)) land 0xFFFFFFFF

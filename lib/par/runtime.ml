@@ -1,6 +1,5 @@
 module Dag = Ic_dag.Dag
-module Slab = Ic_dag.Slab
-module Frontier = Ic_dag.Frontier
+module Shard_view = Ic_dag.Shard_view
 module Trace = Ic_obs.Trace
 module Live = Ic_obs.Live
 
@@ -24,51 +23,6 @@ let default_domains () =
     | Some d when d > 0 -> d
     | _ -> Domain.recommended_domain_count ())
   | None -> Domain.recommended_domain_count ()
-
-(* Shared remaining-predecessor counts, decremented with fetch-and-add.
-
-   The packing reuses the Frontier's scratch-tier rule: the tier bound is
-   the largest value any count can take, so several counts share one
-   atomic word — 7 8-bit fields per word under [Packed8], 3 16-bit fields
-   under [Packed16] (OCaml ints are 63-bit, hence 7 and 3 rather than 8
-   and 4), one count per word under [Unpacked]. A field decrement is
-   [fetch_and_add word (-(1 lsl shift))]: fields never underflow in a
-   correct run (each is decremented exactly in-degree times), so no
-   borrow ever crosses a field boundary, and the returned old word tells
-   the caller — uniquely, since exactly one decrement observes old field
-   value 1 — whether it made the node ready. *)
-module Counts = struct
-  type t = {
-    words : int Atomic.t array;
-    per_word : int;
-    bits : int;
-    mask : int;
-  }
-
-  let layout = function
-    | Frontier.Packed8 -> (7, 8, 0xff)
-    | Frontier.Packed16 -> (3, 16, 0xffff)
-    | Frontier.Unpacked -> (1, 0, -1)
-
-  let create g =
-    let n = Dag.n_nodes g in
-    let per_word, bits, mask = layout (Frontier.scratch_tier g) in
-    let n_words = if n = 0 then 0 else ((n - 1) / per_word) + 1 in
-    let plain = Array.make n_words 0 in
-    Frontier.fill_remaining g (fun v d ->
-        plain.(v / per_word) <-
-          plain.(v / per_word) lor (d lsl (v mod per_word * bits)));
-    { words = Array.map Atomic.make plain; per_word; bits; mask }
-
-  (* true iff this decrement took node [v]'s count from 1 to 0 *)
-  let decr t v =
-    if t.per_word = 1 then Atomic.fetch_and_add t.words.(v) (-1) = 1
-    else begin
-      let shift = v mod t.per_word * t.bits in
-      let old = Atomic.fetch_and_add t.words.(v / t.per_word) (-(1 lsl shift)) in
-      (old lsr shift) land t.mask = 1
-    end
-end
 
 (* The shared spill target for full deques: a mutex-protected stack. Cold
    by design — it only sees traffic when a deque's fixed buffer fills. *)
@@ -175,12 +129,13 @@ let steal_from ready victim =
   | Deques (dq, _) -> Deque.steal dq.(victim)
   | Shards p -> Pool.try_steal p ~shard:victim
 
-let run ?domains ?(order = Steal) ?priority ?(capacity = 8192)
-    ?(park_min = 2e-6) ?(park_max = 1e-3) ?sink ?live g ~task =
-  if (not (Float.is_finite park_min)) || park_min <= 0.0 then
-    invalid_arg "Runtime.run: park_min must be finite and positive";
-  if (not (Float.is_finite park_max)) || park_max < park_min then
-    invalid_arg "Runtime.run: park_max must be finite and >= park_min";
+(* an idle worker's k-th consecutive park past the spin threshold
+   sleeps [min park_max (k * park_min)] seconds *)
+let park_min = 2e-6
+let park_max = 1e-3
+
+let run ?domains ?(order = Steal) ?priority ?(capacity = 8192) ?sink ?live g
+    ~task =
   let n = Dag.n_nodes g in
   let n_domains =
     max 1 (match domains with Some d -> d | None -> default_domains ())
@@ -225,9 +180,7 @@ let run ?domains ?(order = Steal) ?priority ?(capacity = 8192)
         in
         Shards (Pool.create ~shards:n_domains ~rank)
     in
-    let counts = Counts.create g in
-    let completed = Atomic.make 0 in
-    let off = Dag.succ_offsets g and dat = Dag.succ_targets g in
+    let view = Shard_view.create g in
     let workers =
       Array.init n_domains (fun id ->
           {
@@ -247,11 +200,17 @@ let run ?domains ?(order = Steal) ?priority ?(capacity = 8192)
        into every deque from here is still an owner push (the spawn
        establishes the happens-before) *)
     let seed = ref 0 in
-    Frontier.fill_remaining g (fun v d ->
-        if d = 0 then begin
-          push_ready ready workers.(!seed mod n_domains) v;
-          incr seed
-        end);
+    Shard_view.iter_initial view (fun ~shard:_ v ->
+        push_ready ready workers.(!seed mod n_domains) v;
+        incr seed);
+    (* one ready callback per worker, built before any domain runs *)
+    let on_ready =
+      Array.map
+        (fun w ->
+          let push ~shard:_ s = push_ready ready w s in
+          push)
+        workers
+    in
     let t0 = Ic_prof.Monotonic.now () in
     let run_task w v =
       let lt0 =
@@ -274,11 +233,7 @@ let run ?domains ?(order = Steal) ?priority ?(capacity = 8192)
         Live.incr l.lv_tasks ~shard:w.id 1;
         Live.observe l.lv_task_s (Ic_prof.Monotonic.now () -. lt0));
       w.tasks <- w.tasks + 1;
-      for i = Slab.unsafe_get off v to Slab.unsafe_get off (v + 1) - 1 do
-        let s = Slab.unsafe_get dat i in
-        if Counts.decr counts s then push_ready ready w s
-      done;
-      ignore (Atomic.fetch_and_add completed 1)
+      Shard_view.complete view v ~ready:on_ready.(w.id)
     in
     let worker_loop w =
       let backoff = ref 0 in
@@ -289,7 +244,7 @@ let run ?domains ?(order = Steal) ?priority ?(capacity = 8192)
           backoff := 0;
           run_task w v
         | None ->
-          if Atomic.get completed >= n then running := false
+          if Shard_view.is_complete view then running := false
           else begin
             (* sweep up to n_domains - 1 random victims *)
             let found = ref None in
@@ -383,11 +338,7 @@ let run ?domains ?(order = Steal) ?priority ?(capacity = 8192)
     st
   end
 
-let executor ?domains ?order ?priority ?capacity ?park_min ?park_max ?sink
-    ?live ?on_stats () =
+let executor ?domains ?order ?priority ?capacity ?sink ?live ?on_stats () =
  fun g step ->
-  let st =
-    run ?domains ?order ?priority ?capacity ?park_min ?park_max ?sink ?live g
-      ~task:step
-  in
+  let st = run ?domains ?order ?priority ?capacity ?sink ?live g ~task:step in
   match on_stats with None -> () | Some f -> f st

@@ -1,14 +1,16 @@
 (** The domains-based parallel runtime: executes the tasks of any
     [Ic_dag.Dag.t] on OCaml 5 domains, respecting the dag's dependences.
 
-    Each domain owns a Chase–Lev deque ({!Deque}) of ready task ids;
-    completing a task decrements the remaining-predecessor count of each
-    successor with a fetch-and-add on shared atomic words (packed by the
-    Frontier's scratch-tier rule — see {!Ic_dag.Frontier.scratch_tier}),
-    and the decrement that reaches zero pushes the successor onto the
-    completing domain's deque. An idle domain pops its own deque, drains
-    the shared overflow pool, then steals from random victims, parking
-    with escalating backoff when a full sweep finds nothing.
+    Each domain owns a Chase–Lev deque ({!Deque}) of ready task ids.
+    The dependences are counted by one {!Ic_dag.Shard_view}, the same
+    concurrent count the lease server uses: completing a task calls
+    {!Ic_dag.Shard_view.complete}, whose fetch-and-adds on packed atomic
+    words decrement each successor's remaining-predecessor count, and the
+    decrement that reaches zero pushes the successor onto the completing
+    domain's deque; {!Ic_dag.Shard_view.is_complete} ends the run. An
+    idle domain pops its own deque, drains the shared overflow pool, then
+    steals from random victims, parking with escalating backoff when a
+    full sweep finds nothing.
 
     Two ready-ordering modes ({!order}): [Steal] is the plain work-stealing
     runtime above; [Ic_priority] replaces the deques with a sharded
@@ -47,8 +49,6 @@ val run :
   ?order:order ->
   ?priority:int array ->
   ?capacity:int ->
-  ?park_min:float ->
-  ?park_max:float ->
   ?sink:Ic_obs.Trace.t ->
   ?live:Ic_obs.Live.t ->
   Ic_dag.Dag.t ->
@@ -68,12 +68,7 @@ val run :
 
     An idle worker whose steal sweep keeps failing escalates from
     spinning to sleeping: the [k]-th consecutive failed sweep past the
-    spin threshold sleeps [min park_max (k * park_min)] seconds.
-    [park_min] (default [2e-6]) is the escalation step, [park_max]
-    (default [1e-3]) the cap — raise [park_max] to cede more CPU on
-    oversubscribed machines, lower it to cut wake-up latency on bursty
-    dags. [Invalid_argument] unless [0 < park_min <= park_max], both
-    finite.
+    spin threshold sleeps [min 1e-3 (k * 2e-6)] seconds.
 
     [sink], when given, receives one [task_alloc]/[task_complete] pair
     per task, stamped with wall-clock seconds since the run started and
@@ -98,8 +93,6 @@ val executor :
   ?order:order ->
   ?priority:int array ->
   ?capacity:int ->
-  ?park_min:float ->
-  ?park_max:float ->
   ?sink:Ic_obs.Trace.t ->
   ?live:Ic_obs.Live.t ->
   ?on_stats:(stats -> unit) ->

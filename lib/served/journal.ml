@@ -33,26 +33,6 @@ let magic = "ICWAL001"
    more is corruption, not data *)
 let max_record = 1 lsl 29
 
-(* ------------------------------------------------------------- CRC32 *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32 b off len =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  for i = off to off + len - 1 do
-    c := table.((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xFF)
-         lxor (!c lsr 8)
-  done;
-  !c lxor 0xFFFFFFFF
-
 (* ------------------------------------------------- bytes <-> records *)
 
 let get_u32 b off =
@@ -170,7 +150,7 @@ let scan b =
       let len = get_u32 b !pos in
       let crc = get_u32 b (!pos + 4) in
       if len > max_record || size - !pos - 8 < len then ok := false
-      else if crc32 b (!pos + 8) len <> crc then ok := false
+      else if Ic_obs.Crc32.digest b (!pos + 8) len <> crc then ok := false
       else
         match decode_payload b (!pos + 8) len with
         | None -> ok := false
@@ -281,7 +261,7 @@ let write_record oc hdr payload =
   let len = Bytes.length b in
   Buffer.clear hdr;
   buf_u32 hdr len;
-  buf_u32 hdr (crc32 b 0 len);
+  buf_u32 hdr (Ic_obs.Crc32.digest b 0 len);
   Buffer.add_buffer hdr payload;
   Buffer.output_buffer oc hdr
 

@@ -74,8 +74,5 @@ val close : t -> unit
 
 (** {1 Wire-format internals, exposed for tests} *)
 
-val crc32 : Bytes.t -> int -> int -> int
-(** CRC-32 (the zlib/PNG polynomial) of a byte range. *)
-
 val bitmap_len : int -> int
 (** [ceil (n/8)]. *)

@@ -81,6 +81,7 @@ type t = {
   scratch_pop : int array;  (* pop_batch target — distinct from scratch:
                                a pop for a later shard must not clobber
                                tasks already accumulated *)
+  on_ready : shard:int -> int -> unit;  (* Blocked -> Ready, into the pool *)
   (* (task, gen) pairs per worker, for heartbeat renewal; stale pairs are
      dropped on the worker's next grant or renewal *)
   by_worker : (int, (int * int) list) Hashtbl.t;
@@ -118,6 +119,11 @@ let mk ?sink ?journal ?live ?flight cfg g =
   let view = Shard_view.create ~n_shards:cfg.n_shards g in
   let pools = Shards.create ~n_shards:(Shard_view.n_shards view) () in
   let state = Bytes.make n st_blocked in
+  (* the one ready callback, built here so no completion allocates it *)
+  let on_ready ~shard v =
+    Bytes.set state v st_ready;
+    Shards.push pools ~shard v
+  in
   let live =
     match live with
     | None -> None
@@ -155,6 +161,7 @@ let mk ?sink ?journal ?live ?flight cfg g =
     retry = Wire.Retry_after { delay_s = cfg.retry_after_s };
     scratch = Array.make cfg.max_lease 0;
     scratch_pop = Array.make cfg.max_lease 0;
+    on_ready;
     by_worker = Hashtbl.create 64;
     inflight = 0;
     cursor = 0;
@@ -186,9 +193,7 @@ let create ?sink ?journal ?live ?flight cfg g =
       "Server.create: the journal holds prior records — use Server.recover"
   | _ -> ());
   let t = mk ?sink ?journal ?live ?flight cfg g in
-  Shard_view.iter_initial t.view (fun ~shard v ->
-      Bytes.set t.state v st_ready;
-      Shards.push t.pools ~shard v);
+  Shard_view.iter_initial t.view t.on_ready;
   t
 
 let n_tasks t = Shard_view.n_nodes t.view
@@ -200,10 +205,12 @@ let timeout_s t = Recovery.timeout_after t.cfg.recovery ~expected:t.cfg.expected
 
 let with_live t f = match t.live with None -> () | Some l -> f l
 
-let flight_record t kind ~time ~a ~b =
-  match t.flight with
+(* every traced event goes to the flight ring and the sink alike *)
+let emit t kind ~time ~a ~b =
+  (match t.flight with
   | None -> ()
-  | Some fl -> Flight.record fl kind ~time ~a ~b
+  | Some fl -> Flight.record fl kind ~time ~a ~b);
+  match t.sink with None -> () | Some tr -> Trace.emit tr kind ~time ~a ~b
 
 let done_reply t = Wire.Done { completed = completed t; reissues = t.reissues }
 
@@ -260,15 +267,7 @@ let record_lease t ~now v =
   let tmo = timeout_s t in
   if Float.is_finite tmo then
     Heap.push t.expiries (now +. tmo) (expiry_entry v t.gen.(v));
-  let shard = shard_of t v in
-  flight_record t Trace.Task_alloc ~time:now ~a:v ~b:shard;
-  match t.sink with
-  | None -> ()
-  | Some tr -> Trace.task_alloc tr ~time:now ~task:v ~client:shard
-
-let push_ready t v =
-  Bytes.set t.state v st_ready;
-  Shards.push t.pools ~shard:(shard_of t v) v
+  emit t Trace.Task_alloc ~time:now ~a:v ~b:(shard_of t v)
 
 let set_bit bm v =
   Bytes.set bm (v lsr 3)
@@ -313,11 +312,8 @@ let apply_complete t ~now v =
   with_live t (fun l ->
       Live.incr l.l_completions ~shard:0 1;
       Live.observe l.l_service service);
-  Shard_view.complete t.view v ~ready:(fun ~shard:_ u -> push_ready t u);
-  flight_record t Trace.Task_complete ~time:now ~a:v ~b:(shard_of t v);
-  (match t.sink with
-  | None -> ()
-  | Some tr -> Trace.task_complete tr ~time:now ~task:v ~client:(shard_of t v));
+  Shard_view.complete t.view v ~ready:t.on_ready;
+  emit t Trace.Task_complete ~time:now ~a:v ~b:(shard_of t v);
   maybe_checkpoint t
 
 (* the live frontier/inflight sample taken after every handled message.
@@ -333,13 +329,10 @@ let sample t ~now =
       total := !total + d;
       if t.last_depth.(s) <> d then begin
         t.last_depth.(s) <- d;
-        (match t.sink with
-        | Some tr -> Trace.frontier_depth tr ~time:now ~shard:s ~depth:d
-        | None -> ());
         (* the ring too: the pre-crash load signal is what a post-mortem
            reads first, and change-gating keeps it from flooding out the
            alloc/complete tail *)
-        flight_record t Trace.Frontier_depth ~time:now ~a:s ~b:d
+        emit t Trace.Frontier_depth ~time:now ~a:s ~b:d
       end
     done;
     let depth = float_of_int !total in
@@ -355,10 +348,7 @@ let sample t ~now =
         end);
     if t.last_inflight <> t.inflight then begin
       t.last_inflight <- t.inflight;
-      (match t.sink with
-      | Some tr -> Trace.inflight tr ~time:now ~count:t.inflight
-      | None -> ());
-      flight_record t Trace.Inflight ~time:now ~a:t.inflight ~b:0
+      emit t Trace.Inflight ~time:now ~a:t.inflight ~b:0
     end
   end
 
@@ -474,11 +464,9 @@ let expire t ~now =
       t.reissues <- t.reissues + 1;
       incr fired;
       with_live t (fun l -> Live.incr l.l_reissues ~shard:0 1);
-      flight_record t Trace.Timeout_fired ~time ~a:v ~b:(shard_of t v);
-      (match t.sink with
-      | None -> ()
-      | Some tr -> Trace.timeout_fired tr ~time ~task:v ~client:(shard_of t v));
-      push_ready t v
+      let shard = shard_of t v in
+      emit t Trace.Timeout_fired ~time ~a:v ~b:shard;
+      t.on_ready ~shard v
     end
   done;
   !fired
@@ -533,17 +521,18 @@ let recover ?sink ?live ?flight ~journal cfg g =
       end
     done;
     (* sources that did not finish before the crash go straight back to
-       their pools *)
-    Shard_view.iter_initial t.view (fun ~shard:_ v ->
-        if Bytes.get done_ v = '\000' then push_ready t v);
-    (* replaying the done set through the dependence view re-derives the
-       Ready frontier: completions can only be journaled in an
-       ancestor-closed order, so a non-done task whose predecessors are
-       all done is reported eligible exactly once, in any replay order *)
+       their pools; replaying the done set through the dependence view
+       re-derives the rest of the Ready frontier: completions can only be
+       journaled in an ancestor-closed order, so a non-done task whose
+       predecessors are all done is reported eligible exactly once, in
+       any replay order *)
+    let unless_done ~shard v =
+      if Bytes.get done_ v = '\000' then t.on_ready ~shard v
+    in
+    Shard_view.iter_initial t.view unless_done;
     for v = 0 to n - 1 do
       if Bytes.get done_ v = '\001' then
-        Shard_view.complete t.view v ~ready:(fun ~shard:_ u ->
-            if Bytes.get done_ u = '\000' then push_ready t u)
+        Shard_view.complete t.view v ~ready:unless_done
     done;
     t.completions <- !n_done;
     t.recovered_tasks <- !n_done;

@@ -817,6 +817,16 @@ let test_flight_reopen_continues () =
         check_int "geometry change resets the ring" 1 (Flight.next_seq fl);
         Flight.close fl)
 
+(* the checksum both on-disk formats frame with (flight ring, serving
+   journal) is the standard CRC-32: the zlib/PNG check value of
+   "123456789", and a digest of a sub-range equals one of a copy *)
+let test_crc32_check_value () =
+  let b = Bytes.of_string "xx123456789yy" in
+  check_int "check value" 0xCBF43926 (Ic_obs.Crc32.digest b 2 9);
+  check_int "sub-range" (Ic_obs.Crc32.digest (Bytes.sub b 2 9) 0 9)
+    (Ic_obs.Crc32.digest b 2 9);
+  check_int "empty range" 0 (Ic_obs.Crc32.digest b 5 0)
+
 let test_flight_rejects_foreign () =
   with_ring (fun path ->
       let oc = open_out_bin path in
@@ -895,6 +905,7 @@ let () =
             test_flight_reopen_continues;
           Alcotest.test_case "foreign file rejected" `Quick
             test_flight_rejects_foreign;
+          Alcotest.test_case "CRC-32 check value" `Quick test_crc32_check_value;
         ] );
       ( "metrics",
         [

@@ -1,6 +1,7 @@
 (* Tests for the domains-based parallel runtime (lib/par). *)
 
 module Dag = Ic_dag.Dag
+module Frontier = Ic_dag.Frontier
 module Runtime = Ic_par.Runtime
 module Payload = Ic_par.Payload
 module Deque = Ic_par.Deque
@@ -185,28 +186,15 @@ let test_single_node () =
     [ Runtime.Steal; Runtime.Ic_priority ]
 
 let test_park_knobs () =
-  (* custom park bounds still complete the dag (forcing parks by giving
-     4 domains a single task), and bad bounds are rejected up front *)
+  (* four domains on a small dag park often and still complete it *)
   let g = Ic_families.Mesh.out_mesh 6 in
   let hits = Atomic.make 0 in
   let st =
-    Runtime.run ~domains:4 ~park_min:1e-6 ~park_max:5e-5 g ~task:(fun _ ->
+    Runtime.run ~domains:4 g ~task:(fun _ ->
         ignore (Atomic.fetch_and_add hits 1))
   in
   Alcotest.(check int) "all tasks ran" (Dag.n_nodes g) (Atomic.get hits);
-  Alcotest.(check int) "stats agree" (Dag.n_nodes g) st.Runtime.tasks;
-  let expect_invalid ~park_min ~park_max =
-    match
-      Runtime.run ~domains:1 ~park_min ~park_max (Dag.empty 1) ~task:ignore
-    with
-    | exception Invalid_argument _ -> ()
-    | _ ->
-      Alcotest.failf "park_min=%g park_max=%g accepted" park_min park_max
-  in
-  expect_invalid ~park_min:0.0 ~park_max:1e-3;
-  expect_invalid ~park_min:(-1e-6) ~park_max:1e-3;
-  expect_invalid ~park_min:1e-3 ~park_max:1e-6;
-  expect_invalid ~park_min:2e-6 ~park_max:nan
+  Alcotest.(check int) "stats agree" (Dag.n_nodes g) st.Runtime.tasks
 
 let test_priority_length_mismatch () =
   let g = Dag.empty 3 in
@@ -228,23 +216,58 @@ let test_engine_rejects_schedule_plus_executor () =
 
 (* --- every task runs exactly once, after its predecessors ----------- *)
 
-let test_tasks_respect_dependences () =
-  let g = Ic_families.Mesh.out_mesh 24 in
+(* each task checks, inside [task], that it has not run before and that
+   every predecessor has finished; violations are counted rather than
+   raised, since a task that raises takes its domain down mid-run *)
+let check_dependences ~domains ~order g =
   let n = Dag.n_nodes g in
   let stamp = Array.make n (-1) in
   let clock = Atomic.make 0 in
+  let reruns = Atomic.make 0 and early = Atomic.make 0 in
   let st =
-    Runtime.run ~domains:4 g ~task:(fun v ->
-        (* all predecessors must have stamped before us *)
-        Dag.iter_pred g v (fun u -> assert (stamp.(u) >= 0));
+    Runtime.run ~domains ~order g ~task:(fun v ->
+        if stamp.(v) >= 0 then Atomic.incr reruns;
+        Dag.iter_pred g v (fun u -> if stamp.(u) < 0 then Atomic.incr early);
         stamp.(v) <- Atomic.fetch_and_add clock 1)
   in
+  Alcotest.(check int) "no task ran twice" 0 (Atomic.get reruns);
+  Alcotest.(check int) "no task ran before a predecessor" 0 (Atomic.get early);
   Alcotest.(check int) "all tasks ran" n st.Runtime.tasks;
   Array.iteri
     (fun v s -> if s < 0 then Alcotest.failf "node %d never ran" v)
     stamp;
   Alcotest.(check int) "per-domain totals add up" n
     (Array.fold_left ( + ) 0 st.Runtime.per_domain_tasks)
+
+(* [k] collectors, nodes 0 .. k-1 so their counts share a packed word,
+   each fed by [width] sources of its own, the last collector's sources
+   numbered first: a count that does not fit its field shows as a
+   neighbour run before its predecessors *)
+let fan_ins ~width ~k =
+  let b = Dag.Builder.create ~n:(k + (k * width)) () in
+  for c = 0 to k - 1 do
+    for j = 0 to width - 1 do
+      Dag.Builder.add_arc b (k + ((k - 1 - c) * width) + j) c
+    done
+  done;
+  Dag.Builder.build_exn b
+
+let test_tasks_respect_dependences () =
+  check_dependences ~domains:4 ~order:Runtime.Steal
+    (Ic_families.Mesh.out_mesh 24);
+  (* the wide packing tiers of the dependence counts: 256-way fan-ins
+     (16-bit fields) and 65,536-way fan-ins (one count per word) *)
+  List.iter
+    (fun (tier, g) ->
+      Alcotest.(check bool) "input is in its tier" true
+        (Frontier.scratch_tier g = tier);
+      List.iter
+        (fun order -> check_dependences ~domains:2 ~order g)
+        [ Runtime.Steal; Runtime.Ic_priority ])
+    [
+      (Frontier.Packed16, fan_ins ~width:256 ~k:3);
+      (Frontier.Unpacked, fan_ins ~width:65536 ~k:2);
+    ]
 
 (* --- steal counters reach the metrics registry (satellite 6) --------- *)
 

@@ -8,12 +8,14 @@ module Shards = Ic_served.Shards
 module Hammer = Ic_served.Hammer
 module Tcp = Ic_served.Tcp
 module Shard_view = Ic_dag.Shard_view
+module Frontier = Ic_dag.Frontier
 module Dag = Ic_dag.Dag
 module Mesh = Ic_families.Mesh
 module Plan = Ic_fault.Plan
 module Recovery = Ic_fault.Recovery
 module Live = Ic_obs.Live
 module Trace = Ic_obs.Trace
+module Flight = Ic_obs.Flight
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
@@ -199,26 +201,92 @@ let test_shard_view_partition () =
       Alcotest.fail "shard_of not monotone"
   done
 
-let test_shard_view_exactly_once_ready () =
-  let g = Mesh.out_mesh 20 in
-  let n = Dag.n_nodes g in
-  let v = Shard_view.create ~n_shards:4 g in
-  let seen = Array.make n 0 in
-  let pending = Queue.create () in
-  Shard_view.iter_initial v (fun ~shard:_ u ->
-      seen.(u) <- seen.(u) + 1;
-      Queue.add u pending);
-  while not (Queue.is_empty pending) do
-    let u = Queue.pop pending in
-    Shard_view.complete v u ~ready:(fun ~shard u' ->
-        Alcotest.(check int) "shard tag" (Shard_view.shard_of v u') shard;
-        seen.(u') <- seen.(u') + 1;
-        Queue.add u' pending)
+(* [k] collectors, nodes 0 .. k-1 so their counts share a packed word,
+   each fed by [width] sources of its own; the last collector's sources
+   have the lowest ids, so a collector's count is decremented before its
+   lower neighbour's: a count that does not fit its field shows as a
+   neighbour reported ready too early *)
+let fan_ins ~width ~k =
+  let b = Dag.Builder.create ~n:(k + (k * width)) () in
+  for c = 0 to k - 1 do
+    for j = 0 to width - 1 do
+      Dag.Builder.add_arc b (k + ((k - 1 - c) * width) + j) c
+    done
   done;
-  Alcotest.(check bool) "complete" true (Shard_view.is_complete v);
-  Array.iteri
-    (fun u c -> if c <> 1 then Alcotest.failf "node %d ready %d times" u c)
-    seen
+  Dag.Builder.build_exn b
+
+(* one input per packing tier of the view's counts: out-mesh-20's
+   in-degrees fit 8 bits, 256-way fan-ins need 16-bit fields, a
+   65,536-way fan-in needs a word of its own *)
+let tier_inputs () =
+  [
+    (Frontier.Packed8, Mesh.out_mesh 20);
+    (Frontier.Packed16, fan_ins ~width:256 ~k:3);
+    (Frontier.Unpacked, fan_ins ~width:65536 ~k:2);
+  ]
+
+let test_shard_view_exactly_once_ready () =
+  List.iter
+    (fun (tier, g) ->
+      Alcotest.(check bool) "input is in its tier" true
+        (Frontier.scratch_tier g = tier);
+      let n = Dag.n_nodes g in
+      let v = Shard_view.create ~n_shards:4 g in
+      let seen = Array.make n 0 in
+      let completed = Array.make n false in
+      let pending = Queue.create () in
+      Shard_view.iter_initial v (fun ~shard:_ u ->
+          seen.(u) <- seen.(u) + 1;
+          Queue.add u pending);
+      while not (Queue.is_empty pending) do
+        let u = Queue.pop pending in
+        completed.(u) <- true;
+        Shard_view.complete v u ~ready:(fun ~shard u' ->
+            Alcotest.(check int) "shard tag" (Shard_view.shard_of v u') shard;
+            Dag.iter_pred g u' (fun p ->
+                if not completed.(p) then
+                  Alcotest.failf "node %d ready before its parent %d" u' p);
+            seen.(u') <- seen.(u') + 1;
+            Queue.add u' pending)
+      done;
+      Alcotest.(check bool) "complete" true (Shard_view.is_complete v);
+      Array.iteri
+        (fun u c -> if c <> 1 then Alcotest.failf "node %d ready %d times" u c)
+        seen)
+    (tier_inputs ())
+
+(* Frontier is the sequential oracle: completing a random topological
+   order, each step's ready list is exactly what [Frontier.execute]
+   promotes, in the same order. Half the cases are near-complete dags of
+   257..300 nodes, whose late in-degrees pass 255 (Packed16) *)
+let prop_shard_view_matches_frontier =
+  QCheck.Test.make ~name:"complete reports what Frontier promotes" ~count:60
+    QCheck.(pair bool (int_bound 100_000))
+    (fun (dense, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let n, arc_probability =
+        if dense then
+          (257 + Random.State.int rng 44, 0.95 +. Random.State.float rng 0.05)
+        else (1 + Random.State.int rng 60, Random.State.float rng 0.5)
+      in
+      let g = Ic_dag.Gen.random_dag rng ~n ~arc_probability in
+      let order = Ic_dag.Schedule.order (Ic_dag.Gen.random_schedule rng g) in
+      let view = Shard_view.create ~n_shards:(1 + Random.State.int rng 5) g in
+      let f = Frontier.create g in
+      let initial = ref [] in
+      Shard_view.iter_initial view (fun ~shard:_ u -> initial := u :: !initial);
+      List.rev !initial = Frontier.to_list f
+      && Array.for_all
+           (fun v ->
+             let promoted = ref [] and reported = ref [] in
+             Frontier.execute f v ~on_promote:(fun u ->
+                 promoted := u :: !promoted);
+             Shard_view.complete view v ~ready:(fun ~shard u ->
+                 assert (shard = Shard_view.shard_of view u);
+                 reported := u :: !reported);
+             !promoted = !reported)
+           order
+      && Shard_view.is_complete view)
 
 let test_pool_batch_pop () =
   let p = Shards.create ~n_shards:2 () in
@@ -541,6 +609,54 @@ let test_hammer_small_clean () =
     sink;
   Alcotest.(check int) "client ids are shard ids" 0 !bad;
   Alcotest.(check bool) "trace non-empty" true (Trace.length sink > 0)
+
+(* the server writes every event to its sink and its flight ring alike:
+   as many frames as sink events, and a 16-slot ring holds exactly the
+   sink's last 16 (kind, time, a, b). Churn makes leases expire, so the
+   stream carries timeouts as well as allocs, completes and samples *)
+let test_flight_ring_is_sink_tail () =
+  let path = Filename.temp_file "ic_test_served" ".ring" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let fl =
+        match Flight.create ~slots:16 path with
+        | Ok fl -> fl
+        | Error e -> Alcotest.fail e
+      in
+      let sink = Trace.create () in
+      let scfg = Server.config ~n_shards:3 ~expected_s:0.02 () in
+      let churn =
+        Plan.make ~disconnect_rate:2.0 ~mean_downtime:0.2 ~seed:3 ()
+      in
+      let cfg =
+        Hammer.config ~workers:40 ~k:4 ~mean_service_s:0.01 ~churn ~seed:5 ()
+      in
+      let r =
+        Hammer.run_virtual ~sink ~flight:fl ~server:scfg cfg (Mesh.out_mesh 16)
+      in
+      Alcotest.(check bool) "leases expired" true
+        (r.Hammer.server.Server.reissues > 0);
+      Alcotest.(check int) "one frame per sink event" (Trace.length sink)
+        (Flight.next_seq fl - 1);
+      Flight.close fl;
+      match Flight.load path with
+      | Error e -> Alcotest.fail e
+      | Ok d ->
+        let events = Trace.to_array sink in
+        let k = Array.length events in
+        let tail =
+          Array.map
+            (fun (e : Trace.event) -> (e.kind, e.time, e.a, e.b))
+            (Array.sub events (k - 16) 16)
+        in
+        let ring =
+          Array.map
+            (fun (e : Flight.event) -> (e.kind, e.time, e.a, e.b))
+            d.Flight.events
+        in
+        Alcotest.(check bool) "ring = the sink's last 16 events" true
+          (ring = tail))
 
 (* the acceptance run: mesh-256 (32,896 tasks), 10^4 churning workers,
    every task applied exactly once, metrics byte-identical across runs *)
@@ -1547,7 +1663,8 @@ let () =
           Alcotest.test_case "each node ready exactly once" `Quick
             test_shard_view_exactly_once_ready;
           Alcotest.test_case "pool pops batches LIFO" `Quick test_pool_batch_pop;
-        ] );
+        ]
+        @ qcheck [ prop_shard_view_matches_frontier ] );
       ( "server",
         [
           Alcotest.test_case "lease, complete, done" `Quick
@@ -1572,6 +1689,8 @@ let () =
         [
           Alcotest.test_case "clean run, per-shard trace tracks" `Quick
             test_hammer_small_clean;
+          Alcotest.test_case "flight ring holds the sink's tail" `Quick
+            test_flight_ring_is_sink_tail;
           Alcotest.test_case
             "mesh-256, 10^4 churning workers: exactly once, deterministic"
             `Quick test_mesh256_churn_exactly_once;
