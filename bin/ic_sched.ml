@@ -94,11 +94,6 @@ let prof_term =
   in
   Term.(const build $ on $ out $ flame)
 
-let prof_write file contents =
-  let oc = open_out file in
-  output_string oc contents;
-  close_out oc
-
 (* the report is flushed from at_exit so it also survives the exit 1 paths
    (a failed verification still gets its profile) *)
 let with_prof p f =
@@ -109,13 +104,37 @@ let with_prof p f =
         let infos = Ic_prof.Span.capture () in
         prerr_string (Ic_prof.Report.to_text infos);
         Option.iter
-          (fun file -> prof_write file (Ic_prof.Report.to_json infos))
+          (fun file -> Artifact.write file (Ic_prof.Report.to_json infos))
           p.prof_out;
         Option.iter
-          (fun file -> prof_write file (Ic_prof.Report.to_collapsed infos))
+          (fun file -> Artifact.write file (Ic_prof.Report.to_collapsed infos))
           p.prof_flame)
   end;
   f ()
+
+(* FAMILY or --load FILE, exactly one of them; [missing] is the
+   diagnostic when neither is given. A missing, truncated or corrupt
+   snapshot is a one-line diagnostic naming the path and exit 2 — never
+   a raw exception or a message that leaves the operator guessing which
+   file was bad *)
+type dag_source = Family of Ic_cli.Family_spec.t | Loaded of string * Dag.t
+
+let family_or_load cmd ~missing family load =
+  match (family, load) with
+  | Some _, Some _ ->
+    Format.eprintf "%s: give either FAMILY or --load, not both@." cmd;
+    exit 1
+  | None, None ->
+    Format.eprintf "%s: %s@." cmd missing;
+    exit 1
+  | Some f, None -> Family f
+  | None, Some path -> (
+    match (try Dag.load path with e -> Error (Printexc.to_string e)) with
+    | Ok g -> Loaded (path, g)
+    | Error e ->
+      Format.eprintf "%s: %s@." cmd
+        (if String.starts_with ~prefix:path e then e else path ^ ": " ^ e);
+      exit 2)
 
 (* --- info --- *)
 
@@ -430,11 +449,6 @@ let trace_cmd =
       & opt policy_conv None
       & info [ "policy" ] ~doc:"Allocation policy (default: ic-optimal)")
   in
-  let write_file file contents =
-    let oc = open_out file in
-    output_string oc contents;
-    close_out oc
-  in
   let run family n clients jitter seed policy out csv metrics metrics_out
       faults recovery prof =
     with_prof prof @@ fun () ->
@@ -461,13 +475,14 @@ let trace_cmd =
         Ic_sim.Simulator.run ~sink:trace ~live config policy
           ~workload:Ic_sim.Workload.unit f.dag
       in
-      write_file out
+      Artifact.write out
         (Ic_obs.Exporter.chrome_trace
            ~process_name:(Printf.sprintf "ic_sched: %s under %s" f.description
                             (Policy.name policy))
            ~label:(Dag.label f.dag) trace);
       Option.iter
-        (fun file -> write_file file (Ic_obs.Exporter.eligibility_csv trace))
+        (fun file ->
+          Artifact.write file (Ic_obs.Exporter.eligibility_csv trace))
         csv;
       Format.printf "%s under %s with %d clients:@.%a@." f.description
         (Policy.name policy) clients Ic_sim.Simulator.pp_result r;
@@ -476,7 +491,7 @@ let trace_cmd =
       Option.iter (Format.printf "eligibility timeline -> %s@.") csv;
       Option.iter
         (fun file ->
-          write_file file (Ic_obs.Live.to_json live);
+          Artifact.write file (Ic_obs.Live.to_json live);
           Format.printf "metrics -> %s@." file)
         metrics_out;
       if metrics then print_string (Ic_obs.Live.openmetrics ~process:false live)
@@ -607,32 +622,17 @@ let snapshot_cmd =
   in
   let run family out load do_replay prof =
     with_prof prof @@ fun () ->
-    match (family, load) with
-    | Some _, Some _ ->
-      Format.eprintf "snapshot: give either FAMILY or --load, not both@.";
-      exit 1
-    | None, None ->
-      Format.eprintf
-        "snapshot: nothing to do — give FAMILY -o FILE to save, or --load \
-         FILE to inspect@.";
-      exit 1
-    | None, Some path -> (
-      (* a missing, truncated or corrupt file must be a one-line diagnostic
-         naming the path and exit 2 — never a raw exception or a message
-         that leaves the operator guessing which file was bad *)
-      match (try Dag.load path with e -> Error (Printexc.to_string e)) with
-      | Error e ->
-        let named =
-          let lp = String.length path in
-          if String.length e >= lp && String.sub e 0 lp = path then e
-          else path ^ ": " ^ e
-        in
-        Format.eprintf "snapshot: %s@." named;
-        exit 2
-      | Ok g ->
-        describe path g;
-        if do_replay then replay g)
-    | Some (f : Ic_cli.Family_spec.t), None -> (
+    match
+      family_or_load "snapshot"
+        ~missing:
+          "nothing to do — give FAMILY -o FILE to save, or --load FILE to \
+           inspect"
+        family load
+    with
+    | Loaded (path, g) ->
+      describe path g;
+      if do_replay then replay g
+    | Family f -> (
       match out with
       | None ->
         Format.eprintf "snapshot: -o FILE is required to save a family@.";
@@ -891,34 +891,20 @@ let serve_cmd =
           ~doc:
             "Record recent lease/completion/expiry events into a fixed-size \
              mmap'd flight-recorder ring that survives kill -9 (inspect it \
-             with ic_sched blackbox; --recover continues an existing ring)")
+             with ic_sched blackbox; --recover continues an existing ring). \
+             The ring is the server's trace sink, so not with --trace-out")
   in
   let run family load port shards max_lease expected_s once journal
       checkpoint_every fsync recover telemetry_port telemetry_csv
       telemetry_every_s flight metrics_out trace_out prof =
     with_prof prof @@ fun () ->
     let dag =
-      match (family, load) with
-      | Some _, Some _ ->
-        Format.eprintf "serve: give either FAMILY or --load, not both@.";
-        exit 1
-      | None, None ->
-        Format.eprintf "serve: give a FAMILY or --load FILE@.";
-        exit 1
-      | Some (f : Ic_cli.Family_spec.t), None -> f.dag
-      | None, Some path -> (
-        match
-          (try Dag.load path with e -> Error (Printexc.to_string e))
-        with
-        | Ok g -> g
-        | Error e ->
-          let named =
-            let lp = String.length path in
-            if String.length e >= lp && String.sub e 0 lp = path then e
-            else path ^ ": " ^ e
-          in
-          Format.eprintf "serve: %s@." named;
-          exit 2)
+      match
+        family_or_load "serve" ~missing:"give a FAMILY or --load FILE" family
+          load
+      with
+      | Family f -> f.dag
+      | Loaded (_, g) -> g
     in
     match
       Served_support.serve ~dag ~port ~shards ~max_lease ~expected_s ~once
@@ -1093,25 +1079,25 @@ let blackbox_cmd =
              it in Perfetto)")
   in
   let run ring out =
-    match Ic_obs.Flight.load ring with
+    match Ic_obs.Trace.load ring with
     | Error e ->
       Format.eprintf "blackbox: %s@." e;
       exit 2
     | Ok d ->
-      let events = d.Ic_obs.Flight.events in
+      let events = d.Ic_obs.Trace.events in
       let n = Array.length events in
       Format.printf "%s: %d of %d slots hold valid frames@." ring
-        d.Ic_obs.Flight.d_valid d.Ic_obs.Flight.d_slots;
+        d.Ic_obs.Trace.d_valid d.Ic_obs.Trace.d_slots;
       if n > 0 then begin
         let first = events.(0) and last = events.(n - 1) in
         Format.printf "seq %d..%d, time %.6fs..%.6fs@."
-          first.Ic_obs.Flight.seq last.Ic_obs.Flight.seq
-          first.Ic_obs.Flight.time last.Ic_obs.Flight.time;
+          first.Ic_obs.Trace.seq last.Ic_obs.Trace.seq
+          first.event.time last.event.time;
         (* per-kind histogram of the surviving tail, stable order *)
         let counts = Hashtbl.create 8 in
         Array.iter
-          (fun (e : Ic_obs.Flight.event) ->
-            let k = Ic_obs.Trace.kind_name e.kind in
+          (fun (f : Ic_obs.Trace.frame) ->
+            let k = Ic_obs.Trace.kind_name f.event.kind in
             Hashtbl.replace counts k
               (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)))
           events;
@@ -1121,12 +1107,10 @@ let blackbox_cmd =
       end;
       Option.iter
         (fun file ->
-          let oc = open_out file in
-          output_string oc
+          Artifact.write file
             (Ic_obs.Exporter.chrome_trace
                ~process_name:(Printf.sprintf "ic_sched blackbox: %s" ring)
-               (Ic_obs.Flight.to_trace d));
-          close_out oc;
+               (Ic_obs.Trace.of_dump d));
           Format.printf "%d events -> %s (chrome://tracing or \
                          ui.perfetto.dev)@."
             n file)

@@ -13,11 +13,6 @@ type outcome = {
   ok : bool;
 }
 
-let write_file file contents =
-  let oc = open_out file in
-  output_string oc contents;
-  close_out oc
-
 let run ~family ~size ~spin_us ~domains ~order ?trace_out ?metrics_out ~check ()
     =
   match
@@ -60,7 +55,7 @@ let run ~family ~size ~spin_us ~domains ~order ?trace_out ?metrics_out ~check ()
       in
       Option.iter
         (fun file ->
-          write_file file
+          Artifact.write file
             (Ic_obs.Exporter.chrome_trace
                ~process_name:
                  (Printf.sprintf "ic_par: %s under %s, %d domains"
@@ -70,7 +65,7 @@ let run ~family ~size ~spin_us ~domains ~order ?trace_out ?metrics_out ~check ()
         trace_out;
       Option.iter
         (fun file ->
-          write_file file (Ic_obs.Live.to_json (Option.get live)))
+          Artifact.write file (Ic_obs.Live.to_json (Option.get live)))
         metrics_out;
       let ok =
         match seq_fp with

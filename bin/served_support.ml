@@ -27,11 +27,6 @@ type hammer_outcome = {
   service_p99_s : float;
 }
 
-let write_file file contents =
-  let oc = open_out file in
-  output_string oc contents;
-  close_out oc
-
 let serve ~dag ~port ~shards ~max_lease ~expected_s ~once ~journal
     ~checkpoint_every ~fsync ~recover ~telemetry_port ~telemetry_csv
     ~telemetry_every_s ~flight ?metrics_out ?trace_out () =
@@ -41,6 +36,8 @@ let serve ~dag ~port ~shards ~max_lease ~expected_s ~once ~journal
   | exception Invalid_argument msg -> Error msg
   | _ when recover && journal = None ->
     Error "--recover needs --journal: the journal is what is replayed"
+  | _ when flight <> None && trace_out <> None ->
+    Error "--flight and --trace-out both name the one trace sink; give one"
   | cfg -> (
     let jr =
       match journal with
@@ -56,25 +53,22 @@ let serve ~dag ~port ~shards ~max_lease ~expected_s ~once ~journal
       (* the flight ring reopens in place under --recover: same
          geometry means the pre-crash frames stay put and numbering
          continues, so blackbox shows the tail across the kill *)
-      let fr =
-        match flight with
-        | None -> Ok None
-        | Some path -> (
-          match Ic_obs.Flight.create path with
-          | Ok f -> Ok (Some f)
-          | Error e ->
-            Option.iter Ic_served.Journal.close j;
-            Error e)
+      let sink =
+        match (flight, trace_out) with
+        | Some path, _ -> Result.map Option.some (Ic_obs.Trace.recorder path)
+        | None, Some _ -> Ok (Some (Ic_obs.Trace.create ()))
+        | None, None -> Ok None
       in
-      match fr with
-      | Error e -> Error e
-      | Ok fl -> (
-      let sink = Option.map (fun _ -> Ic_obs.Trace.create ()) trace_out in
+      match sink with
+      | Error e ->
+        Option.iter Ic_served.Journal.close j;
+        Error e
+      | Ok sink -> (
       let live = Option.map (fun _ -> Ic_obs.Live.create ()) metrics_out in
       match
         Ic_served.Tcp.serve ?sink ?journal:j ~recover ?live
           ~log:(fun line -> Printf.eprintf "ic_sched serve: %s\n%!" line)
-          ?flight:fl ?telemetry_port ?telemetry_csv
+          ?telemetry_port ?telemetry_csv
           ~telemetry_every_s
           ?on_telemetry_listen:
             (Option.map
@@ -93,18 +87,15 @@ let serve ~dag ~port ~shards ~max_lease ~expected_s ~once ~journal
       with
       | exception Unix.Unix_error (e, fn, _) ->
         Option.iter Ic_served.Journal.close j;
-        Option.iter Ic_obs.Flight.close fl;
         Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
       | exception Invalid_argument msg ->
         Option.iter Ic_served.Journal.close j;
-        Option.iter Ic_obs.Flight.close fl;
         Error msg
       | st ->
         Option.iter Ic_served.Journal.close j;
-        Option.iter Ic_obs.Flight.close fl;
         Option.iter
           (fun file ->
-            write_file file
+            Artifact.write file
               (Ic_obs.Exporter.chrome_trace
                  ~process_name:
                    (Printf.sprintf "ic_served: %d tasks over %d shards"
@@ -114,7 +105,7 @@ let serve ~dag ~port ~shards ~max_lease ~expected_s ~once ~journal
           trace_out;
         Option.iter
           (fun file ->
-            write_file file (Ic_obs.Live.to_json (Option.get live)))
+            Artifact.write file (Ic_obs.Live.to_json (Option.get live)))
           metrics_out;
         Ok
           {
@@ -202,9 +193,9 @@ let hammer ~host ~port ~workers ~connections ~k ~churn ~seed ~mean_service_s
                         busy /. r.Ic_served.Tcp.wall_s
                       else 0.0)))
               r.Ic_served.Tcp.busy_s;
-            write_file file (Buffer.contents b))
+            Artifact.write file (Buffer.contents b))
           utilization_out;
-        Option.iter (fun file -> write_file file (hammer_metrics_json r))
+        Option.iter (fun file -> Artifact.write file (hammer_metrics_json r))
           metrics_out;
         Ok
           {

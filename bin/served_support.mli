@@ -53,17 +53,19 @@ val serve :
    answering every request with one OpenMetrics text page of the live
    served.* registry and process gauges — what `ic_sched top` and a
    Prometheus scraper read. [telemetry_csv] appends a counters snapshot
-   row every [telemetry_every_s] seconds. [flight] names an mmap'd flight-recorder
-   ring: every allocation/completion/expiry lands in it and survives
-   kill -9 (read it back with `ic_sched blackbox`); with [recover] an
-   existing ring of the same geometry is continued, not truncated.
+   row every [telemetry_every_s] seconds. [flight] names an mmap'd
+   flight-recorder ring (Ic_obs.Trace.recorder) that becomes the
+   server's trace sink: every allocation/completion/expiry lands in it
+   and survives kill -9 (read it back with `ic_sched blackbox`); with
+   [recover] an existing ring of the same geometry is continued, not
+   truncated.
 
    [metrics_out]/[trace_out] write the served.* live registry as JSON
    (Ic_obs.Live.to_json) and a Chrome trace-event file with one track
    per shard after the loop exits. Errors: invalid config, a bind
    failure, a journal that cannot be opened or does not fit the dag, a
-   flight ring that cannot be created, or [recover] without
-   [journal]. *)
+   flight ring that cannot be created, [recover] without [journal], or
+   both [flight] and [trace_out] (the server has one trace sink). *)
 
 type hammer_outcome = {
   h_workers : int;

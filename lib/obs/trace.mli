@@ -1,14 +1,33 @@
-(** Structured execution traces: a low-overhead flat event buffer.
+(** Structured execution traces: one event stream, kept in memory or
+    persisted in a crash-surviving ring.
 
-    A trace is a growable record of timestamped scheduling events — task
+    A trace is a record of timestamped scheduling events — task
     allocation/start/completion/failure, client stall/resume, frontier
-    push/pop, eligibility-count changes — stored column-wise in flat
-    int/float arrays, so recording an event allocates nothing (amortized:
-    the columns double when full). Producers take a sink as an explicit
-    [?sink:Trace.t] optional argument; when no sink is installed the
-    instrumentation path is a single branch per site, which keeps the
-    zero-observability cost within noise (the overhead contract of
-    DESIGN.md §"The observability layer").
+    push/pop, eligibility-count changes — with two stores behind the one
+    {!emit}:
+
+    - {!create} keeps every event, column-wise in flat int/float arrays,
+      so recording allocates nothing (amortized: the columns double when
+      full). This is what seeded offline runs want — nothing is dropped,
+      and equal runs stay byte-identical.
+    - {!recorder} is the flight recorder: a fixed-size file of [slots]
+      binary frames mapped into the process with [Unix.map_file].
+      Recording writes one frame in place — sequence number, timestamp,
+      payload and a CRC-32 over the frame body (the journal's checksum)
+      — and nothing else: no syscall, no allocation, no flush. The
+      mapping is shared, so the kernel owns the dirty pages; when the
+      process is killed, the frames written so far reach the file
+      without its help. Recovery trusts no cursor: {!load} scans every
+      slot, keeps the frames whose CRC verifies (a frame torn mid-write
+      fails its CRC and is dropped), and orders them by sequence number
+      — the last [slots] events before the crash, minus at most the one
+      being written.
+
+    Producers take a sink as an explicit [?sink:Trace.t] optional
+    argument; when no sink is installed the instrumentation path is a
+    single branch per site, which keeps the zero-observability cost
+    within noise (the overhead contract of DESIGN.md §"The observability
+    layer").
 
     Timestamps are {e simulated} time (or step indices for untimed
     producers like [Ic_compute.Engine]); a trace never consults the wall
@@ -55,46 +74,38 @@ type kind =
 val kind_name : kind -> string
 (** Stable lower-snake-case name, e.g. ["task_alloc"]. *)
 
-val kind_to_int : kind -> int
-(** The stable wire integer of the kind (what {!Flight} frames and the
-    columnar storage use); new kinds only ever append. *)
-
-val kind_of_int_opt : int -> kind option
-(** Inverse of {!kind_to_int}; [None] for integers no kind owns (a
-    corrupt or future frame). *)
-
 type event = { kind : kind; time : float; a : int; b : int }
 
 type t
 
-val create : ?capacity:int -> ?limit:int -> unit -> t
-(** An empty trace. [capacity] (default 1024) presizes the columns.
+val create : ?capacity:int -> unit -> t
+(** An empty in-memory trace, unbounded. [capacity] (default 1024)
+    presizes the columns. *)
 
-    With [limit] the trace is a bounded ring: it grows normally up to
-    [limit] events, then each further emission overwrites the oldest
-    retained event, so a long-running serve holds the most recent
-    [limit] events in constant space. Reads ({!get}, {!iter},
-    {!to_array}) always present the retained events oldest-first.
-    Without [limit] (the default) the trace is unbounded, which is what
-    seeded offline runs want — nothing is ever dropped, and equal runs
-    stay byte-identical. {!dropped} counts the overwritten events. *)
+val recorder : ?slots:int -> string -> (t, string) result
+(** [recorder path] opens (or creates) the flight-recorder ring at
+    [path] with [slots] 40-byte frames (default 4096, a 160 KiB file;
+    min 16). An
+    existing file with matching magic and geometry is reopened in place:
+    valid frames are kept and numbering continues after the highest of
+    them, so a [--recover]ed server appends to the same ring it crashed
+    with. Anything else (fresh file, wrong geometry, foreign content) is
+    re-initialized to an empty ring. The ring is single-writer: it is
+    owned by one domain (the serving loop). *)
 
 val length : t -> int
-(** Number of retained events. *)
-
-val limit : t -> int
-(** The ring bound, or [0] when unbounded. *)
-
-val dropped : t -> int
-(** Events overwritten since creation (always [0] when unbounded).
-    Survives {!clear}: it counts over the trace's lifetime. *)
+(** Number of retained events: all of them in memory, the valid frames
+    of a recorder. *)
 
 val clear : t -> unit
-(** Forget all events, keeping the column storage. *)
+(** Forget all events, keeping the storage (a recorder keeps its
+    numbering). *)
 
 (** {1 Recording} *)
 
 val emit : t -> kind -> time:float -> a:int -> b:int -> unit
+(** Record one event: four column cells in memory; on a recorder, one
+    frame written in place (no syscall, no allocation). *)
 
 (** Typed wrappers over {!emit}, one per event kind; unused payload slots
     are recorded as [0]. *)
@@ -119,9 +130,13 @@ val inflight : t -> time:float -> count:int -> unit
 
 (** {1 Reading} *)
 
+(** Reads on a recorder decode its mapped frames through the same codec
+    as {!load}: O(slots) per call, for recovery and tests rather than
+    the record path. *)
+
 val get : t -> int -> event
-(** The [i]-th event, in emission order. Raises [Invalid_argument] when
-    out of range. *)
+(** The [i]-th retained event, in emission order. Raises
+    [Invalid_argument] when out of range. *)
 
 val iter : (event -> unit) -> t -> unit
 (** Apply to every event in emission order. *)
@@ -132,3 +147,23 @@ val eligibility_timeline : t -> (float * int) array
 (** The [(time, count)] pairs of the {!Eligible_count} events, in
     emission order — the time-resolved eligibility curve the paper's
     temporal argument is about. *)
+
+(** {1 Recovery} *)
+
+type frame = { seq : int; event : event }
+(** A recorder slot: the event and its sequence number (first is 1). *)
+
+type dump = {
+  d_slots : int;  (** ring geometry of the file *)
+  d_valid : int;  (** frames whose CRC verified *)
+  events : frame array;  (** valid frames, ascending sequence order *)
+}
+
+val load : string -> (dump, string) result
+(** Read and verify a recorder file without mapping or changing it. A
+    frame with a sequence number no run can reach is dropped like a torn
+    one. *)
+
+val of_dump : dump -> t
+(** The recovered events replayed into a fresh in-memory trace (in
+    sequence order), ready for {!Exporter.chrome_trace}. *)

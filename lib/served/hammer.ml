@@ -448,8 +448,8 @@ let drive ?live srv cfg =
   done;
   finish_run ?live srv f ~t_start !now
 
-let run_virtual ?sink ?live ?flight ~server:scfg cfg g =
-  drive ?live (Server.create ?sink ?live ?flight scfg g) cfg
+let run_virtual ?sink ?live ~server:scfg cfg g =
+  drive ?live (Server.create ?sink ?live scfg g) cfg
 
 (* ----------------------------------------------------------- chaos run *)
 
@@ -470,12 +470,12 @@ type cev =
   | C_to_worker of int * int * Wire.msg  (* worker, epoch at emission *)
   | C_retry of int * int * int  (* worker, epoch, request seq *)
 
-let run_chaos ?sink ?live ?flight ~server:scfg ~wire
+let run_chaos ?sink ?live ~server:scfg ~wire
     ?(reply_timeout_s = 1.0) cfg g =
   if (not (Float.is_finite reply_timeout_s)) || reply_timeout_s <= 0.0 then
     invalid_arg "Hammer.run_chaos: reply_timeout_s must be finite and positive";
   let t_start = Monotonic.now () in
-  let srv = Server.create ?sink ?live ?flight scfg g in
+  let srv = Server.create ?sink ?live scfg g in
   let w = cfg.workers in
   let c2s = Chaos.create wire ~dir:0 in
   let s2c = Chaos.create wire ~dir:1 in

@@ -77,19 +77,17 @@ type result = {
 val run_virtual :
   ?sink:Ic_obs.Trace.t ->
   ?live:Ic_obs.Live.t ->
-  ?flight:Ic_obs.Flight.t ->
   server:Server.config ->
   config ->
   Ic_dag.Dag.t ->
   result
 (** Run to completion (or to starvation, if churn killed every worker)
-    under the virtual clock. [sink]/[live]/[flight] are handed to the
+    under the virtual clock. [sink]/[live] are handed to the
     embedded {!Server}; [live] also receives the harness-side
     instruments at the end of the run ([served.makespan_s],
     [served.inflight_final], [served.worker_utilization]). With a fixed
     seed {!Ic_obs.Live.to_json} of the registry and the trace are
-    byte-identical across runs; the flight ring does not perturb
-    either. *)
+    byte-identical across runs. *)
 
 val drive : ?live:Ic_obs.Live.t -> Server.t -> config -> result
 (** {!run_virtual} against an {e existing} server — the recovery
@@ -122,7 +120,6 @@ type chaos_result = {
 val run_chaos :
   ?sink:Ic_obs.Trace.t ->
   ?live:Ic_obs.Live.t ->
-  ?flight:Ic_obs.Flight.t ->
   server:Server.config ->
   wire:Ic_fault.Plan.Wire.t ->
   ?reply_timeout_s:float ->

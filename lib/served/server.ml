@@ -3,7 +3,6 @@ module Shard_view = Ic_dag.Shard_view
 module Recovery = Ic_fault.Recovery
 module Trace = Ic_obs.Trace
 module Live = Ic_obs.Live
-module Flight = Ic_obs.Flight
 module Heap = Ic_heuristics.Heap
 
 type config = {
@@ -100,7 +99,6 @@ type t = {
   mutable recovered_tasks : int;
   journal : Journal.t option;
   live : live_meters option;
-  flight : Flight.t option;
   sink : Trace.t option;
   (* last frontier depth traced per shard / last inflight traced, so the
      sink only carries counter-track points when the value moves *)
@@ -114,7 +112,7 @@ type t = {
 
 (* allocate a server with every task Blocked and empty pools; [create]
    seeds the sources, [recover] replays a journal instead *)
-let mk ?sink ?journal ?live ?flight cfg g =
+let mk ?sink ?journal ?live cfg g =
   let n = Dag.n_nodes g in
   let view = Shard_view.create ~n_shards:cfg.n_shards g in
   let pools = Shards.create ~n_shards:(Shard_view.n_shards view) () in
@@ -178,7 +176,6 @@ let mk ?sink ?journal ?live ?flight cfg g =
     recovered_tasks = 0;
     journal;
     live;
-    flight;
     sink;
     last_depth = Array.make (Shard_view.n_shards view) (-1);
     last_inflight = -1;
@@ -186,13 +183,13 @@ let mk ?sink ?journal ?live ?flight cfg g =
     live_inflight = -1;
   }
 
-let create ?sink ?journal ?live ?flight cfg g =
+let create ?sink ?journal ?live cfg g =
   (match journal with
   | Some j when Journal.replayed j <> [] ->
     invalid_arg
       "Server.create: the journal holds prior records — use Server.recover"
   | _ -> ());
-  let t = mk ?sink ?journal ?live ?flight cfg g in
+  let t = mk ?sink ?journal ?live cfg g in
   Shard_view.iter_initial t.view t.on_ready;
   t
 
@@ -205,11 +202,7 @@ let timeout_s t = Recovery.timeout_after t.cfg.recovery ~expected:t.cfg.expected
 
 let with_live t f = match t.live with None -> () | Some l -> f l
 
-(* every traced event goes to the flight ring and the sink alike *)
 let emit t kind ~time ~a ~b =
-  (match t.flight with
-  | None -> ()
-  | Some fl -> Flight.record fl kind ~time ~a ~b);
   match t.sink with None -> () | Some tr -> Trace.emit tr kind ~time ~a ~b
 
 let done_reply t = Wire.Done { completed = completed t; reissues = t.reissues }
@@ -321,7 +314,7 @@ let apply_complete t ~now v =
    an upper bound — exact whenever no lease has expired since the pool
    was last drained. *)
 let sample t ~now =
-  if t.live != None || t.sink != None || t.flight != None then begin
+  if t.live != None || t.sink != None then begin
     let total = ref 0 in
     let n_shards = Shards.n_shards t.pools in
     for s = 0 to n_shards - 1 do
@@ -329,9 +322,9 @@ let sample t ~now =
       total := !total + d;
       if t.last_depth.(s) <> d then begin
         t.last_depth.(s) <- d;
-        (* the ring too: the pre-crash load signal is what a post-mortem
-           reads first, and change-gating keeps it from flooding out the
-           alloc/complete tail *)
+        (* the pre-crash load signal is what a post-mortem of a
+           recorder sink reads first, and change-gating keeps it from
+           flooding out the alloc/complete tail *)
         emit t Trace.Frontier_depth ~time:now ~a:s ~b:d
       end
     done;
@@ -471,8 +464,8 @@ let expire t ~now =
   done;
   !fired
 
-let recover ?sink ?live ?flight ~journal cfg g =
-  let t = mk ?sink ?live ?flight ~journal cfg g in
+let recover ?sink ?live ~journal cfg g =
+  let t = mk ?sink ?live ~journal cfg g in
   let n = n_tasks t in
   (* fold the journal into a done set and a leased-at-crash set; a later
      checkpoint supersedes everything before it *)

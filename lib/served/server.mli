@@ -64,7 +64,6 @@ val create :
   ?sink:Ic_obs.Trace.t ->
   ?journal:Journal.t ->
   ?live:Ic_obs.Live.t ->
-  ?flight:Ic_obs.Flight.t ->
   config ->
   Ic_dag.Dag.t ->
   t
@@ -80,22 +79,19 @@ val create :
     [Timeout_fired] per re-issue, with the task's {e shard} as the
     client id — so the Perfetto export renders one track per shard —
     plus per-shard [Frontier_depth] and global [Inflight] counter-track
-    points whenever those values move across a [handle].
+    points whenever those values move across a [handle]. A
+    {!Ic_obs.Trace.recorder} sink keeps the tail of that stream in a
+    crash-surviving ring.
     [journal], when given, makes the server durable: every lease grant
     and every applied completion is appended (the completion {e before}
     its [Ack] is produced), and the journal is compacted to a checkpoint
     every [checkpoint_every] completions. The journal must be fresh;
     raises [Invalid_argument] if it replayed prior records — that is
-    {!recover}'s job.
-
-    [flight], when given, writes every allocation, completion and
-    expiry into the crash-surviving flight-recorder ring. It does not
-    affect the deterministic [live] / [sink] artifacts. *)
+    {!recover}'s job. *)
 
 val recover :
   ?sink:Ic_obs.Trace.t ->
   ?live:Ic_obs.Live.t ->
-  ?flight:Ic_obs.Flight.t ->
   journal:Journal.t ->
   config ->
   Ic_dag.Dag.t ->

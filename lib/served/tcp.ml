@@ -61,7 +61,7 @@ let csv_header =
    retry_afters,rss_bytes\n"
 
 let serve ?sink ?on_listen ?(once = false) ?journal ?(recover = false)
-    ?(log = fun _ -> ()) ?live ?flight ?telemetry_port ?on_telemetry_listen
+    ?(log = fun _ -> ()) ?live ?telemetry_port ?on_telemetry_listen
     ?telemetry_csv ?(telemetry_every_s = 1.0) ~port scfg dag =
   Lazy.force ignore_sigpipe;
   (* the scrape endpoint and the CSV both read the Live registry; make
@@ -75,10 +75,10 @@ let serve ?sink ?on_listen ?(once = false) ?journal ?(recover = false)
   let srv =
     match journal with
     | Some j when recover -> (
-      match Server.recover ?sink ?live ?flight ~journal:j scfg dag with
+      match Server.recover ?sink ?live ~journal:j scfg dag with
       | Ok t -> t
       | Error e -> invalid_arg ("Tcp.serve: recovery failed: " ^ e))
-    | _ -> Server.create ?sink ?journal ?live ?flight scfg dag
+    | _ -> Server.create ?sink ?journal ?live scfg dag
   in
   let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt lsock Unix.SO_REUSEADDR true;

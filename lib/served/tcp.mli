@@ -43,7 +43,6 @@ val serve :
   ?recover:bool ->
   ?log:(string -> unit) ->
   ?live:Ic_obs.Live.t ->
-  ?flight:Ic_obs.Flight.t ->
   ?telemetry_port:int ->
   ?on_telemetry_listen:(int -> unit) ->
   ?telemetry_csv:string ->
@@ -78,8 +77,9 @@ val serve :
     depth, re-issues, RSS) roughly every [telemetry_every_s] (default
     1.0) seconds, for trend lines without a scraper. [live] supplies
     the registry to serve — one is created internally when telemetry is
-    requested without it; [flight] hands the server a crash-surviving
-    {!Ic_obs.Flight} recorder. *)
+    requested without it. [sink] is handed to the server; a
+    {!Ic_obs.Trace.recorder} there is the crash-surviving flight
+    recorder. *)
 
 val resolve : host:string -> port:int -> (Unix.sockaddr, string) result
 (** The stream address of [host]:[port]: a literal IPv4 or IPv6 address

@@ -7,7 +7,6 @@ module Trace = Ic_obs.Trace
 module Exporter = Ic_obs.Exporter
 module Json = Ic_obs.Json
 module Live = Ic_obs.Live
-module Flight = Ic_obs.Flight
 module Sim = Ic_sim.Simulator
 module Policy = Ic_heuristics.Policy
 module Dag = Ic_dag.Dag
@@ -86,53 +85,6 @@ let test_kind_names () =
     (Trace.kind_name Trace.Replica_cancelled);
   check_str "crash" "client_crash" (Trace.kind_name Trace.Client_crash);
   check_str "rejoin" "client_rejoin" (Trace.kind_name Trace.Client_rejoin)
-
-(* --- bounded ring mode --- *)
-
-let test_trace_ring () =
-  let t = Trace.create ~capacity:2 ~limit:8 () in
-  check_int "limit recorded" 8 (Trace.limit t);
-  (* below the limit the ring behaves exactly like an unbounded trace *)
-  for i = 0 to 4 do
-    Trace.frontier_push t ~time:(float_of_int i) ~node:i
-  done;
-  check_int "no drops below limit" 0 (Trace.dropped t);
-  check_int "all retained below limit" 5 (Trace.length t);
-  check_int "oldest first" 0 (Trace.get t 0).Trace.a;
-  (* push past the limit: length pins at the limit, the oldest events
-     fall out, reads stay oldest-first *)
-  for i = 5 to 19 do
-    Trace.frontier_push t ~time:(float_of_int i) ~node:i
-  done;
-  check_int "length pinned at limit" 8 (Trace.length t);
-  check_int "drop count" 12 (Trace.dropped t);
-  for i = 0 to 7 do
-    let e = Trace.get t i in
-    check_int (Printf.sprintf "retained event %d" i) (12 + i) e.Trace.a;
-    check (Printf.sprintf "retained time %d" i) true
-      (e.Trace.time = float_of_int (12 + i))
-  done;
-  let arr = Trace.to_array t in
-  check_int "to_array matches ring view" 8 (Array.length arr);
-  check_int "to_array oldest first" 12 arr.(0).Trace.a;
-  let seen = ref [] in
-  Trace.iter (fun e -> seen := e.Trace.a :: !seen) t;
-  check "iter covers the ring oldest-first" true
-    (List.rev !seen = [ 12; 13; 14; 15; 16; 17; 18; 19 ]);
-  (* clear keeps the lifetime drop count and the ring keeps working *)
-  Trace.clear t;
-  check_int "cleared" 0 (Trace.length t);
-  check_int "dropped survives clear" 12 (Trace.dropped t);
-  Trace.frontier_push t ~time:99.0 ~node:99;
-  check_int "reusable after clear" 99 (Trace.get t 0).Trace.a;
-  (* the default stays unbounded *)
-  let u = Trace.create () in
-  check_int "unbounded limit is 0" 0 (Trace.limit u);
-  for i = 0 to 99 do
-    Trace.frontier_push u ~time:0.0 ~node:i
-  done;
-  check_int "unbounded drops nothing" 0 (Trace.dropped u);
-  check_int "unbounded keeps everything" 100 (Trace.length u)
 
 (* --- metrics registry --- *)
 
@@ -704,118 +656,161 @@ let with_ring f =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
+let recorder ?slots path =
+  match Trace.recorder ?slots path with
+  | Ok t -> t
+  | Error e -> Alcotest.fail e
+
+let load path =
+  match Trace.load path with Ok d -> d | Error e -> Alcotest.fail e
+
+let seqs d = Array.to_list (Array.map (fun f -> f.Trace.seq) d.Trace.events)
+
 let test_flight_roundtrip () =
   with_ring (fun path ->
-      (match Flight.create ~slots:16 path with
-      | Error e -> Alcotest.fail e
-      | Ok fl ->
-        check_int "fresh ring starts at seq 1" 1 (Flight.next_seq fl);
-        check_int "slots" 16 (Flight.slots fl);
-        Flight.record fl Trace.Task_alloc ~time:1.0 ~a:7 ~b:2;
-        Flight.record fl Trace.Task_complete ~time:2.0 ~a:7 ~b:2;
-        Flight.record fl Trace.Frontier_depth ~time:3.0 ~a:1 ~b:11;
-        Flight.record fl Trace.Inflight ~time:4.0 ~a:5 ~b:0;
-        Flight.close fl);
-      match Flight.load path with
-      | Error e -> Alcotest.fail e
-      | Ok d ->
-        check_int "geometry recovered" 16 d.Flight.d_slots;
-        check_int "all frames valid" 4 d.Flight.d_valid;
-        check_int "events in sequence order" 4 (Array.length d.Flight.events);
-        let e0 = d.Flight.events.(0) in
-        check "payload survives" true
-          (e0.Flight.seq = 1
-          && e0.Flight.kind = Trace.Task_alloc
-          && e0.Flight.time = 1.0 && e0.Flight.a = 7 && e0.Flight.b = 2);
-        check "depth event survives" true
-          (d.Flight.events.(2).Flight.kind = Trace.Frontier_depth
-          && d.Flight.events.(2).Flight.b = 11);
-        (* the dump replays into a trace ready for the exporter *)
-        let tr = Flight.to_trace d in
-        check_int "to_trace replays everything" 4 (Trace.length tr);
-        check "to_trace keeps order" true
-          ((Trace.get tr 0).Trace.kind = Trace.Task_alloc);
-        match Json.parse (Exporter.chrome_trace tr) with
-        | Ok (Json.Array _) -> ()
-        | Ok _ -> Alcotest.fail "blackbox trace must render an array"
-        | Error e -> Alcotest.fail ("blackbox trace invalid: " ^ e))
+      let fl = recorder ~slots:16 path in
+      check_int "fresh ring is empty" 0 (Trace.length fl);
+      Trace.emit fl Trace.Task_alloc ~time:1.0 ~a:7 ~b:2;
+      Trace.emit fl Trace.Task_complete ~time:2.0 ~a:7 ~b:2;
+      Trace.emit fl Trace.Frontier_depth ~time:3.0 ~a:1 ~b:11;
+      Trace.emit fl Trace.Inflight ~time:4.0 ~a:5 ~b:0;
+      (* reads on the recorder decode its mapped frames *)
+      check_int "recorder length" 4 (Trace.length fl);
+      check "recorder get" true
+        ((Trace.get fl 2).Trace.kind = Trace.Frontier_depth
+        && (Trace.get fl 2).Trace.b = 11);
+      (match Trace.get fl 4 with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "out-of-range get on a recorder must raise");
+      let d = load path in
+      check_int "geometry recovered" 16 d.Trace.d_slots;
+      check_int "all frames valid" 4 d.Trace.d_valid;
+      check "events in sequence order" true (seqs d = [ 1; 2; 3; 4 ]);
+      let e0 = d.Trace.events.(0).Trace.event in
+      check "payload survives" true
+        (e0.Trace.kind = Trace.Task_alloc
+        && e0.Trace.time = 1.0 && e0.Trace.a = 7 && e0.Trace.b = 2);
+      check "loaded = read through the recorder" true
+        (Array.map (fun f -> f.Trace.event) d.Trace.events
+        = Trace.to_array fl);
+      (* the dump replays into a trace ready for the exporter *)
+      let tr = Trace.of_dump d in
+      check_int "of_dump replays everything" 4 (Trace.length tr);
+      check "of_dump keeps order" true
+        ((Trace.get tr 0).Trace.kind = Trace.Task_alloc);
+      match Json.parse (Exporter.chrome_trace tr) with
+      | Ok (Json.Array _) -> ()
+      | Ok _ -> Alcotest.fail "blackbox trace must render an array"
+      | Error e -> Alcotest.fail ("blackbox trace invalid: " ^ e))
 
 let test_flight_wrap () =
   with_ring (fun path ->
-      (match Flight.create ~slots:16 path with
-      | Error e -> Alcotest.fail e
-      | Ok fl ->
-        for i = 1 to 40 do
-          Flight.record fl Trace.Frontier_pop ~time:(float_of_int i) ~a:i ~b:0
-        done;
-        Flight.close fl);
-      match Flight.load path with
-      | Error e -> Alcotest.fail e
-      | Ok d ->
-        check_int "ring keeps the last [slots] events" 16 d.Flight.d_valid;
-        check_int "oldest retained" 25 d.Flight.events.(0).Flight.seq;
-        check_int "newest retained" 40 d.Flight.events.(15).Flight.seq;
-        Array.iteri
-          (fun i e ->
-            check_int (Printf.sprintf "dense tail %d" i) (25 + i) e.Flight.seq)
-          d.Flight.events)
+      let fl = recorder ~slots:16 path in
+      for i = 1 to 40 do
+        Trace.emit fl Trace.Frontier_pop ~time:(float_of_int i) ~a:i ~b:0
+      done;
+      check_int "recorder keeps [slots] events" 16 (Trace.length fl);
+      check_int "recorder reads oldest first" 25 (Trace.get fl 0).Trace.a;
+      let d = load path in
+      check_int "ring keeps the last [slots] events" 16 d.Trace.d_valid;
+      check "dense tail, oldest first" true
+        (seqs d = List.init 16 (fun i -> 25 + i)))
 
 let test_flight_torn_slot () =
   with_ring (fun path ->
-      (match Flight.create ~slots:16 path with
-      | Error e -> Alcotest.fail e
-      | Ok fl ->
-        for i = 1 to 5 do
-          Flight.record fl Trace.Task_start ~time:(float_of_int i) ~a:i ~b:0
-        done;
-        Flight.close fl);
+      let fl = recorder ~slots:16 path in
+      for i = 1 to 5 do
+        Trace.emit fl Trace.Task_start ~time:(float_of_int i) ~a:i ~b:0
+      done;
       (* tear frame 3 (slot 2): flip one payload byte so its CRC fails.
          header is 16 bytes, 40 per slot *)
       let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
       ignore (Unix.lseek fd (16 + (2 * 40) + 20) Unix.SEEK_SET);
       ignore (Unix.write fd (Bytes.make 1 '\xFF') 0 1);
       Unix.close fd;
-      match Flight.load path with
-      | Error e -> Alcotest.fail e
-      | Ok d ->
-        check_int "torn frame dropped, rest kept" 4 d.Flight.d_valid;
-        check "the torn sequence number is the one missing" true
-          (Array.for_all (fun e -> e.Flight.seq <> 3) d.Flight.events);
-        check "neighbours intact" true
-          (Array.exists (fun e -> e.Flight.seq = 2) d.Flight.events
-          && Array.exists (fun e -> e.Flight.seq = 4) d.Flight.events))
+      let d = load path in
+      check_int "torn frame dropped, rest kept" 4 d.Trace.d_valid;
+      check "the torn sequence number is the one missing" true
+        (seqs d = [ 1; 2; 4; 5 ]))
 
 let test_flight_reopen_continues () =
   with_ring (fun path ->
-      (match Flight.create ~slots:16 path with
-      | Error e -> Alcotest.fail e
-      | Ok fl ->
-        for i = 1 to 3 do
-          Flight.record fl Trace.Task_alloc ~time:(float_of_int i) ~a:i ~b:0
-        done;
-        Flight.close fl);
+      let fl = recorder ~slots:16 path in
+      for i = 1 to 3 do
+        Trace.emit fl Trace.Task_alloc ~time:(float_of_int i) ~a:i ~b:0
+      done;
       (* reopening with matching geometry continues the numbering — the
          --recover path appends to the same black box it crashed with *)
-      (match Flight.create ~slots:16 path with
-      | Error e -> Alcotest.fail e
-      | Ok fl ->
-        check_int "sequence continues after reopen" 4 (Flight.next_seq fl);
-        Flight.record fl Trace.Task_complete ~time:9.0 ~a:99 ~b:0;
-        Flight.close fl);
-      (match Flight.load path with
-      | Error e -> Alcotest.fail e
-      | Ok d ->
-        check_int "pre-crash frames plus the new one" 4 d.Flight.d_valid;
-        check "old frames kept" true (d.Flight.events.(0).Flight.seq = 1);
-        check "new frame appended after them" true
-          (let last = d.Flight.events.(3) in
-           last.Flight.seq = 4 && last.Flight.a = 99));
+      let fl = recorder ~slots:16 path in
+      check_int "pre-crash frames kept" 3 (Trace.length fl);
+      Trace.emit fl Trace.Task_complete ~time:9.0 ~a:99 ~b:0;
+      let d = load path in
+      check_int "pre-crash frames plus the new one" 4 d.Trace.d_valid;
+      check "new frame numbered after them" true (seqs d = [ 1; 2; 3; 4 ]);
+      check_int "new frame last" 99 d.Trace.events.(3).Trace.event.Trace.a;
       (* a different geometry is a different ring: wiped, not misread *)
-      match Flight.create ~slots:32 path with
-      | Error e -> Alcotest.fail e
-      | Ok fl ->
-        check_int "geometry change resets the ring" 1 (Flight.next_seq fl);
-        Flight.close fl)
+      let fl = recorder ~slots:32 path in
+      check_int "geometry change resets the ring" 0 (Trace.length fl);
+      Trace.emit fl Trace.Task_alloc ~time:0.0 ~a:0 ~b:0;
+      check "numbering restarts" true (seqs (load path) = [ 1 ]))
+
+(* a CRC-valid frame the writer could never have numbered: reopening
+   used to continue from [max_int + 1] (negative) and the third emit
+   indexed before the mapping *)
+let test_flight_unreachable_seq () =
+  with_ring (fun path ->
+      let fl = recorder ~slots:16 path in
+      for i = 1 to 3 do
+        Trace.emit fl Trace.Task_alloc ~time:(float_of_int i) ~a:i ~b:0
+      done;
+      let frame = Bytes.make 40 '\000' in
+      Bytes.set_int64_le frame 0 (Int64.of_int max_int);
+      Bytes.set_int64_le frame 8 (Int64.bits_of_float 1.0);
+      Bytes.set_int32_le frame 36
+        (Int32.of_int (Ic_obs.Crc32.digest frame 0 36));
+      let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+      ignore (Unix.lseek fd 16 Unix.SEEK_SET);
+      ignore (Unix.write fd frame 0 40);
+      Unix.close fd;
+      check "load drops the frame" true (seqs (load path) = [ 2; 3 ]);
+      let fl = recorder ~slots:16 path in
+      for i = 4 to 6 do
+        Trace.emit fl Trace.Task_complete ~time:(float_of_int i) ~a:i ~b:0
+      done;
+      check "numbering continues after the valid frames" true
+        (seqs (load path) = [ 2; 3; 4; 5; 6 ]))
+
+(* the on-disk format pinned byte for byte: the round-trip tests encode
+   and decode with the same code, so only fixed bytes catch a symmetric
+   format change. The CRCs are zlib's crc32 of each frame's first 36
+   bytes *)
+let test_flight_golden_bytes () =
+  with_ring (fun path ->
+      let fl = recorder ~slots:16 path in
+      Trace.emit fl Trace.Task_alloc ~time:1.5 ~a:7 ~b:2;
+      Trace.emit fl Trace.Frontier_depth ~time:(-0.25) ~a:3 ~b:(-1);
+      let want = Bytes.make (16 + (16 * 40)) '\000' in
+      Bytes.blit_string "ICFLT001" 0 want 0 8;
+      Bytes.set_int32_le want 8 16l;
+      Bytes.set_int32_le want 12 40l;
+      let frame off ~seq ~time ~a ~b ~kind ~crc =
+        Bytes.set_int64_le want off seq;
+        Bytes.set_int64_le want (off + 8) (Int64.bits_of_float time);
+        Bytes.set_int64_le want (off + 16) a;
+        Bytes.set_int64_le want (off + 24) b;
+        Bytes.set_int32_le want (off + 32) kind;
+        Bytes.set_int32_le want (off + 36) crc
+      in
+      frame 16 ~seq:1L ~time:1.5 ~a:7L ~b:2L ~kind:0l ~crc:0x7F087ADCl;
+      frame 56 ~seq:2L ~time:(-0.25) ~a:3L ~b:(-1L) ~kind:15l ~crc:0xFCC554D4l;
+      let hex s =
+        String.concat " "
+          (List.init (String.length s) (fun i ->
+               Printf.sprintf "%02x" (Char.code s.[i])))
+      in
+      check_str "ring file bytes"
+        (hex (Bytes.to_string want))
+        (hex (In_channel.with_open_bin path In_channel.input_all)))
 
 (* the checksum both on-disk formats frame with (flight ring, serving
    journal) is the standard CRC-32: the zlib/PNG check value of
@@ -832,9 +827,135 @@ let test_flight_rejects_foreign () =
       let oc = open_out_bin path in
       output_string oc "this is not a flight recorder at all";
       close_out oc;
-      match Flight.load path with
+      match Trace.load path with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "foreign file must not load")
+
+(* the ring decoder fed arbitrary bytes, a valid header over frames
+   with valid CRCs around random fields (any seq, any kind integer), and
+   genuine rings with byte flips and truncations: [load] returns instead
+   of raising and keeps only frames that were written; reopening the
+   file as a 16-slot recorder and emitting 2 x slots events never raises
+   and leaves exactly the last 16 of them *)
+type ring_input =
+  | File of string
+  | Mangled of int * (int * int) list * int option
+
+let fuzz_kinds =
+  Trace.[| Task_alloc; Task_complete; Timeout_fired; Frontier_depth |]
+
+let fuzz_event i =
+  {
+    Trace.kind = fuzz_kinds.(i mod 4);
+    time = float_of_int i *. 0.5;
+    a = i;
+    b = -i;
+  }
+
+let prop_ring_decoder_total =
+  let open QCheck2.Gen in
+  let header =
+    let h = Bytes.make 16 '\000' in
+    Bytes.blit_string "ICFLT001" 0 h 0 8;
+    Bytes.set_int32_le h 8 16l;
+    Bytes.set_int32_le h 12 40l;
+    Bytes.to_string h
+  in
+  let frame (seq, time, a, b, kind) =
+    let f = Bytes.create 40 in
+    Bytes.set_int64_le f 0 seq;
+    Bytes.set_int64_le f 8 time;
+    Bytes.set_int64_le f 16 a;
+    Bytes.set_int64_le f 24 b;
+    Bytes.set_int32_le f 32 (Int32.of_int kind);
+    Bytes.set_int32_le f 36 (Int32.of_int (Ic_obs.Crc32.digest f 0 36));
+    Bytes.to_string f
+  in
+  let seq =
+    oneof
+      [
+        int64;
+        map Int64.of_int (int_range (-2) 40);
+        return (Int64.of_int max_int);
+      ]
+  in
+  let gen =
+    oneof
+      [
+        map (fun s -> File s) (string_size (int_bound 700));
+        map
+          (fun fs -> File (header ^ String.concat "" (List.map frame fs)))
+          (list_size (return 16)
+             (tup5 seq int64 int64 int64 (int_range (-1) 20)));
+        map
+          (fun (k, flips, cut) -> Mangled (k, flips, cut))
+          (triple (int_bound 40)
+             (list_size (int_bound 6)
+                (pair (int_bound 10_000) (int_range 1 255)))
+             (opt (int_bound 700)));
+      ]
+  in
+  let print = function
+    | File s -> Printf.sprintf "file %S" s
+    | Mangled (k, flips, cut) ->
+      Printf.sprintf "ring of %d events, flips [%s], cut %s" k
+        (String.concat "; "
+           (List.map (fun (p, x) -> Printf.sprintf "%d^%d" p x) flips))
+        (match cut with Some n -> string_of_int n | None -> "none")
+  in
+  QCheck2.Test.make ~name:"ring decoder never raises" ~count:300 ~print gen
+    (fun input ->
+      with_ring (fun path ->
+          (* in place: ext4 flushes an O_TRUNC rewrite when its last
+             descriptor closes, and reading the file back then took
+             10-20 ms per case *)
+          let write s =
+            let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+            ignore (Unix.write_substring fd s 0 (String.length s));
+            Unix.ftruncate fd (String.length s);
+            Unix.close fd
+          in
+          let written =
+            match input with
+            | File s ->
+              write s;
+              None
+            | Mangled (k, flips, cut) ->
+              let fl = recorder ~slots:16 path in
+              for i = 1 to k do
+                let e = fuzz_event i in
+                Trace.emit fl e.kind ~time:e.time ~a:e.a ~b:e.b
+              done;
+              let b =
+                Bytes.of_string
+                  (In_channel.with_open_bin path In_channel.input_all)
+              in
+              List.iter
+                (fun (p, x) ->
+                  let p = p mod Bytes.length b in
+                  Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor x)))
+                flips;
+              let n = Option.value cut ~default:(Bytes.length b) in
+              write (Bytes.sub_string b 0 (min n (Bytes.length b)));
+              Some k
+          in
+          let only_written =
+            match (Trace.load path, written) with
+            | Error _, _ | Ok _, None -> true
+            | Ok d, Some k ->
+              Array.for_all
+                (fun f ->
+                  f.Trace.seq <= k && f.Trace.event = fuzz_event f.Trace.seq)
+                d.Trace.events
+          in
+          let fl = recorder ~slots:16 path in
+          for i = 101 to 132 do
+            let e = fuzz_event i in
+            Trace.emit fl e.kind ~time:e.time ~a:e.a ~b:e.b
+          done;
+          only_written
+          && Array.map (fun f -> f.Trace.event) (load path).Trace.events
+             = Array.init 16 (fun i -> fuzz_event (117 + i))))
 
 (* --- properties --- *)
 
@@ -881,7 +1002,6 @@ let () =
           Alcotest.test_case "clear" `Quick test_trace_clear;
           Alcotest.test_case "eligibility timeline" `Quick test_eligibility_timeline;
           Alcotest.test_case "kind names" `Quick test_kind_names;
-          Alcotest.test_case "bounded ring mode" `Quick test_trace_ring;
         ] );
       ( "live registry",
         [
@@ -906,6 +1026,11 @@ let () =
           Alcotest.test_case "foreign file rejected" `Quick
             test_flight_rejects_foreign;
           Alcotest.test_case "CRC-32 check value" `Quick test_crc32_check_value;
+          Alcotest.test_case "on-disk bytes are pinned" `Quick
+            test_flight_golden_bytes;
+          Alcotest.test_case "unreachable sequence number is dropped" `Quick
+            test_flight_unreachable_seq;
+          QCheck_alcotest.to_alcotest prop_ring_decoder_total;
         ] );
       ( "metrics",
         [

@@ -15,7 +15,6 @@ module Plan = Ic_fault.Plan
 module Recovery = Ic_fault.Recovery
 module Live = Ic_obs.Live
 module Trace = Ic_obs.Trace
-module Flight = Ic_obs.Flight
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
@@ -610,53 +609,44 @@ let test_hammer_small_clean () =
   Alcotest.(check int) "client ids are shard ids" 0 !bad;
   Alcotest.(check bool) "trace non-empty" true (Trace.length sink > 0)
 
-(* the server writes every event to its sink and its flight ring alike:
-   as many frames as sink events, and a 16-slot ring holds exactly the
-   sink's last 16 (kind, time, a, b). Churn makes leases expire, so the
-   stream carries timeouts as well as allocs, completes and samples *)
+(* a recorder is a sink like any other: the seeded churning run into a
+   16-slot ring leaves exactly the last 16 events the same run writes
+   into a memory trace, numbered one frame per event. Churn makes leases
+   expire, so the stream carries timeouts as well as allocs, completes
+   and samples *)
 let test_flight_ring_is_sink_tail () =
   let path = Filename.temp_file "ic_test_served" ".ring" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      let fl =
-        match Flight.create ~slots:16 path with
-        | Ok fl -> fl
-        | Error e -> Alcotest.fail e
+      let run sink =
+        let scfg = Server.config ~n_shards:3 ~expected_s:0.02 () in
+        let churn =
+          Plan.make ~disconnect_rate:2.0 ~mean_downtime:0.2 ~seed:3 ()
+        in
+        let cfg =
+          Hammer.config ~workers:40 ~k:4 ~mean_service_s:0.01 ~churn ~seed:5
+            ()
+        in
+        Hammer.run_virtual ~sink ~server:scfg cfg (Mesh.out_mesh 16)
       in
       let sink = Trace.create () in
-      let scfg = Server.config ~n_shards:3 ~expected_s:0.02 () in
-      let churn =
-        Plan.make ~disconnect_rate:2.0 ~mean_downtime:0.2 ~seed:3 ()
-      in
-      let cfg =
-        Hammer.config ~workers:40 ~k:4 ~mean_service_s:0.01 ~churn ~seed:5 ()
-      in
-      let r =
-        Hammer.run_virtual ~sink ~flight:fl ~server:scfg cfg (Mesh.out_mesh 16)
-      in
+      let r = run sink in
       Alcotest.(check bool) "leases expired" true
         (r.Hammer.server.Server.reissues > 0);
-      Alcotest.(check int) "one frame per sink event" (Trace.length sink)
-        (Flight.next_seq fl - 1);
-      Flight.close fl;
-      match Flight.load path with
+      (match Trace.recorder ~slots:16 path with
+      | Ok ring -> ignore (run ring)
+      | Error e -> Alcotest.fail e);
+      match Trace.load path with
       | Error e -> Alcotest.fail e
       | Ok d ->
-        let events = Trace.to_array sink in
-        let k = Array.length events in
-        let tail =
-          Array.map
-            (fun (e : Trace.event) -> (e.kind, e.time, e.a, e.b))
-            (Array.sub events (k - 16) 16)
-        in
-        let ring =
-          Array.map
-            (fun (e : Flight.event) -> (e.kind, e.time, e.a, e.b))
-            d.Flight.events
-        in
+        let k = Trace.length sink in
+        Alcotest.(check (list int)) "one frame per sink event"
+          (List.init 16 (fun i -> k - 15 + i))
+          (Array.to_list (Array.map (fun f -> f.Trace.seq) d.Trace.events));
         Alcotest.(check bool) "ring = the sink's last 16 events" true
-          (ring = tail))
+          (Array.map (fun f -> f.Trace.event) d.Trace.events
+          = Array.sub (Trace.to_array sink) (k - 16) 16))
 
 (* the acceptance run: mesh-256 (32,896 tasks), 10^4 churning workers,
    every task applied exactly once, metrics byte-identical across runs *)
