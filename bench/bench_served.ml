@@ -1,24 +1,25 @@
-(* The served bench runner. Three scenes, all emitting the same record
-   shape:
+(* The served bench runner: three in-process scenes, nine records.
 
-   - virtual_k1 / virtual_k16: the batch-amortization comparison. The
-     deterministic virtual hammer drives a 3-shard server with 10^4
-     workers; the only difference between the two records is the lease
-     batch size, so the leased-tasks/sec ratio isolates the cost of a
-     per-task vs per-batch pool visit and reply.
-   - virtual_churn: the same fleet under a seeded crash/disconnect plan,
-     to price lease expiry, re-issue and duplicate handling.
-   - tcp_loopback: a real socket round trip — server in a domain, the
-     real-time hammer multiplexing workers over a few connections.
+   - pool_pop_k1 / pool_pop_k16: the lease-grant hot path alone, the
+     sharded pools drained one task or sixteen tasks per visit.
+   - drain_k1 / drain_k16, and drain_k16 again with a Live registry
+     (drain_k16_live) or a write-ahead journal flushed or fsynced per
+     append (drain_k16_journal, drain_k16_journal_fsync): the whole
+     request path through Server.handle on an edgeless dag.
+   - virtual_10k_workers / virtual_churn: the deterministic virtual
+     hammer drives a 3-shard server with 10^4 workers, the second
+     under a seeded crash/disconnect plan, to price lease expiry,
+     re-issue and duplicate handling.
 
-   leases/sec here is leased tasks per second of harness wall time: the
-   virtual clock prices no work, so wall time is exactly the server +
-   harness CPU cost of serving the run. *)
+   Real sockets are the end-to-end benchmark's job (e2e_bench, the
+   tcp-mesh and tcp-durable workloads). leases/sec here is leased tasks
+   per second of harness wall time: the virtual clock prices no work,
+   so wall time is exactly the server + harness CPU cost of serving the
+   run. *)
 
 module Wire = Ic_served.Wire
 module Server = Ic_served.Server
 module Hammer = Ic_served.Hammer
-module Tcp = Ic_served.Tcp
 module Plan = Ic_fault.Plan
 module Recovery = Ic_fault.Recovery
 module Mesh = Ic_families.Mesh
@@ -151,32 +152,6 @@ let virtual_scene ~emit ~bench ~levels ~workers ~k ~churn =
        ~service_p50:r.Hammer.task_service_p50_s
        ~service_p99:r.Hammer.task_service_p99_s)
 
-let tcp_scene ~emit ~levels ~workers ~k =
-  let g = Mesh.out_mesh levels in
-  let port = Atomic.make 0 in
-  let server =
-    Domain.spawn (fun () ->
-        Tcp.serve
-          ~on_listen:(fun p -> Atomic.set port p)
-          ~once:true ~port:0
-          (Server.config ~n_shards:3 ~expected_s:0.5 ())
-          g)
-  in
-  while Atomic.get port = 0 do
-    Unix.sleepf 0.001
-  done;
-  let cfg =
-    Hammer.config ~workers ~k ~mean_service_s:0.0005 ~think_s:0.0001 ()
-  in
-  let hr = Tcp.hammer ~connections:4 ~port:(Atomic.get port) cfg in
-  let st = Domain.join server in
-  emit
-    (record ~bench:"tcp_loopback" ~n_tasks:(Dag.n_nodes g) ~workers ~k
-       ~wall_s:hr.Tcp.wall_s ~server:st ~grant_p50:hr.Tcp.lease_grant_p50_s
-       ~grant_p99:hr.Tcp.lease_grant_p99_s
-       ~service_p50:hr.Tcp.task_service_p50_s
-       ~service_p99:hr.Tcp.task_service_p99_s)
-
 let run ~quick ~emit =
   let levels = if quick then 64 else 256 in
   let workers = if quick then 2_000 else 10_000 in
@@ -203,7 +178,4 @@ let run ~quick ~emit =
   virtual_scene ~emit ~bench:"virtual_churn" ~levels ~workers ~k:8
     ~churn:
       (Plan.make ~crash_rate:0.002 ~disconnect_rate:0.02 ~mean_downtime:0.5
-         ~seed:11 ());
-  tcp_scene ~emit ~levels:(if quick then 10 else 20)
-    ~workers:(if quick then 100 else 200)
-    ~k:4
+         ~seed:11 ())

@@ -52,6 +52,103 @@ let policy_conv =
   in
   Arg.conv (parse, print)
 
+(* --- flags that several subcommands take, each defined once --- *)
+
+let policy_arg =
+  Arg.(
+    value
+    & opt policy_conv None
+    & info [ "policy" ] ~doc:"Allocation policy (default: ic-optimal)")
+
+(* the simulator seeds at 0x5EED, the hammer at 0x5E4D *)
+let seed_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "seed" ] ~docv:"SEED"
+        ~doc:
+          "Seed for the simulated execution times (simulate, compare, \
+           trace) or for the hammer's service latencies and churn plan")
+
+let metrics_out_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "metrics-out" ] ~docv:"FILE"
+        ~doc:
+          "Write the command's metrics registry as JSON to FILE when it \
+           ends (for hammer, also when a reconnect or reply timeout ends \
+           the run)")
+
+let trace_out_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "trace-out" ] ~docv:"FILE"
+        ~doc:
+          "Write a Chrome trace-event file with one track per domain (run) \
+           or per shard (serve); load it in Perfetto")
+
+let host_arg =
+  Arg.(
+    value & opt string "127.0.0.1"
+    & info [ "host" ] ~docv:"HOST"
+        ~doc:
+          "Address of the server (hammer) or of its telemetry endpoint (top)")
+
+(* FAMILY or --load FILE, exactly one of them; [missing] is the
+   diagnostic when neither is given. A missing, truncated or corrupt
+   snapshot is a one-line diagnostic naming the path and exit 2 — never
+   a raw exception or a message that leaves the operator guessing which
+   file was bad. The term yields a thunk so a --load runs under
+   --profile. *)
+type dag_source = Family of Ic_cli.Family_spec.t | Loaded of string * Dag.t
+
+let dag_source_term cmd ~missing =
+  let family =
+    Arg.(
+      value
+      & pos 0 (some family_conv) None
+      & info [] ~docv:"FAMILY"
+          ~doc:
+            "Dag family (see the info subcommand for known families). \
+             Mutually exclusive with --load.")
+  in
+  let load =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "load" ] ~docv:"FILE"
+          ~doc:
+            "Memory-map a snapshot written by the snapshot command in place \
+             of FAMILY")
+  in
+  let resolve family load () =
+    match (family, load) with
+    | Some _, Some _ ->
+      Format.eprintf "%s: give either FAMILY or --load, not both@." cmd;
+      exit 1
+    | None, None ->
+      Format.eprintf "%s: %s@." cmd missing;
+      exit 1
+    | Some f, None -> Family f
+    | None, Some path -> (
+      match (try Dag.load path with e -> Error (Printexc.to_string e)) with
+      | Ok g -> Loaded (path, g)
+      | Error e ->
+        Format.eprintf "%s: %s@." cmd
+          (if String.starts_with ~prefix:path e then e else path ^ ": " ^ e);
+        exit 2)
+  in
+  Term.(const resolve $ family $ load)
+
+(* a library constructor's Invalid_argument on an out-of-range flag is a
+   one-line diagnostic and exit 1, not an uncaught exception *)
+let or_die build =
+  try build () with
+  | Invalid_argument msg ->
+    Format.eprintf "%s@." msg;
+    exit 1
+
 (* --- self-profiling flags, shared by every heavy subcommand --- *)
 
 type prof = {
@@ -112,30 +209,6 @@ let with_prof p f =
   end;
   f ()
 
-(* FAMILY or --load FILE, exactly one of them; [missing] is the
-   diagnostic when neither is given. A missing, truncated or corrupt
-   snapshot is a one-line diagnostic naming the path and exit 2 — never
-   a raw exception or a message that leaves the operator guessing which
-   file was bad *)
-type dag_source = Family of Ic_cli.Family_spec.t | Loaded of string * Dag.t
-
-let family_or_load cmd ~missing family load =
-  match (family, load) with
-  | Some _, Some _ ->
-    Format.eprintf "%s: give either FAMILY or --load, not both@." cmd;
-    exit 1
-  | None, None ->
-    Format.eprintf "%s: %s@." cmd missing;
-    exit 1
-  | Some f, None -> Family f
-  | None, Some path -> (
-    match (try Dag.load path with e -> Error (Printexc.to_string e)) with
-    | Ok g -> Loaded (path, g)
-    | Error e ->
-      Format.eprintf "%s: %s@." cmd
-        (if String.starts_with ~prefix:path e then e else path ^ ": " ^ e);
-      exit 2)
-
 (* --- info --- *)
 
 let info_cmd =
@@ -182,6 +255,10 @@ let verify_cmd =
     Arg.(value & opt int 2_000_000 & info [ "max-ideals" ] ~doc:"Ideal-enumeration budget")
   in
   let run (f : Ic_cli.Family_spec.t) max_ideals prof =
+    if max_ideals < 0 then begin
+      Format.eprintf "verify: --max-ideals must be >= 0@.";
+      exit 1
+    end;
     with_prof prof @@ fun () ->
     match Optimal.analyze ~max_ideals f.dag with
     | Error (`Too_large k) ->
@@ -218,15 +295,7 @@ let clients_arg =
 let jitter_arg =
   Arg.(value & opt float 0.25 & info [ "jitter" ] ~doc:"Execution-time noise amplitude")
 
-let seed_arg = Arg.(value & opt int 0x5EED & info [ "seed" ] ~doc:"Simulation seed")
-
 (* --- fault-injection and recovery flags (simulate and trace) --- *)
-
-let or_die build =
-  try build () with
-  | Invalid_argument msg ->
-    Format.eprintf "%s@." msg;
-    exit 1
 
 let plan_term =
   let crash =
@@ -359,41 +428,58 @@ let recovery_term =
     const build $ timeout $ latency $ retries $ backoff $ backoff_max
     $ speculate $ replicas $ deadline)
 
-let simulate_cmd =
-  let policy_arg =
-    Arg.(
-      value
-      & opt policy_conv None
-      & info [ "policy" ] ~doc:"Allocation policy (default: ic-optimal)")
-  in
-  let run (f : Ic_cli.Family_spec.t) clients jitter seed policy faults recovery
-      prof =
-    with_prof prof @@ fun () ->
-    let policy =
-      match policy with
-      | Some p -> p
-      | None -> Policy.of_schedule "ic-optimal" f.schedule
-    in
+(* the simulator settings simulate and trace share; [policy] None means
+   the family's own IC-optimal schedule *)
+type sim = {
+  clients : int;
+  config : Ic_sim.Simulator.config;
+  policy : Policy.t option;
+}
+
+let sim_term =
+  let build clients jitter seed policy faults recovery =
     let config =
-      Ic_sim.Simulator.config ~n_clients:clients ~jitter ~seed ~faults
-        ~recovery ()
+      or_die (fun () ->
+          Ic_sim.Simulator.config ~n_clients:clients ~jitter ~seed ~faults
+            ~recovery ())
     in
-    let r = Ic_sim.Simulator.run config policy ~workload:Ic_sim.Workload.unit f.dag in
-    Format.printf "%s under %s with %d clients:@.%a@." f.description
-      (Policy.name policy) clients Ic_sim.Simulator.pp_result r
+    { clients; config; policy }
   in
+  Term.(
+    const build $ clients_arg $ jitter_arg $ seed_arg 0x5EED $ policy_arg
+    $ plan_term $ recovery_term)
+
+(* the one run body of simulate and trace: run, print the result, and
+   return the policy that ran *)
+let simulate ?sink ?live s (f : Ic_cli.Family_spec.t) =
+  let policy =
+    match s.policy with
+    | Some p -> p
+    | None -> Policy.of_schedule "ic-optimal" f.schedule
+  in
+  let r =
+    Ic_sim.Simulator.run ?sink ?live s.config policy
+      ~workload:Ic_sim.Workload.unit f.dag
+  in
+  Format.printf "%s under %s with %d clients:@.%a@." f.description
+    (Policy.name policy) s.clients Ic_sim.Simulator.pp_result r;
+  policy
+
+let simulate_cmd =
+  let run f s prof = with_prof prof @@ fun () -> ignore (simulate s f) in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run the Internet-computing simulator on a family")
-    Term.(
-      const run $ family_pos $ clients_arg $ jitter_arg $ seed_arg $ policy_arg
-      $ plan_term $ recovery_term $ prof_term)
+    Term.(const run $ family_pos $ sim_term $ prof_term)
 
 (* --- compare --- *)
 
 let compare_cmd =
   let run (f : Ic_cli.Family_spec.t) clients jitter seed prof =
+    let config =
+      or_die (fun () ->
+          Ic_sim.Simulator.config ~n_clients:clients ~jitter ~seed ())
+    in
     with_prof prof @@ fun () ->
-    let config = Ic_sim.Simulator.config ~n_clients:clients ~jitter ~seed () in
     Format.printf "%s, %d clients:@." f.description clients;
     Ic_sim.Assessment.pp_rows Format.std_formatter
       (Ic_sim.Assessment.compare_policies ~config f.dag ~theory:f.schedule)
@@ -401,7 +487,7 @@ let compare_cmd =
   Cmd.v
     (Cmd.info "compare"
        ~doc:"Compare the IC-optimal policy against every baseline heuristic")
-    Term.(const run $ family_pos $ clients_arg $ jitter_arg $ seed_arg
+    Term.(const run $ family_pos $ clients_arg $ jitter_arg $ seed_arg 0x5EED
       $ prof_term)
 
 (* --- trace --- *)
@@ -436,21 +522,7 @@ let trace_cmd =
   let metrics_arg =
     Arg.(value & flag & info [ "metrics" ] ~doc:"Print the metrics registry after the run")
   in
-  let metrics_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Write the metrics registry as JSON to FILE")
-  in
-  let policy_arg =
-    Arg.(
-      value
-      & opt policy_conv None
-      & info [ "policy" ] ~doc:"Allocation policy (default: ic-optimal)")
-  in
-  let run family n clients jitter seed policy out csv metrics metrics_out
-      faults recovery prof =
+  let run family n s out csv metrics metrics_out prof =
     with_prof prof @@ fun () ->
     let spec =
       match n with Some n -> Printf.sprintf "%s:%d" family n | None -> family
@@ -460,21 +532,9 @@ let trace_cmd =
       Format.eprintf "%s@." e;
       exit 1
     | Ok f ->
-      let policy =
-        match policy with
-        | Some p -> p
-        | None -> Policy.of_schedule "ic-optimal" f.schedule
-      in
-      let config =
-        Ic_sim.Simulator.config ~n_clients:clients ~jitter ~seed ~faults
-          ~recovery ()
-      in
       let trace = Ic_obs.Trace.create () in
       let live = Ic_obs.Live.create () in
-      let r =
-        Ic_sim.Simulator.run ~sink:trace ~live config policy
-          ~workload:Ic_sim.Workload.unit f.dag
-      in
+      let policy = simulate ~sink:trace ~live s f in
       Artifact.write out
         (Ic_obs.Exporter.chrome_trace
            ~process_name:(Printf.sprintf "ic_sched: %s under %s" f.description
@@ -484,8 +544,6 @@ let trace_cmd =
         (fun file ->
           Artifact.write file (Ic_obs.Exporter.eligibility_csv trace))
         csv;
-      Format.printf "%s under %s with %d clients:@.%a@." f.description
-        (Policy.name policy) clients Ic_sim.Simulator.pp_result r;
       Format.printf "%d events -> %s (chrome://tracing or ui.perfetto.dev)@."
         (Ic_obs.Trace.length trace) out;
       Option.iter (Format.printf "eligibility timeline -> %s@.") csv;
@@ -502,9 +560,8 @@ let trace_cmd =
          "Run a traced simulation and export it as Chrome trace-event JSON \
           (one track per client plus an |ELIGIBLE| counter track)")
     Term.(
-      const run $ family_arg $ n_arg $ clients_arg $ jitter_arg $ seed_arg
-      $ policy_arg $ out_arg $ csv_arg $ metrics_arg $ metrics_out_arg
-      $ plan_term $ recovery_term $ prof_term)
+      const run $ family_arg $ n_arg $ sim_term $ out_arg $ csv_arg
+      $ metrics_arg $ metrics_out_arg $ prof_term)
 
 (* --- batch --- *)
 
@@ -520,12 +577,12 @@ let batch_cmd =
     let module B = Ic_batch.Batched in
     let t =
       if exact then
-        match B.optimal f.dag ~batch_size:size with
+        match or_die (fun () -> B.optimal f.dag ~batch_size:size) with
         | Ok t -> t
         | Error (`Too_large k) ->
           Format.eprintf "dag too large for the exact DP (%d states)@." k;
           exit 1
-      else B.greedy f.dag ~batch_size:size
+      else or_die (fun () -> B.greedy f.dag ~batch_size:size)
     in
     Format.printf "%s, %s %d-batched schedule:@." f.description
       (if exact then "lex-optimal" else "greedy") size;
@@ -573,25 +630,11 @@ let auto_cmd =
 (* --- snapshot --- *)
 
 let snapshot_cmd =
-  let family_opt =
-    let doc =
-      "Dag family to snapshot (see the info subcommand for known families). \
-       Mutually exclusive with --load."
-    in
-    Arg.(value & pos 0 (some family_conv) None & info [] ~docv:"FAMILY" ~doc)
-  in
   let out_arg =
     Arg.(
       value
       & opt (some string) None
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Write the snapshot to FILE")
-  in
-  let load_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "load" ] ~docv:"FILE"
-          ~doc:"Memory-map a snapshot written earlier and show its statistics")
   in
   let replay_arg =
     Arg.(
@@ -620,15 +663,15 @@ let snapshot_cmd =
     Format.printf "%s: %d nodes, %d arcs, %d sources@." what (Dag.n_nodes g)
       (Dag.n_arcs g) (Dag.n_sources g)
   in
-  let run family out load do_replay prof =
+  let source =
+    dag_source_term "snapshot"
+      ~missing:
+        "nothing to do — give FAMILY -o FILE to save, or --load FILE to \
+         inspect"
+  in
+  let run source out do_replay prof =
     with_prof prof @@ fun () ->
-    match
-      family_or_load "snapshot"
-        ~missing:
-          "nothing to do — give FAMILY -o FILE to save, or --load FILE to \
-           inspect"
-        family load
-    with
+    match source () with
     | Loaded (path, g) ->
       describe path g;
       if do_replay then replay g
@@ -659,7 +702,7 @@ let snapshot_cmd =
          "Save a dag family as a binary snapshot, or memory-map one back \
           (O(1) reload) and optionally profile-replay it")
     Term.(
-      const run $ family_opt $ out_arg $ load_arg $ replay_arg $ prof_term)
+      const run $ source $ out_arg $ replay_arg $ prof_term)
 
 (* --- run: the OCaml 5 parallel runtime --- *)
 
@@ -687,7 +730,7 @@ let run_cmd =
   let order_arg =
     Arg.(
       value
-      & opt (enum [ ("steal", "steal"); ("ic", "ic") ]) "steal"
+      & opt (enum Par_support.orders) Ic_par.Runtime.Steal
       & info [ "order" ] ~docv:"ORDER"
           ~doc:
             "Ready-task ordering: steal (plain Chase-Lev work stealing) or \
@@ -698,22 +741,6 @@ let run_cmd =
       value & opt float 0.0
       & info [ "spin-us" ] ~docv:"US"
           ~doc:"Calibrated busy-work added to every task, in microseconds")
-  in
-  let trace_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Write a Chrome trace-event file with one track per domain \
-             (load it in Perfetto)")
-  in
-  let metrics_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Write the run's metrics registry (steal counters etc.) as JSON")
   in
   let no_check_arg =
     Arg.(
@@ -732,15 +759,16 @@ let run_cmd =
       Format.eprintf "run: %s@." e;
       exit 1
     | Ok o ->
-      Format.printf "%s: %d tasks on %d domains, order %s@." o.Par_support.payload
-        o.tasks o.domains o.order;
-      Format.printf "wall %.4fs" o.wall_s;
+      let s = o.Par_support.stats in
+      Format.printf "%s: %d tasks on %d domains, order %s@." o.payload
+        s.tasks s.domains (Par_support.order_name order);
+      Format.printf "wall %.4fs" s.wall_s;
       if not (Float.is_nan o.seq_wall_s) then
         Format.printf " (sequential %.4fs, speedup %.2fx)" o.seq_wall_s
-          (o.seq_wall_s /. o.wall_s);
+          (o.seq_wall_s /. s.wall_s);
       Format.printf "@.";
-      Format.printf "steals %d/%d attempts, overflows %d, parks %d@." o.steals
-        o.steal_attempts o.overflows o.parks;
+      Format.printf "steals %d/%d attempts, overflows %d, parks %d@." s.steals
+        s.steal_attempts s.overflows s.parks;
       Option.iter (Format.printf "trace -> %s@.") trace_out;
       Option.iter (Format.printf "metrics -> %s@.") metrics_out;
       if not no_check then begin
@@ -755,7 +783,7 @@ let run_cmd =
           runtime (work-stealing deques over the dag's frontier)")
     Term.(
       const run $ payload_arg $ size_arg $ domains_arg $ order_arg $ spin_arg
-      $ trace_arg $ metrics_out_arg $ no_check_arg)
+      $ trace_out_arg $ metrics_out_arg $ no_check_arg)
 
 (* --- serve / hammer: the lease-serving subsystem over loopback TCP --- *)
 
@@ -766,20 +794,6 @@ let port_arg =
         ~doc:"TCP port on 127.0.0.1 (serve: 0 picks a free one)")
 
 let serve_cmd =
-  let family_opt =
-    let doc =
-      "Dag family to serve (see the info subcommand for known families). \
-       Mutually exclusive with --load."
-    in
-    Arg.(value & pos 0 (some family_conv) None & info [] ~docv:"FAMILY" ~doc)
-  in
-  let load_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "load" ] ~docv:"FILE"
-          ~doc:"Serve a memory-mapped snapshot written by the snapshot command")
-  in
   let shards_arg =
     Arg.(
       value & opt int 1
@@ -842,22 +856,6 @@ let serve_cmd =
              journaled completions are never re-leased, \
              leased-but-unjournaled tasks re-issue")
   in
-  let metrics_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Write the served.* metrics registry as JSON on exit")
-  in
-  let trace_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Write a Chrome trace-event file with one track per shard (load \
-             it in Perfetto)")
-  in
   let telemetry_port_arg =
     Arg.(
       value
@@ -894,18 +892,14 @@ let serve_cmd =
              with ic_sched blackbox; --recover continues an existing ring). \
              The ring is the server's trace sink, so not with --trace-out")
   in
-  let run family load port shards max_lease expected_s once journal
+  let run source port shards max_lease expected_s once journal
       checkpoint_every fsync recover telemetry_port telemetry_csv
       telemetry_every_s flight metrics_out trace_out prof =
     with_prof prof @@ fun () ->
     let dag =
-      match
-        family_or_load "serve" ~missing:"give a FAMILY or --load FILE" family
-          load
-      with
-      | Family f -> f.dag
-      | Loaded (_, g) -> g
+      match source () with Family f -> f.dag | Loaded (_, g) -> g
     in
+    let n_tasks = Dag.n_nodes dag in
     match
       Served_support.serve ~dag ~port ~shards ~max_lease ~expected_s ~once
         ~journal ~checkpoint_every ~fsync ~recover ~telemetry_port
@@ -914,20 +908,20 @@ let serve_cmd =
     | Error e ->
       Format.eprintf "serve: %s@." e;
       exit 1
-    | Ok o ->
+    | Ok st ->
       if recover then
         Format.printf "recovered %d completions from journal, %d re-issues@."
-          o.Served_support.recovered_tasks o.recovered_reissues;
+          st.Ic_served.Server.recovered_tasks st.recovered_reissues;
       Format.printf
         "served %d/%d tasks: %d leases (%d tasks), %d reissues, %d \
          duplicates, %d retry-afters, %d protocol errors@."
-        o.Served_support.completions o.n_tasks o.leases o.leased_tasks
-        o.reissues o.duplicates o.retry_afters o.protocol_errors;
+        st.completions n_tasks st.leases st.leased_tasks st.reissues
+        st.duplicate_completes st.retry_afters st.protocol_errors;
       Option.iter (Format.printf "trace -> %s@.") trace_out;
       Option.iter (Format.printf "metrics -> %s@.") metrics_out;
       Option.iter (Format.printf "telemetry csv -> %s@.") telemetry_csv;
       Option.iter (Format.printf "flight ring -> %s@.") flight;
-      if o.completions <> o.n_tasks || o.inflight <> 0 then exit 1
+      if st.completions <> n_tasks || st.inflight <> 0 then exit 1
   in
   Cmd.v
     (Cmd.info "serve"
@@ -937,18 +931,15 @@ let serve_cmd =
           and re-issue; optional write-ahead journal, crash recovery, \
           OpenMetrics telemetry endpoint and flight recorder)")
     Term.(
-      const run $ family_opt $ load_arg $ port_arg $ shards_arg
+      const run
+      $ dag_source_term "serve" ~missing:"give a FAMILY or --load FILE"
+      $ port_arg $ shards_arg
       $ max_lease_arg $ expected_arg $ once_arg $ journal_arg
       $ checkpoint_arg $ fsync_arg $ recover_arg $ telemetry_port_arg
       $ telemetry_csv_arg $ telemetry_every_arg $ flight_arg $ metrics_out_arg
       $ trace_out_arg $ prof_term)
 
 let hammer_cmd =
-  let host_arg =
-    Arg.(
-      value & opt string "127.0.0.1"
-      & info [ "host" ] ~docv:"HOST" ~doc:"Server address")
-  in
   let workers_arg =
     Arg.(
       value & opt int 1024
@@ -972,12 +963,6 @@ let hammer_cmd =
           ~doc:
             "Subject the fleet to a seeded crash/disconnect/rejoin plan \
              (exercises lease expiry and re-issue)")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 0x5E4D
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:"Seed for service latencies and the churn plan")
   in
   let service_arg =
     Arg.(
@@ -1015,15 +1000,6 @@ let hammer_cmd =
             "Write a per-worker busy-time CSV (worker,busy_s,utilization) on \
              exit")
   in
-  let metrics_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the client-side hammer.* metrics registry as JSON on exit \
-             (written even when the run ends by reconnect/reply timeout)")
-  in
   let run host port workers connections k churn seed mean_service_s think_s
       chaos chaos_seed utilization_out metrics_out =
     match
@@ -1038,12 +1014,12 @@ let hammer_cmd =
       Format.printf
         "%d workers over %d connections: %d completes, %d crashed, %d \
          disconnects, %d reconnects, dag done %b, wall %.3fs@."
-        r.Served_support.h_workers connections r.completes_sent r.crashed
-        r.disconnects r.reconnects r.done_seen r.h_wall_s;
-      Format.printf "lease grant p50 %.6fs p99 %.6fs@." r.grant_p50_s
-        r.grant_p99_s;
-      Format.printf "task service p50 %.6fs p99 %.6fs@." r.service_p50_s
-        r.service_p99_s;
+        r.Ic_served.Tcp.workers connections r.completes_sent r.crashed
+        r.disconnects r.reconnects r.done_seen r.wall_s;
+      Format.printf "lease grant p50 %.6fs p99 %.6fs@." r.lease_grant_p50_s
+        r.lease_grant_p99_s;
+      Format.printf "task service p50 %.6fs p99 %.6fs@." r.task_service_p50_s
+        r.task_service_p99_s;
       Option.iter (Format.printf "utilization -> %s@.") utilization_out;
       Option.iter (Format.printf "metrics -> %s@.") metrics_out;
       if not r.done_seen then exit 1
@@ -1056,7 +1032,7 @@ let hammer_cmd =
           over a few real connections")
     Term.(
       const run $ host_arg $ port_arg $ workers_arg $ connections_arg $ k_arg
-      $ churn_arg $ seed_arg $ service_arg $ think_arg $ chaos_arg
+      $ churn_arg $ seed_arg 0x5E4D $ service_arg $ think_arg $ chaos_arg
       $ chaos_seed_arg $ utilization_arg $ metrics_out_arg)
 
 (* --- blackbox: read a flight-recorder ring back --- *)
@@ -1126,11 +1102,6 @@ let blackbox_cmd =
 (* --- top: a terminal dashboard over the telemetry endpoint --- *)
 
 let top_cmd =
-  let host_arg =
-    Arg.(
-      value & opt string "127.0.0.1"
-      & info [ "host" ] ~docv:"HOST" ~doc:"Telemetry endpoint address")
-  in
   let tport_arg =
     Arg.(
       required
@@ -1209,6 +1180,10 @@ let top_cmd =
     n >= 6 && String.sub name (n - 6) 6 = "_total"
   in
   let run host port interval iterations once =
+    if iterations < 0 then begin
+      Format.eprintf "ic_sched top: --iterations must be >= 0@.";
+      exit 1
+    end;
     let addr =
       match Ic_served.Tcp.resolve ~host ~port with
       | Ok a -> a

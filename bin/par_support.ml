@@ -1,28 +1,19 @@
 type outcome = {
   payload : string;
-  n_nodes : int;
-  domains : int;
-  order : string;
-  wall_s : float;
   seq_wall_s : float;
-  tasks : int;
-  steals : int;
-  steal_attempts : int;
-  overflows : int;
-  parks : int;
+  stats : Ic_par.Runtime.stats;
   ok : bool;
 }
 
+let orders =
+  [ ("steal", Ic_par.Runtime.Steal); ("ic", Ic_par.Runtime.Ic_priority) ]
+
+let order_name order = fst (List.find (fun (_, o) -> o = order) orders)
+
 let run ~family ~size ~spin_us ~domains ~order ?trace_out ?metrics_out ~check ()
     =
-  match
-    match order with
-    | "steal" -> Ok Ic_par.Runtime.Steal
-    | "ic" -> Ok Ic_par.Runtime.Ic_priority
-    | o -> Error (Printf.sprintf "unknown order %S (known: steal, ic)" o)
-  with
-  | Error _ as e -> e
-  | Ok order_mode -> (
+  if domains < 0 then Error "--domains must be >= 0 (0 = auto)"
+  else
     match Ic_par.Payload.make ~spin_us ~family ~size () with
     | exception Invalid_argument msg -> Error msg
     | p ->
@@ -44,22 +35,20 @@ let run ~family ~size ~spin_us ~domains ~order ?trace_out ?metrics_out ~check ()
       in
       let stats = ref None in
       let executor =
-        Ic_par.Runtime.executor ~domains ~order:order_mode
+        Ic_par.Runtime.executor ~domains ~order
           ~priority:(Ic_par.Payload.rank p) ?sink ?live
           ~on_stats:(fun s -> stats := Some s)
           ()
       in
       let par_fp = Ic_par.Payload.execute ~executor p in
-      let s =
-        match !stats with Some s -> s | None -> assert false
-      in
+      let stats = match !stats with Some s -> s | None -> assert false in
       Option.iter
         (fun file ->
           Artifact.write file
             (Ic_obs.Exporter.chrome_trace
                ~process_name:
                  (Printf.sprintf "ic_par: %s under %s, %d domains"
-                    (Ic_par.Payload.name p) order domains)
+                    (Ic_par.Payload.name p) (order_name order) domains)
                ~label:(Ic_dag.Dag.label g)
                (Option.get sink)))
         trace_out;
@@ -72,18 +61,4 @@ let run ~family ~size ~spin_us ~domains ~order ?trace_out ?metrics_out ~check ()
         | None -> true
         | Some fp -> fp = par_fp && Ic_par.Payload.check p par_fp
       in
-      Ok
-        {
-          payload = Ic_par.Payload.name p;
-          n_nodes = Ic_dag.Dag.n_nodes g;
-          domains;
-          order;
-          wall_s = s.Ic_par.Runtime.wall_s;
-          seq_wall_s;
-          tasks = s.Ic_par.Runtime.tasks;
-          steals = s.Ic_par.Runtime.steals;
-          steal_attempts = s.Ic_par.Runtime.steal_attempts;
-          overflows = s.Ic_par.Runtime.overflows;
-          parks = s.Ic_par.Runtime.parks;
-          ok;
-        })
+      Ok { payload = Ic_par.Payload.name p; seq_wall_s; stats; ok }

@@ -3,25 +3,23 @@
 
 type outcome = {
   payload : string;  (* payload name, e.g. "wavefront-40" *)
-  n_nodes : int;
-  domains : int;
-  order : string;  (* "steal" | "ic" *)
-  wall_s : float;  (* parallel wall-clock, seconds *)
   seq_wall_s : float;  (* sequential engine wall-clock (nan if check:false) *)
-  tasks : int;
-  steals : int;
-  steal_attempts : int;
-  overflows : int;
-  parks : int;
+  stats : Ic_par.Runtime.stats;  (* the parallel run *)
   ok : bool;  (* fingerprint = sequential's, and the self-check passed *)
 }
+
+val orders : (string * Ic_par.Runtime.order) list
+(* The ready-task orderings by their command-line names: "steal" and
+   "ic", in that order. *)
+
+val order_name : Ic_par.Runtime.order -> string
 
 val run :
   family:string ->
   size:int ->
   spin_us:float ->
   domains:int ->
-  order:string ->
+  order:Ic_par.Runtime.order ->
   ?trace_out:string ->
   ?metrics_out:string ->
   check:bool ->
@@ -30,4 +28,5 @@ val run :
 (* [domains = 0] means auto (IC_PAR_DOMAINS or the recommended count).
    [check:false] skips the sequential baseline run and the result
    comparison ([seq_wall_s] is nan, [ok] reflects only the self-check
-   being skipped, i.e. true). Errors: unknown family/order. *)
+   being skipped, i.e. true). Errors: unknown family, bad size or
+   negative [domains]. *)

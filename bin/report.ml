@@ -538,17 +538,18 @@ let e19 () =
       List.iter
         (fun domains ->
           List.iter
-            (fun order ->
+            (fun (name, order) ->
               match
                 Par_support.run ~family ~size ~spin_us ~domains ~order
                   ~check:true ()
               with
               | Error e -> pf "%s: %s@." family e
               | Ok o ->
-                pf "%-18s %6.0f %4d %6s  %9.4f %7.2fx %8d %6b@."
-                  o.Par_support.payload spin_us o.domains o.order o.wall_s
-                  (o.seq_wall_s /. o.wall_s) o.steals o.ok)
-            [ "steal"; "ic" ])
+                let s = o.Par_support.stats in
+                pf "%-18s %6.0f %4d %6s  %9.4f %7.2fx %8d %6b@." o.payload
+                  spin_us s.domains name s.wall_s (o.seq_wall_s /. s.wall_s)
+                  s.steals o.ok)
+            Par_support.orders)
         domain_counts)
     cases
 

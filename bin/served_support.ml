@@ -1,31 +1,4 @@
-type serve_outcome = {
-  n_tasks : int;
-  completions : int;
-  leases : int;
-  leased_tasks : int;
-  reissues : int;
-  duplicates : int;
-  retry_afters : int;
-  heartbeats : int;
-  protocol_errors : int;
-  inflight : int;
-  recovered_tasks : int;
-  recovered_reissues : int;
-}
-
-type hammer_outcome = {
-  h_workers : int;
-  completes_sent : int;
-  done_seen : bool;
-  crashed : int;
-  disconnects : int;
-  reconnects : int;
-  h_wall_s : float;
-  grant_p50_s : float;
-  grant_p99_s : float;
-  service_p50_s : float;
-  service_p99_s : float;
-}
+let bad_port p = p < 0 || p > 65535
 
 let serve ~dag ~port ~shards ~max_lease ~expected_s ~once ~journal
     ~checkpoint_every ~fsync ~recover ~telemetry_port ~telemetry_csv
@@ -34,6 +7,9 @@ let serve ~dag ~port ~shards ~max_lease ~expected_s ~once ~journal
     Ic_served.Server.config ~n_shards:shards ~max_lease ~expected_s ()
   with
   | exception Invalid_argument msg -> Error msg
+  | _ when bad_port port -> Error "--port must be in 0..65535"
+  | _ when Option.fold ~none:false ~some:bad_port telemetry_port ->
+    Error "--telemetry-port must be in 0..65535"
   | _ when recover && journal = None ->
     Error "--recover needs --journal: the journal is what is replayed"
   | _ when flight <> None && trace_out <> None ->
@@ -45,7 +21,8 @@ let serve ~dag ~port ~shards ~max_lease ~expected_s ~once ~journal
       | Some path -> (
         match Ic_served.Journal.open_ ~fsync ~checkpoint_every path with
         | Ok j -> Ok (Some j)
-        | Error e -> Error e)
+        | Error e -> Error e
+        | exception Invalid_argument msg -> Error msg)
     in
     match jr with
     | Error e -> Error e
@@ -107,21 +84,7 @@ let serve ~dag ~port ~shards ~max_lease ~expected_s ~once ~journal
           (fun file ->
             Artifact.write file (Ic_obs.Live.to_json (Option.get live)))
           metrics_out;
-        Ok
-          {
-            n_tasks = Ic_dag.Dag.n_nodes dag;
-            completions = st.Ic_served.Server.completions;
-            leases = st.Ic_served.Server.leases;
-            leased_tasks = st.Ic_served.Server.leased_tasks;
-            reissues = st.Ic_served.Server.reissues;
-            duplicates = st.Ic_served.Server.duplicate_completes;
-            retry_afters = st.Ic_served.Server.retry_afters;
-            heartbeats = st.Ic_served.Server.heartbeats;
-            protocol_errors = st.Ic_served.Server.protocol_errors;
-            inflight = st.Ic_served.Server.inflight;
-            recovered_tasks = st.Ic_served.Server.recovered_tasks;
-            recovered_reissues = st.Ic_served.Server.recovered_reissues;
-          })))
+        Ok st)))
 
 (* the client-side registry mirrors what the hammer measured; written
    via Live so the JSON shape matches every other artifact *)
@@ -197,17 +160,4 @@ let hammer ~host ~port ~workers ~connections ~k ~churn ~seed ~mean_service_s
           utilization_out;
         Option.iter (fun file -> Artifact.write file (hammer_metrics_json r))
           metrics_out;
-        Ok
-          {
-            h_workers = r.Ic_served.Tcp.workers;
-            completes_sent = r.Ic_served.Tcp.completes_sent;
-            done_seen = r.Ic_served.Tcp.done_seen;
-            crashed = r.Ic_served.Tcp.crashed;
-            disconnects = r.Ic_served.Tcp.disconnects;
-            reconnects = r.Ic_served.Tcp.reconnects;
-            h_wall_s = r.Ic_served.Tcp.wall_s;
-            grant_p50_s = r.Ic_served.Tcp.lease_grant_p50_s;
-            grant_p99_s = r.Ic_served.Tcp.lease_grant_p99_s;
-            service_p50_s = r.Ic_served.Tcp.task_service_p50_s;
-            service_p99_s = r.Ic_served.Tcp.task_service_p99_s;
-          }))
+        Ok r))

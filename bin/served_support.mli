@@ -1,21 +1,6 @@
 (* The bin executables' view of the lease-serving subsystem: the serve
    and hammer subcommands. *)
 
-type serve_outcome = {
-  n_tasks : int;
-  completions : int;
-  leases : int;
-  leased_tasks : int;
-  reissues : int;
-  duplicates : int;
-  retry_afters : int;
-  heartbeats : int;
-  protocol_errors : int;
-  inflight : int;  (* leased tasks still outstanding at exit (0 when done) *)
-  recovered_tasks : int;  (* completions restored from the journal *)
-  recovered_reissues : int;  (* leased-but-unjournaled tasks re-issued *)
-}
-
 val serve :
   dag:Ic_dag.Dag.t ->
   port:int ->
@@ -34,11 +19,12 @@ val serve :
   ?metrics_out:string ->
   ?trace_out:string ->
   unit ->
-  (serve_outcome, string) result
+  (Ic_served.Server.stats, string) result
 (* Bind 127.0.0.1:[port] ([port] 0 picks a free one; the bound port is
    printed to stdout either way) and serve [dag]'s tasks until
    interrupted — or, with [once], until at least one client has come,
-   every connection has closed and the drain is complete.
+   every connection has closed and the drain is complete. Returns the
+   server's final counters.
 
    [journal] names a write-ahead journal file: completions and lease
    grants are appended before they are acknowledged, with a compacted
@@ -62,24 +48,10 @@ val serve :
 
    [metrics_out]/[trace_out] write the served.* live registry as JSON
    (Ic_obs.Live.to_json) and a Chrome trace-event file with one track
-   per shard after the loop exits. Errors: invalid config, a bind
-   failure, a journal that cannot be opened or does not fit the dag, a
+   per shard after the loop exits. Errors: invalid config (a port
+   outside 0..65535 included), a bind failure, a journal that cannot be opened or does not fit the dag, a
    flight ring that cannot be created, [recover] without [journal], or
    both [flight] and [trace_out] (the server has one trace sink). *)
-
-type hammer_outcome = {
-  h_workers : int;
-  completes_sent : int;
-  done_seen : bool;  (* the server answered Done: every task applied *)
-  crashed : int;
-  disconnects : int;
-  reconnects : int;  (* sockets successfully redialed after a loss *)
-  h_wall_s : float;
-  grant_p50_s : float;
-  grant_p99_s : float;
-  service_p50_s : float;
-  service_p99_s : float;
-}
 
 val hammer :
   host:string ->
@@ -96,7 +68,7 @@ val hammer :
   utilization_out:string option ->
   ?metrics_out:string ->
   unit ->
-  (hammer_outcome, string) result
+  (Ic_served.Tcp.hammer_result, string) result
 (* Drive [workers] simulated workers (lease batches of [k], seeded
    Pareto service latencies) against the server at [host]:[port] over
    [connections] real sockets. [churn] turns on a seeded
