@@ -85,9 +85,10 @@ let pool_scene ~emit ~bench ~n ~k =
    same drain runs against a write-ahead journal on a temp file —
    [Some false] flush-per-append, [Some true] fsync-per-append — so the
    journal-off / fsync-off / fsync-on triple prices durability per
-   completion. With [live] the same drain records every meter into an
-   {!Ic_obs.Live} registry and samples the frontier/inflight gauges
-   after each handle — the drain_k16 / drain_k16_live ratio is the
+   completion. With [live] the same drain runs against an
+   {!Ic_obs.Live} registry: the server's counters and gauges are
+   readers over its own fields, so the only per-event cost left is the
+   service-time histogram — the drain_k16 / drain_k16_live ratio is the
    whole-path price of live telemetry (acceptance: within 5%). *)
 let drain_scene ~emit ~bench ~n ~k ?journal ?live () =
   let g = Dag.empty n in

@@ -43,7 +43,10 @@ let two_ints ~spec s =
   | _ -> Error (Printf.sprintf "%s: expected A.D" spec)
 
 let parse spec =
-  let made description dag schedule = Ok { spec; description; dag; schedule } in
+  (* the dag before its schedule: building it checks the size first *)
+  let made description dag schedule =
+    Ok { spec; description; dag; schedule = schedule () }
+  in
   let name, arg =
     match String.index_opt spec ':' with
     | Some i ->
@@ -58,62 +61,66 @@ let parse spec =
           let g = F.Out_tree.dag ~arity ~depth in
           made
             (Printf.sprintf "complete %d-ary out-tree of depth %d" arity depth)
-            g (F.Out_tree.schedule g))
+            g (fun () -> F.Out_tree.schedule g))
     | "intree" ->
       Result.bind (two_ints ~spec arg) (fun (arity, depth) ->
           let g = F.In_tree.dag ~arity ~depth in
           made
             (Printf.sprintf "complete %d-ary in-tree of depth %d" arity depth)
-            g (F.In_tree.schedule g))
+            g (fun () -> F.In_tree.schedule g))
     | "diamond" ->
       Result.bind (two_ints ~spec arg) (fun (arity, depth) ->
           let d = F.Diamond.complete ~arity ~depth in
           made
             (Printf.sprintf "symmetric diamond, arity %d, depth %d" arity depth)
-            (F.Diamond.dag d) (F.Diamond.schedule d))
+            (F.Diamond.dag d) (fun () -> F.Diamond.schedule d))
     | "mesh" ->
       Result.bind (int_of ~spec arg) (fun l ->
           made (Printf.sprintf "out-mesh with %d levels" (l + 1)) (F.Mesh.out_mesh l)
-            (F.Mesh.out_schedule l))
+            (fun () -> F.Mesh.out_schedule l))
     | "inmesh" ->
       Result.bind (int_of ~spec arg) (fun l ->
           made (Printf.sprintf "in-mesh with %d levels" (l + 1)) (F.Mesh.in_mesh l)
-            (F.Mesh.in_schedule l))
+            (fun () -> F.Mesh.in_schedule l))
     | "butterfly" ->
       Result.bind (int_of ~spec arg) (fun d ->
           made (Printf.sprintf "%d-dimensional butterfly network" d)
-            (F.Butterfly_net.dag d) (F.Butterfly_net.schedule d))
+            (F.Butterfly_net.dag d) (fun () -> F.Butterfly_net.schedule d))
     | "prefix" ->
       Result.bind (int_of ~spec arg) (fun n ->
           made (Printf.sprintf "%d-input parallel-prefix dag" n) (F.Prefix_dag.dag n)
-            (F.Prefix_dag.schedule n))
+            (fun () -> F.Prefix_dag.schedule n))
     | "ldag" ->
       Result.bind (int_of ~spec arg) (fun n ->
           let t = F.Dlt_dag.l_dag n in
-          made (Printf.sprintf "DLT dag L_%d" n) (F.Dlt_dag.dag t) (F.Dlt_dag.schedule t))
+          made (Printf.sprintf "DLT dag L_%d" n) (F.Dlt_dag.dag t) (fun () ->
+              F.Dlt_dag.schedule t))
     | "lprime" ->
       Result.bind (int_of ~spec arg) (fun n ->
           let t = F.Dlt_dag.l_prime_dag n in
-          made (Printf.sprintf "DLT dag L'_%d" n) (F.Dlt_dag.dag t) (F.Dlt_dag.schedule t))
+          made (Printf.sprintf "DLT dag L'_%d" n) (F.Dlt_dag.dag t) (fun () ->
+              F.Dlt_dag.schedule t))
     | "paths" ->
       Result.bind (int_of ~spec arg) (fun k ->
           made
             (Printf.sprintf "path-computation dag for %d powers" k)
-            (F.Path_dag.dag k) (F.Path_dag.schedule k))
+            (F.Path_dag.dag k) (fun () -> F.Path_dag.schedule k))
     | "matmul" ->
-      made "matrix-multiplication dag M" (F.Matmul_dag.dag ()) (F.Matmul_dag.schedule ())
+      made "matrix-multiplication dag M" (F.Matmul_dag.dag ())
+        F.Matmul_dag.schedule
     | "sortnet" ->
       Result.bind (int_of ~spec arg) (fun d ->
           made
             (Printf.sprintf "bitonic sorting network on %d keys" (1 lsl d))
-            (Ic_compute.Sorting.network_dag d) (Ic_compute.Sorting.schedule d))
+            (Ic_compute.Sorting.network_dag d) (fun () ->
+              Ic_compute.Sorting.schedule d))
     | "random" ->
       Result.bind (two_ints ~spec arg) (fun (n, seed) ->
           let rng = Random.State.make [| seed |] in
           let g = Ic_dag.Gen.random_dag rng ~n ~arc_probability:0.25 in
           made
             (Printf.sprintf "random dag, %d nodes, seed %d" n seed)
-            g (Ic_dag.Gen.random_nonsinks_first_schedule rng g))
+            g (fun () -> Ic_dag.Gen.random_nonsinks_first_schedule rng g))
     | "file" ->
       Result.bind (Ic_dag.Serial.load_file arg) (fun g ->
           (* no constructive schedule is known for arbitrary dags: use the
@@ -124,6 +131,8 @@ let parse spec =
             | Ok { Ic_dag.Optimal.witness = Some w; _ } -> w
             | _ -> Ic_heuristics.Policy.(run critical_path g)
           in
-          made (Printf.sprintf "dag from %s" arg) g schedule)
+          made (Printf.sprintf "dag from %s" arg) g (fun () -> schedule))
     | _ -> Error (Printf.sprintf "unknown family %S" name)
-  with Invalid_argument msg -> Error msg
+  with
+  | Invalid_argument msg -> Error msg
+  | Out_of_memory -> Error (spec ^ ": not enough memory to build this dag")

@@ -10,23 +10,35 @@ let substages d =
          let k = 1 lsl (pk + 1) in
          List.init (pk + 1) (fun i -> (k, 1 lsl (pk - i)))))
 
-let network_dag d =
+(* 2^31 keys alone pass the bound; below that nothing overflows *)
+let check_size d =
   if d < 1 then invalid_arg "Sorting.network_dag: need d >= 1";
+  if d > 30 || (n_substages d + 1) lsl d > Dag.max_nodes then
+    invalid_arg
+      (Printf.sprintf
+         "Sorting.network_dag: a network on 2^%d keys needs more than %d nodes"
+         d Dag.max_nodes)
+
+let network_dag d =
+  check_size d;
   let n = 1 lsl d in
-  let stages = substages d in
-  let arcs = ref [] in
+  let b =
+    Dag.Builder.create
+      ~n:((n_substages d + 1) * n)
+      ~hint:(2 * n_substages d * n)
+      ()
+  in
   List.iteri
     (fun t (_k, j) ->
       for r = 0 to n - 1 do
-        arcs :=
-          ((t * n) + r, ((t + 1) * n) + r)
-          :: ((t * n) + r, ((t + 1) * n) + (r lxor j))
-          :: !arcs
+        Dag.Builder.add_arc b ((t * n) + r) (((t + 1) * n) + r);
+        Dag.Builder.add_arc b ((t * n) + r) (((t + 1) * n) + (r lxor j))
       done)
-    stages;
-  Dag.make_exn ~n:((n_substages d + 1) * n) ~arcs:!arcs ()
+    (substages d);
+  Dag.Builder.build_exn b
 
 let schedule d =
+  check_size d;
   let n = 1 lsl d in
   let order = ref [] in
   List.iteri

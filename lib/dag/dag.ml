@@ -168,6 +168,8 @@ let kahn_drain ~n ~soff ~sdat ~indeg ~queue ~emit =
   done;
   !head
 
+let max_nodes = Slab.max_value - 1
+
 module Builder = struct
   type dag = t
 
@@ -196,6 +198,16 @@ module Builder = struct
       | _ -> max_int)
 
   let create ?labels ~n ?(hint = 16) ?spill_arcs () =
+    (* before the buffer is sized from [hint]: a dag too large for the
+       CSR fails here, not in an allocation or an arc loop *)
+    if n > max_nodes then
+      invalid_arg
+        (Printf.sprintf
+           "Dag.Builder.create: node count %d exceeds the int32 CSR limit" n);
+    if hint > Slab.max_value then
+      invalid_arg
+        (Printf.sprintf
+           "Dag.Builder.create: %d arcs exceed the int32 CSR limit" hint);
     let spill_arcs =
       match spill_arcs with
       | Some k when k > 0 -> k
@@ -308,8 +320,6 @@ module Builder = struct
     Ic_prof.Span.time "dag.build" @@ fun () ->
     let n = b.n and m = n_pending b in
     if n < 0 then Error "negative node count"
-    else if n > Slab.max_value - 1 then
-      Error (Printf.sprintf "node count %d exceeds the int32 CSR limit" n)
     else if m > Slab.max_value then
       Error (Printf.sprintf "arc count %d exceeds the int32 CSR limit" m)
     else
@@ -419,9 +429,11 @@ module Builder = struct
 end
 
 let make ?labels ~n ~arcs () =
-  let b = Builder.create ?labels ~n ~hint:(List.length arcs) () in
-  List.iter (fun (u, v) -> Builder.add_arc b u v) arcs;
-  Builder.build b
+  match Builder.create ?labels ~n ~hint:(List.length arcs) () with
+  | exception Invalid_argument msg -> Error msg
+  | b ->
+    List.iter (fun (u, v) -> Builder.add_arc b u v) arcs;
+    Builder.build b
 
 let make_exn ?labels ~n ~arcs () =
   match make ?labels ~n ~arcs () with

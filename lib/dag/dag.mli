@@ -27,6 +27,9 @@ type t
     variable) the buffer is flushed to an unlinked temp file in fixed-size
     chunks, so a dag of any size can be built with peak builder memory of
     one chunk — the edge list is never materialized in process memory. *)
+val max_nodes : int
+(** The largest node count a dag can have: [Slab.max_value - 1]. *)
+
 module Builder : sig
   type dag = t
 
@@ -41,7 +44,11 @@ module Builder : sig
     unit ->
     t
   (** [create ~n ~hint ()] starts a buffer for a dag with nodes [0..n-1];
-      [hint] (default 16) preallocates space for that many arcs.
+      [hint] (default 16) preallocates space for that many arcs. Raises
+      [Invalid_argument] when [n] exceeds {!max_nodes} or [hint] exceeds
+      {!Slab.max_value} — before anything is allocated, so a family too
+      large for the CSR fails at once; a negative [n] is reported by
+      {!build}.
 
       [spill_arcs], when given (must be positive), bounds the in-memory
       buffer: each time that many arcs are pending they are flushed to an

@@ -6,6 +6,11 @@ let node ~d l r = (l lsl d) + r
 
 let n_nodes d =
   if d < 1 then invalid_arg "Butterfly_net.dag: need dimension >= 1";
+  (* 2^31 rows alone pass the bound; below that the shift cannot overflow *)
+  if d > 30 || (d + 1) lsl d > Dag.max_nodes then
+    invalid_arg
+      (Printf.sprintf "Butterfly_net.dag: dimension %d needs more than %d nodes"
+         d Dag.max_nodes);
   (d + 1) lsl d
 
 let iter_arcs d f =

@@ -6,6 +6,11 @@ let node k j = (k * (k + 1) / 2) + j
 
 let n_nodes levels =
   if levels < 0 then invalid_arg "Mesh.out_mesh: negative depth";
+  (* past 2^16 levels the count passes the bound; below, no overflow *)
+  if levels > 1 lsl 16 || (levels + 1) * (levels + 2) / 2 > Dag.max_nodes then
+    invalid_arg
+      (Printf.sprintf "Mesh.out_mesh: %d levels need more than %d nodes" levels
+         Dag.max_nodes);
   (levels + 1) * (levels + 2) / 2
 
 let iter_arcs levels f =

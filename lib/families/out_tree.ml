@@ -7,6 +7,21 @@ type shape = Leaf | Node of shape list
 let complete ~arity ~depth =
   if arity < 1 then invalid_arg "Out_tree.complete: arity < 1";
   if depth < 0 then invalid_arg "Out_tree.complete: negative depth";
+  (* 1 + arity + ... + arity^depth against the bound, before the shape
+     is built on the heap; it stops past the bound, so nothing overflows *)
+  let rec fits level width total =
+    if total > Dag.max_nodes then false
+    else if level = depth then true
+    else if arity = 1 then depth < Dag.max_nodes
+    else
+      width <= Dag.max_nodes / arity
+      && fits (level + 1) (width * arity) (total + (width * arity))
+  in
+  if not (fits 0 1 1) then
+    invalid_arg
+      (Printf.sprintf
+         "Out_tree.complete: arity %d, depth %d needs more than %d nodes" arity
+         depth Dag.max_nodes);
   let rec go d = if d = 0 then Leaf else Node (List.init arity (fun _ -> go (d - 1))) in
   go depth
 

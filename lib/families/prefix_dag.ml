@@ -2,10 +2,17 @@ module Dag = Ic_dag.Dag
 module Schedule = Ic_dag.Schedule
 module Compose = Ic_core.Compose
 
+(* every entry point sizes the dag through here, so the node-count
+   bound is checked once, before [acc * 2] could overflow *)
 let levels n =
   if n < 1 then invalid_arg "Prefix_dag.levels: n >= 1";
   let rec go p acc = if acc >= n then p else go (p + 1) (acc * 2) in
-  go 0 1
+  let p = if n > Dag.max_nodes then max_int else go 0 1 in
+  if p > Dag.max_nodes / n - 1 then
+    invalid_arg
+      (Printf.sprintf "Prefix_dag: %d inputs need more than %d nodes" n
+         Dag.max_nodes);
+  p
 
 let node ~n j i = (j * n) + i
 

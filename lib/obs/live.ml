@@ -19,9 +19,12 @@ type counter = {
      collect them and later allocations cannot slide the cells onto a
      shared cache line *)
   _c_pads : int array array;
+  (* counts kept by their producers, summed with the cells on read *)
+  c_readers : (unit -> int) list Atomic.t;
 }
 
-type gauge = float Atomic.t
+(* last write wins, whether a value from [set] or a reader *)
+type gauge = (unit -> float) Atomic.t
 
 (* two buckets per octave over 2^-20 .. 2^12: index 2*(e - lo_e) + (0 if
    mantissa < 0.75 else 1), saturating at both ends *)
@@ -93,13 +96,29 @@ let counter t name =
   register t name ~kind:"counter"
     (fun () ->
       let cells, pads = make_cells t.n_shards in
-      C { cells; c_mask = t.n_shards - 1; _c_pads = pads })
+      C
+        {
+          cells;
+          c_mask = t.n_shards - 1;
+          _c_pads = pads;
+          c_readers = Atomic.make [];
+        })
     (function C c -> Some c | _ -> None)
+
+let zero () = 0.0
 
 let gauge t name =
   register t name ~kind:"gauge"
-    (fun () -> G (Atomic.make 0.0))
+    (fun () -> G (Atomic.make zero))
     (function G g -> Some g | _ -> None)
+
+(* the lock orders readers attached from different threads; a read only
+   takes the list *)
+let counter_reader t name f =
+  let c = counter t name in
+  with_lock t (fun () -> Atomic.set c.c_readers (f :: Atomic.get c.c_readers))
+
+let gauge_reader t name f = Atomic.set (gauge t name) f
 
 let histogram t name =
   register t name ~kind:"histogram"
@@ -117,7 +136,7 @@ let histogram t name =
 let incr c ~shard n =
   ignore (Atomic.fetch_and_add c.cells.(shard land c.c_mask) n)
 
-let set g v = Atomic.set g v
+let set g v = Atomic.set g (fun () -> v)
 
 let bucket_of x =
   if not (Float.is_finite x) || x <= 0.0 then 0
@@ -140,9 +159,10 @@ let observe h x =
 let counter_value c =
   let s = ref 0 in
   Array.iter (fun cell -> s := !s + Atomic.get cell) c.cells;
+  List.iter (fun f -> s := !s + f ()) (Atomic.get c.c_readers);
   !s
 
-let gauge_value g = Atomic.get g
+let gauge_value g = (Atomic.get g) ()
 
 type hsnap = { counts : int array; sum : float; count : int }
 

@@ -2,13 +2,18 @@
     lock-free log-bucketed histograms, domain-safe and readable while
     the producers are still running.
 
-    It is the only registry in the tree. Every producer —
-    [Ic_sim.Simulator], [Ic_par.Runtime], [Ic_served.Server] and its
-    harnesses — records each event once, into a [Live.t]; the same
-    registry serves a scrape endpoint mid-run and the dump-at-exit
-    artifact. For a seeded single-writer run the dump is
-    deterministic: counters are exact once writers stop, bucketing is
-    a pure function of the value, histogram sums are integer
+    It is the only registry in the tree, and each event is counted in
+    one place. A producer that already keeps a count in its own state
+    attaches a reader over it ({!counter_reader}, {!gauge_reader}):
+    [Ic_served.Server]'s [served.*] counters and gauges read the
+    server's fields, so a scrape and [Server.stats] see the same
+    numbers. A producer that keeps its totals per run
+    ([Ic_sim.Simulator], [Ic_par.Runtime]) adds them to the cells once,
+    when the run ends. Latency histograms are the one thing observed
+    per event. The same registry serves a scrape endpoint mid-run and
+    the dump-at-exit artifact. For a seeded single-writer run the dump
+    is deterministic: counters are exact once writers stop, bucketing
+    is a pure function of the value, histogram sums are integer
     nanoseconds and {!to_json} sorts by name, so identically seeded
     runs give byte-identical JSON.
 
@@ -26,7 +31,9 @@
     quiescent, and never under-counts a write that happened-before the
     read.
 
-    Gauges are a single atomic cell (last write wins). Histograms are a
+    A counter may also carry readers, summed with its cells on read.
+    A gauge is a single atomic cell holding its last write — a value
+    from {!set} or a reader from {!gauge_reader}. Histograms are a
     shared array of atomic buckets, log-spaced at two buckets per
     octave (powers of two), covering ~5e-7 .. 2e3 with saturation at
     both ends; an observation is two [fetch_and_add]s (bucket + count)
@@ -59,6 +66,29 @@ val counter : t -> string -> counter
 val gauge : t -> string -> gauge
 val histogram : t -> string -> histogram
 
+(** {1 Read-backed instruments} *)
+
+val counter_reader : t -> string -> (unit -> int) -> unit
+(** [counter_reader l name f] attaches [f] to the counter [name]
+    (registering it on first use): {!counter_value}, {!openmetrics} and
+    {!to_json} add [f ()] to the counter's cells. A second reader under
+    the same name is summed with the first, so a registry shared by
+    several producers totals their counts, as [incr]s from each would.
+    The registry keeps [f], and whatever it closes over, alive. Raises
+    [Invalid_argument] if [name] is another kind of instrument. *)
+
+val gauge_reader : t -> string -> (unit -> float) -> unit
+(** [gauge_reader l name f] makes [f ()] the value of the gauge [name]
+    (registering it on first use) until the next write: a later
+    [gauge_reader] replaces [f], and a {!set} replaces it with a
+    constant. Raises [Invalid_argument] if [name] is another kind of
+    instrument.
+
+    A reader runs on whichever thread reads the registry — the scrape
+    endpoint, a dump at exit — not on the producer's. It must be safe
+    there: [Ic_served.Server]'s readers are plain field loads, and its
+    scrape endpoint runs in the same loop as the server. *)
+
 (** {1 Hot path} *)
 
 val incr : counter -> shard:int -> int -> unit
@@ -66,12 +96,15 @@ val incr : counter -> shard:int -> int -> unit
     atomic RMW on a cell no other domain should be writing. *)
 
 val set : gauge -> float -> unit
+(** Last write wins; [set] replaces a reader attached with
+    {!gauge_reader}. *)
+
 val observe : histogram -> float -> unit
 
 (** {1 Merge-on-read} *)
 
 val counter_value : counter -> int
-(** Sum of all cells. *)
+(** Sum of all cells and of every attached reader's value. *)
 
 val gauge_value : gauge -> float
 

@@ -52,29 +52,6 @@ module Overflow = struct
     end
 end
 
-(* live [par.*] instruments, shared by all domains: each worker writes
-   its own counter shard (shard = worker id), so the hot path is one
-   uncontended fetch-and-add per event and a scraper thread can merge a
-   consistent-enough view at any time *)
-type live_instr = {
-  lv_tasks : Live.counter;
-  lv_steals : Live.counter;
-  lv_steal_attempts : Live.counter;
-  lv_overflows : Live.counter;
-  lv_parks : Live.counter;
-  lv_task_s : Live.histogram;
-}
-
-let live_instr l =
-  {
-    lv_tasks = Live.counter l "par.tasks";
-    lv_steals = Live.counter l "par.steals";
-    lv_steal_attempts = Live.counter l "par.steal_attempts";
-    lv_overflows = Live.counter l "par.overflows";
-    lv_parks = Live.counter l "par.parks";
-    lv_task_s = Live.histogram l "par.task_s";
-  }
-
 (* per-worker mutable state, touched only by its own domain *)
 type worker = {
   id : int;
@@ -85,7 +62,7 @@ type worker = {
   mutable parks : int;
   mutable rng : int;  (* xorshift state for victim selection *)
   trace : Trace.t option;
-  lv : live_instr option;
+  task_s : Live.histogram option;  (* shared by all workers *)
 }
 
 let xorshift w =
@@ -109,9 +86,6 @@ let push_ready ready w v =
   | Deques (dq, ov) ->
     if not (Deque.push dq.(w.id) v) then begin
       w.overflows <- w.overflows + 1;
-      (match w.lv with
-      | None -> ()
-      | Some l -> Live.incr l.lv_overflows ~shard:w.id 1);
       Overflow.push ov v
     end
   | Shards p -> Pool.push p ~shard:w.id v
@@ -140,12 +114,19 @@ let run ?domains ?(order = Steal) ?priority ?(capacity = 8192) ?sink ?live g
   let n_domains =
     max 1 (match domains with Some d -> d | None -> default_domains ())
   in
-  (* registered up front so an empty dag still reports zero counts *)
-  let lv = Option.map live_instr live in
+  let task_s = Option.map (fun l -> Live.histogram l "par.task_s") live in
+  (* the counts reach [live] once, at the join, added so a registry
+     shared by several runs accumulates *)
   let record_live (st : stats) =
     match live with
     | None -> ()
     | Some l ->
+      let c name v = Live.incr (Live.counter l name) ~shard:0 v in
+      c "par.tasks" st.tasks;
+      c "par.steals" st.steals;
+      c "par.steal_attempts" st.steal_attempts;
+      c "par.overflows" st.overflows;
+      c "par.parks" st.parks;
       Live.set (Live.gauge l "par.domains") (float_of_int st.domains);
       Live.set (Live.gauge l "par.wall_s") st.wall_s
   in
@@ -193,7 +174,7 @@ let run ?domains ?(order = Steal) ?priority ?(capacity = 8192) ?sink ?live g
             rng = (id * 0x9e3779b9) lor 1;
             trace =
               (match sink with None -> None | Some _ -> Some (Trace.create ()));
-            lv;
+            task_s;
           })
     in
     (* seed the sources round-robin; no domain is running yet, so pushing
@@ -214,7 +195,7 @@ let run ?domains ?(order = Steal) ?priority ?(capacity = 8192) ?sink ?live g
     let t0 = Ic_prof.Monotonic.now () in
     let run_task w v =
       let lt0 =
-        match w.lv with None -> 0.0 | Some _ -> Ic_prof.Monotonic.now ()
+        match w.task_s with None -> 0.0 | Some _ -> Ic_prof.Monotonic.now ()
       in
       (match w.trace with
       | None -> ()
@@ -227,11 +208,9 @@ let run ?domains ?(order = Steal) ?priority ?(capacity = 8192) ?sink ?live g
       | Some tr ->
         Trace.task_complete tr ~time:(Ic_prof.Monotonic.now () -. t0) ~task:v
           ~client:w.id);
-      (match w.lv with
+      (match w.task_s with
       | None -> ()
-      | Some l ->
-        Live.incr l.lv_tasks ~shard:w.id 1;
-        Live.observe l.lv_task_s (Ic_prof.Monotonic.now () -. lt0));
+      | Some h -> Live.observe h (Ic_prof.Monotonic.now () -. lt0));
       w.tasks <- w.tasks + 1;
       Shard_view.complete view v ~ready:on_ready.(w.id)
     in
@@ -256,15 +235,9 @@ let run ?domains ?(order = Steal) ?priority ?(capacity = 8192) ?sink ?live g
                 if r >= w.id then r + 1 else r
               in
               w.steal_attempts <- w.steal_attempts + 1;
-              (match w.lv with
-              | None -> ()
-              | Some l -> Live.incr l.lv_steal_attempts ~shard:w.id 1);
               match steal_from ready victim with
               | Some v ->
                 w.steals <- w.steals + 1;
-                (match w.lv with
-                | None -> ()
-                | Some l -> Live.incr l.lv_steals ~shard:w.id 1);
                 found := Some v
               | None -> ()
             done;
@@ -283,9 +256,6 @@ let run ?domains ?(order = Steal) ?priority ?(capacity = 8192) ?sink ?live g
                 done
               else begin
                 w.parks <- w.parks + 1;
-                (match w.lv with
-                | None -> ()
-                | Some l -> Live.incr l.lv_parks ~shard:w.id 1);
                 Unix.sleepf
                   (Float.min park_max (float_of_int !backoff *. park_min))
               end

@@ -76,17 +76,13 @@ val run :
     are merged into [sink] time-sorted after the join, so the Perfetto
     exporter renders one track per domain.
 
-    [live], when given, receives the counters [par.tasks],
-    [par.steals], [par.steal_attempts], [par.overflows] and [par.parks]
-    {e while the run is executing}: each domain increments its own
-    shard of the {!Ic_obs.Live} sharded cells (shard = worker id), plus
-    a [par.task_s] latency histogram per task — so a scrape endpoint in
-    another thread of control reads monotone, domain-safe counts
-    mid-run, and the totals are exact after the join (counters
-    accumulate across runs sharing a registry). The [par.domains] /
-    [par.wall_s] gauges are set at the join. Neither costs more than
-    one branch per event when absent; create the registry with
-    [~shards] at least [domains] to keep the cells uncontended. *)
+    [live], when given, receives a [par.task_s] latency histogram per
+    task while the run executes. At the join, the {!stats} counts are
+    added to the counters [par.tasks], [par.steals],
+    [par.steal_attempts], [par.overflows] and [par.parks] (so they
+    accumulate across runs sharing a registry, as under {!executor}),
+    and the [par.domains] / [par.wall_s] gauges are set. Absent, it
+    costs one branch per task. *)
 
 val executor :
   ?domains:int ->

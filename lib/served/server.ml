@@ -48,25 +48,6 @@ let task_bits = 31
 let task_mask = (1 lsl task_bits) - 1
 let expiry_entry v gen = (gen lsl task_bits) lor v
 
-(* the served.* instruments, resolved once so each update is a field
-   read and one atomic op; a scrape endpoint in another thread of
-   control can read them mid-run. The server itself is single-writer,
-   so its cell shard is always 0 *)
-type live_meters = {
-  l_leases : Live.counter;
-  l_leased_tasks : Live.counter;
-  l_completions : Live.counter;
-  l_duplicates : Live.counter;
-  l_reissues : Live.counter;
-  l_retry_afters : Live.counter;
-  l_heartbeats : Live.counter;
-  l_errors : Live.counter;
-  l_shard_leased : Live.counter array;
-  l_frontier : Live.gauge;
-  l_inflight : Live.gauge;
-  l_service : Live.histogram;
-}
-
 type t = {
   cfg : config;
   view : Shard_view.t;
@@ -97,18 +78,18 @@ type t = {
   mutable errors : int;
   mutable recovered_reissues : int;
   mutable recovered_tasks : int;
+  shard_leased : int array;  (* tasks leased from each shard *)
   journal : Journal.t option;
-  live : live_meters option;
+  service : Live.histogram option;
   sink : Trace.t option;
   (* last frontier depth traced per shard / last inflight traced, so the
      sink only carries counter-track points when the value moves *)
   last_depth : int array;
   mutable last_inflight : int;
-  (* last totals pushed to the live gauges: setting a float Atomic boxes
-     the float, so skip the store when the value did not move *)
-  mutable live_depth : int;
-  mutable live_inflight : int;
 }
+
+(* pool sizes count entries awaiting lazy invalidation *)
+let frontier_depth t = Shards.total t.pools
 
 (* allocate a server with every task Blocked and empty pools; [create]
    seeds the sources, [recover] replays a journal instead *)
@@ -122,66 +103,68 @@ let mk ?sink ?journal ?live cfg g =
     Bytes.set state v st_ready;
     Shards.push pools ~shard v
   in
-  let live =
-    match live with
-    | None -> None
-    | Some l ->
-      Live.set (Live.gauge l "served.n_tasks") (float_of_int n);
-      Live.set
-        (Live.gauge l "served.n_shards")
-        (float_of_int (Shard_view.n_shards view));
-      Some
-        {
-          l_leases = Live.counter l "served.leases";
-          l_leased_tasks = Live.counter l "served.leased_tasks";
-          l_completions = Live.counter l "served.completions";
-          l_duplicates = Live.counter l "served.duplicate_completes";
-          l_reissues = Live.counter l "served.reissues";
-          l_retry_afters = Live.counter l "served.retry_afters";
-          l_heartbeats = Live.counter l "served.heartbeats";
-          l_errors = Live.counter l "served.protocol_errors";
-          l_shard_leased =
-            Array.init (Shard_view.n_shards view) (fun s ->
-                Live.counter l (Printf.sprintf "served.shard%d.leased" s));
-          l_frontier = Live.gauge l "served.frontier_depth";
-          l_inflight = Live.gauge l "served.inflight";
-          l_service = Live.histogram l "served.lease_service_s";
-        }
+  let t =
+    {
+      cfg;
+      view;
+      pools;
+      state;
+      gen = Array.make n 0;
+      alloc_t = Array.make n 0.0;
+      expiries = Heap.create ();
+      retry = Wire.Retry_after { delay_s = cfg.retry_after_s };
+      scratch = Array.make cfg.max_lease 0;
+      scratch_pop = Array.make cfg.max_lease 0;
+      on_ready;
+      by_worker = Hashtbl.create 64;
+      inflight = 0;
+      cursor = 0;
+      draining = false;
+      leases = 0;
+      leased_tasks = 0;
+      completions = 0;
+      duplicates = 0;
+      reissues = 0;
+      retry_afters = 0;
+      heartbeats = 0;
+      errors = 0;
+      recovered_reissues = 0;
+      recovered_tasks = 0;
+      shard_leased = Array.make (Shard_view.n_shards view) 0;
+      journal;
+      service =
+        Option.map (fun l -> Live.histogram l "served.lease_service_s") live;
+      sink;
+      last_depth = Array.make (Shard_view.n_shards view) (-1);
+      last_inflight = -1;
+    }
   in
-  {
-    cfg;
-    view;
-    pools;
-    state;
-    gen = Array.make n 0;
-    alloc_t = Array.make n 0.0;
-    expiries = Heap.create ();
-    retry = Wire.Retry_after { delay_s = cfg.retry_after_s };
-    scratch = Array.make cfg.max_lease 0;
-    scratch_pop = Array.make cfg.max_lease 0;
-    on_ready;
-    by_worker = Hashtbl.create 64;
-    inflight = 0;
-    cursor = 0;
-    draining = false;
-    leases = 0;
-    leased_tasks = 0;
-    completions = 0;
-    duplicates = 0;
-    reissues = 0;
-    retry_afters = 0;
-    heartbeats = 0;
-    errors = 0;
-    recovered_reissues = 0;
-    recovered_tasks = 0;
-    journal;
+  (* the served.* counters and gauges are readers over the fields above:
+     a scrape sees exactly what [stats] returns, however it is timed *)
+  Option.iter
+    (fun l ->
+      let c name f = Live.counter_reader l ("served." ^ name) f in
+      let g name f =
+        Live.gauge_reader l ("served." ^ name) (fun () -> float_of_int (f ()))
+      in
+      c "leases" (fun () -> t.leases);
+      c "leased_tasks" (fun () -> t.leased_tasks);
+      c "completions" (fun () -> t.completions);
+      c "duplicate_completes" (fun () -> t.duplicates);
+      c "reissues" (fun () -> t.reissues);
+      c "retry_afters" (fun () -> t.retry_afters);
+      c "heartbeats" (fun () -> t.heartbeats);
+      c "protocol_errors" (fun () -> t.errors);
+      Array.iteri
+        (fun s _ ->
+          c (Printf.sprintf "shard%d.leased" s) (fun () -> t.shard_leased.(s)))
+        t.shard_leased;
+      g "frontier_depth" (fun () -> frontier_depth t);
+      g "inflight" (fun () -> t.inflight);
+      g "n_tasks" (fun () -> n);
+      g "n_shards" (fun () -> Array.length t.shard_leased))
     live;
-    sink;
-    last_depth = Array.make (Shard_view.n_shards view) (-1);
-    last_inflight = -1;
-    live_depth = -1;
-    live_inflight = -1;
-  }
+  t
 
 let create ?sink ?journal ?live cfg g =
   (match journal with
@@ -200,8 +183,6 @@ let shard_of t v = Shard_view.shard_of t.view v
 
 let timeout_s t = Recovery.timeout_after t.cfg.recovery ~expected:t.cfg.expected_s
 
-let with_live t f = match t.live with None -> () | Some l -> f l
-
 let emit t kind ~time ~a ~b =
   match t.sink with None -> () | Some tr -> Trace.emit tr kind ~time ~a ~b
 
@@ -209,18 +190,16 @@ let done_reply t = Wire.Done { completed = completed t; reissues = t.reissues }
 
 let retry_reply t =
   t.retry_afters <- t.retry_afters + 1;
-  with_live t (fun l -> Live.incr l.l_retry_afters ~shard:0 1);
   t.retry
 
 let error_reply t =
   t.errors <- t.errors + 1;
-  with_live t (fun l -> Live.incr l.l_errors ~shard:0 1);
   Wire.Ack
 
 (* pull up to [budget] Ready tasks out of the pools, starting at the
    round-robin cursor, touching as few shards as possible;
    stale entries (tasks no longer Ready) are discarded on the way. Every
-   task returned is leased, so the per-shard leased counters are bumped
+   task returned is leased, so the per-shard leased counts are bumped
    here, once per shard visited rather than once per task *)
 let fill_batch t ~budget acc =
   let n_shards = Shards.n_shards t.pools in
@@ -239,10 +218,7 @@ let fill_batch t ~budget acc =
         incr got
       end
     done;
-    (match t.live with
-    | Some l when !got > before ->
-      Live.incr l.l_shard_leased.(shard) ~shard:0 (!got - before)
-    | _ -> ());
+    t.shard_leased.(shard) <- t.shard_leased.(shard) + !got - before;
     (* a shard that came back short is drained; move the cursor past it *)
     if !got < budget then incr tried
   done;
@@ -301,25 +277,19 @@ let apply_complete t ~now v =
   if Bytes.get t.state v = st_leased then t.inflight <- t.inflight - 1;
   Bytes.set t.state v st_done;
   t.completions <- t.completions + 1;
-  let service = now -. t.alloc_t.(v) in
-  with_live t (fun l ->
-      Live.incr l.l_completions ~shard:0 1;
-      Live.observe l.l_service service);
+  (match t.service with
+  | None -> ()
+  | Some h -> Live.observe h (now -. t.alloc_t.(v)));
   Shard_view.complete t.view v ~ready:t.on_ready;
   emit t Trace.Task_complete ~time:now ~a:v ~b:(shard_of t v);
   maybe_checkpoint t
 
-(* the live frontier/inflight sample taken after every handled message.
-   Pool sizes count entries awaiting lazy invalidation, so the depth is
-   an upper bound — exact whenever no lease has expired since the pool
-   was last drained. *)
+(* the frontier/inflight trace points taken after every handled message *)
 let sample t ~now =
-  if t.live != None || t.sink != None then begin
-    let total = ref 0 in
+  if t.sink != None then begin
     let n_shards = Shards.n_shards t.pools in
     for s = 0 to n_shards - 1 do
       let d = Shards.size t.pools ~shard:s in
-      total := !total + d;
       if t.last_depth.(s) <> d then begin
         t.last_depth.(s) <- d;
         (* the pre-crash load signal is what a post-mortem of a
@@ -328,17 +298,6 @@ let sample t ~now =
         emit t Trace.Frontier_depth ~time:now ~a:s ~b:d
       end
     done;
-    let depth = float_of_int !total in
-    let inflight = float_of_int t.inflight in
-    with_live t (fun l ->
-        if t.live_depth <> !total then begin
-          t.live_depth <- !total;
-          Live.set l.l_frontier depth
-        end;
-        if t.live_inflight <> t.inflight then begin
-          t.live_inflight <- t.inflight;
-          Live.set l.l_inflight inflight
-        end);
     if t.last_inflight <> t.inflight then begin
       t.last_inflight <- t.inflight;
       emit t Trace.Inflight ~time:now ~a:t.inflight ~b:0
@@ -380,9 +339,6 @@ let handle_msg t ~now (msg : Wire.msg) : Wire.msg =
                held tasks);
           t.leases <- t.leases + 1;
           t.leased_tasks <- t.leased_tasks + got;
-          with_live t (fun l ->
-              Live.incr l.l_leases ~shard:0 1;
-              Live.incr l.l_leased_tasks ~shard:0 got);
           let tmo = timeout_s t in
           Wire.Lease { tasks; expires_in_s = tmo }
         end
@@ -394,7 +350,6 @@ let handle_msg t ~now (msg : Wire.msg) : Wire.msg =
       let st = Bytes.get t.state task in
       if st = st_done then begin
         t.duplicates <- t.duplicates + 1;
-        with_live t (fun l -> Live.incr l.l_duplicates ~shard:0 1);
         if is_done t then done_reply t else Wire.Ack
       end
       else if st = st_leased || st = st_ready then begin
@@ -409,7 +364,6 @@ let handle_msg t ~now (msg : Wire.msg) : Wire.msg =
     end
   | Heartbeat { worker } ->
     t.heartbeats <- t.heartbeats + 1;
-    with_live t (fun l -> Live.incr l.l_heartbeats ~shard:0 1);
     let tmo = timeout_s t in
     (if Float.is_finite tmo then
        match Hashtbl.find_opt t.by_worker worker with
@@ -456,7 +410,6 @@ let expire t ~now =
       t.inflight <- t.inflight - 1;
       t.reissues <- t.reissues + 1;
       incr fired;
-      with_live t (fun l -> Live.incr l.l_reissues ~shard:0 1);
       let shard = shard_of t v in
       emit t Trace.Timeout_fired ~time ~a:v ~b:shard;
       t.on_ready ~shard v
@@ -529,7 +482,6 @@ let recover ?sink ?live ~journal cfg g =
     done;
     t.completions <- !n_done;
     t.recovered_tasks <- !n_done;
-    with_live t (fun l -> Live.incr l.l_completions ~shard:0 !n_done);
     (* tasks leased but not completed at the crash are back in the pools
        (their predecessors are all done) and will be granted again: the
        at-most-one re-issue per crash the exactly-once contract allows *)
@@ -539,13 +491,13 @@ let recover ?sink ?live ~journal cfg g =
         incr reissued
     done;
     t.recovered_reissues <- !reissued;
-    (match live with
-    | None -> ()
-    | Some l ->
-      Live.incr (Live.counter l "served.recovered_reissues") ~shard:0 !reissued;
-      Live.set
-        (Live.gauge l "served.recovered_tasks")
-        (float_of_int !n_done));
+    Option.iter
+      (fun l ->
+        Live.counter_reader l "served.recovered_reissues" (fun () ->
+            t.recovered_reissues);
+        Live.gauge_reader l "served.recovered_tasks" (fun () ->
+            float_of_int t.recovered_tasks))
+      live;
     (* compact immediately: the restored state becomes the new baseline
        and the pre-crash tail is retired *)
     write_checkpoint t journal;

@@ -67,14 +67,18 @@ val create :
   config ->
   Ic_dag.Dag.t ->
   t
-(** [live], when given, receives the [served.*] counters (per-message
-    totals and a [served.shardN.leased] count per shard), the
-    [served.frontier_depth] and [served.inflight] gauges sampled after
-    every [handle], and the [served.lease_service_s] latency histogram,
-    all in a domain-safe {!Ic_obs.Live} registry that the scrape
-    endpoint and [ic_sched top] read while the server is running; with
-    the virtual clock its {!Ic_obs.Live.to_json} is byte-identical
-    across identically seeded runs. [sink], when given,
+(** [live], when given, gets readers over the server's own counts
+    ({!Ic_obs.Live.counter_reader}): the [served.*] counters are the
+    fields of {!stats} plus a [served.shardN.leased] count per shard,
+    and the [served.frontier_depth] ({!frontier_depth}) and
+    [served.inflight] gauges read the current state, so a read between
+    two messages or right after an {!expire} is exact. The server
+    observes only the [served.lease_service_s] latency histogram itself.
+    The readers run on the thread that reads the registry, so read it
+    (scrape it, dump it) from the thread that drives the server — as
+    {!Tcp.serve}'s select loop does. With the virtual clock its
+    {!Ic_obs.Live.to_json} is byte-identical across identically seeded
+    runs. [sink], when given,
     receives one [Task_alloc]/[Task_complete] pair per task and a
     [Timeout_fired] per re-issue, with the task's {e shard} as the
     client id — so the Perfetto export renders one track per shard —
@@ -102,9 +106,10 @@ val recover :
     Blocked/Ready byte states exactly — so a journaled completion is
     never re-leased, while tasks that were {e leased but not journaled
     complete} at the crash return to their pools and may be granted a
-    second time (counted in [stats.recovered_reissues] and the
-    [served.recovered_reissues] counter; the prior holder's late
-    [Complete] is absorbed as a duplicate). [stats.completions] (and the
+    second time (counted in [stats.recovered_reissues], which [live]
+    reads as the [served.recovered_reissues] counter beside the
+    [served.recovered_tasks] gauge; the prior holder's late [Complete]
+    is absorbed as a duplicate). [stats.completions] (and so the
     [served.completions] counter) are primed with the restored count, so
     a drained recovered server reports [completions = n_tasks]. The
     journal is compacted immediately and the server keeps appending to
@@ -138,6 +143,12 @@ val expire : t -> now:float -> int
 val is_done : t -> bool
 val n_tasks : t -> int
 val completed : t -> int
+
+val frontier_depth : t -> int
+(** Entries in the shard pools: the Ready tasks plus any entry left
+    behind by a straggler's completion after its lease expired, so an
+    upper bound on the leasable set, exact whenever no such entry
+    waits. *)
 
 type stats = {
   leases : int;  (** [Lease] replies sent *)

@@ -64,13 +64,12 @@ let serve ?sink ?on_listen ?(once = false) ?journal ?(recover = false)
     ?(log = fun _ -> ()) ?live ?telemetry_port ?on_telemetry_listen
     ?telemetry_csv ?(telemetry_every_s = 1.0) ~port scfg dag =
   Lazy.force ignore_sigpipe;
-  (* the scrape endpoint and the CSV both read the Live registry; make
-     one internally when telemetry is requested without one *)
+  (* the scrape endpoint serves the Live registry; make one internally
+     when it is requested without one *)
   let live =
-    match (live, telemetry_port, telemetry_csv) with
-    | (Some _ as l), _, _ -> l
-    | None, None, None -> None
-    | None, _, _ -> Some (Live.create ())
+    match (live, telemetry_port) with
+    | None, Some _ -> Some (Live.create ())
+    | _ -> live
   in
   let srv =
     match journal with
@@ -119,17 +118,15 @@ let serve ?sink ?on_listen ?(once = false) ?journal ?(recover = false)
   let t0 = Monotonic.now () in
   let now () = Monotonic.now () -. t0 in
   let csv_row t =
-    match (csv_oc, live) with
-    | Some oc, Some l ->
+    match csv_oc with
+    | Some oc ->
       let st = Server.stats srv in
       Printf.fprintf oc "%.3f,%d,%d,%d,%d,%d,%d,%d,%d\n" t
         st.Server.completions st.Server.leases st.Server.leased_tasks
-        st.Server.inflight
-        (int_of_float
-           (Live.gauge_value (Live.gauge l "served.frontier_depth")))
-        st.Server.reissues st.Server.retry_afters (Live.rss_bytes ());
+        st.Server.inflight (Server.frontier_depth srv) st.Server.reissues
+        st.Server.retry_afters (Live.rss_bytes ());
       flush oc
-    | _ -> ()
+    | None -> ()
   in
   let conns = ref [] in
   let accepted = ref 0 in

@@ -75,9 +75,10 @@ val serve :
     bound telemetry port (pass [0] to pick one). [telemetry_csv]
     appends one snapshot row (completions, leases, inflight, frontier
     depth, re-issues, RSS) roughly every [telemetry_every_s] (default
-    1.0) seconds, for trend lines without a scraper. [live] supplies
-    the registry to serve — one is created internally when telemetry is
-    requested without it. [sink] is handed to the server; a
+    1.0) seconds, for trend lines without a scraper; it reads
+    {!Server.stats} and {!Server.frontier_depth}. [live] supplies the
+    registry to serve — one is created internally when [telemetry_port]
+    is given without it. [sink] is handed to the server; a
     {!Ic_obs.Trace.recorder} there is the crash-surviving flight
     recorder. *)
 
@@ -89,8 +90,9 @@ val resolve : host:string -> port:int -> (Unix.sockaddr, string) result
     {!hammer} and the [top] subcommand; the socket domain follows from
     the address ([Unix.domain_of_sockaddr]). *)
 
-(** Client-side view of a hammer run; the authoritative counters live in
-    the server's {!Ic_obs.Live} registry. *)
+(** Client-side view of a hammer run; the authoritative counters are
+    the server's {!Server.stats}, which its {!Ic_obs.Live} registry
+    reads. *)
 type hammer_result = {
   workers : int;
   completes_sent : int;  (** [Complete] frames put on the wire *)

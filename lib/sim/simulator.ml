@@ -60,45 +60,6 @@ type result = {
   disconnects : int;
 }
 
-(* The registered instruments when a [Live] registry is supplied, resolved
-   once up front so the hot loop pays a single option branch per site. *)
-type meters = {
-  m_allocated : Live.counter;
-  m_completed : Live.counter;
-  m_failed : Live.counter;
-  m_stalls : Live.counter;
-  m_timeouts : Live.counter;
-  m_retries : Live.counter;
-  m_lost : Live.counter;
-  m_speculations : Live.counter;
-  m_cancelled : Live.counter;
-  m_crashes : Live.counter;
-  m_disconnects : Live.counter;
-  h_latency : Live.histogram;
-  h_e2e : Live.histogram;
-  h_queue_depth : Live.histogram;
-  h_stall : Live.histogram;
-}
-
-let meters_of m =
-  {
-    m_allocated = Live.counter m "sim.tasks_allocated";
-    m_completed = Live.counter m "sim.tasks_completed";
-    m_failed = Live.counter m "sim.tasks_failed";
-    m_stalls = Live.counter m "sim.stalls";
-    m_timeouts = Live.counter m "sim.timeouts";
-    m_retries = Live.counter m "sim.retries";
-    m_lost = Live.counter m "sim.tasks_lost";
-    m_speculations = Live.counter m "sim.speculations";
-    m_cancelled = Live.counter m "sim.replicas_cancelled";
-    m_crashes = Live.counter m "sim.client_crashes";
-    m_disconnects = Live.counter m "sim.client_disconnects";
-    h_latency = Live.histogram m "sim.task_latency";
-    h_e2e = Live.histogram m "sim.task_e2e_latency";
-    h_queue_depth = Live.histogram m "sim.queue_depth";
-    h_stall = Live.histogram m "sim.stall_duration";
-  }
-
 (* One client-side run of one task. An attempt is [closed] once it no
    longer occupies a client (natural end, cancellation, crash), and
    [resolved] once the server has reacted to it (accepted the result,
@@ -150,10 +111,14 @@ let run ?sink ?live cfg policy ~workload g =
   let robust = Policy.Robust.create policy g in
   let fr = Frontier.create g in
   let now = ref 0.0 in
-  let meters = Option.map meters_of live in
-  let count pick =
-    match meters with None -> () | Some mt -> Live.incr (pick mt) ~shard:0 1
-  in
+  (* the histograms are the only instruments fed per event; the counts
+     reach [live] once, from [result], when the run ends *)
+  let histogram name = Option.map (fun l -> Live.histogram l name) live in
+  let h_latency = histogram "sim.task_latency" in
+  let h_e2e = histogram "sim.task_e2e_latency" in
+  let h_queue_depth = histogram "sim.queue_depth" in
+  let h_stall = histogram "sim.stall_duration" in
+  let observe h x = match h with None -> () | Some h -> Live.observe h x in
   (* frontier push/pop events are stamped with the simulated clock *)
   (match sink with
   | None -> ()
@@ -242,7 +207,7 @@ let run ?sink ?live cfg policy ~workload g =
     (match sink with
     | None -> ()
     | Some tr -> Trace.client_resume tr ~time:!now ~client:c);
-    match meters with None -> () | Some mt -> Live.observe mt.h_stall d
+    observe h_stall d
   in
   let close_attempt id =
     let a = att id in
@@ -292,7 +257,6 @@ let run ?sink ?live cfg policy ~workload g =
     if replicas.(v) = 1 then incr inflight;
     open_attempts.(v) <- id :: open_attempts.(v);
     if Float.is_nan first_alloc.(v) then first_alloc.(v) <- !now;
-    count (fun m -> m.m_allocated);
     (match sink with
     | None -> ()
     | Some tr ->
@@ -312,7 +276,6 @@ let run ?sink ?live cfg policy ~workload g =
     if n - !completed - !inflight > 0 then begin
       (* a genuine gridlock event: work remains but none is allocatable *)
       incr stalls;
-      count (fun m -> m.m_stalls);
       if Float.is_nan stalled_since.(client) then begin
         stalled_since.(client) <- !now;
         match sink with
@@ -324,12 +287,8 @@ let run ?sink ?live cfg policy ~workload g =
   in
   let allocate client =
     if Policy.Robust.size robust > 0 then begin
-      (match meters with
-      | None -> ()
-      | Some mt ->
-        (* the depth the server chose from, before removing the pick *)
-        Live.observe mt.h_queue_depth
-          (float_of_int (Policy.Robust.size robust)));
+      (* the depth the server chose from, before removing the pick *)
+      observe h_queue_depth (float_of_int (Policy.Robust.size robust));
       match Policy.Robust.select robust with
       | Some v -> launch client v
       | None -> park client
@@ -380,7 +339,6 @@ let run ?sink ?live cfg policy ~workload g =
       else begin
         retries_of.(v) <- k + 1;
         incr retries;
-        count (fun m -> m.m_retries);
         (match sink with
         | None -> ()
         | Some tr -> Trace.retry_scheduled tr ~time:!now ~task:v ~retry:k);
@@ -403,15 +361,12 @@ let run ?sink ?live cfg policy ~workload g =
       let v = a.at_task in
       close_attempt id;
       st.(c) <- st_idle;
-      (match meters with
-      | None -> ()
-      | Some mt -> Live.observe mt.h_latency (!now -. a.at_alloc));
+      observe h_latency (!now -. a.at_alloc);
       let freed = ref [] in
       if Frontier.is_executed fr v then begin
         (* a replica of an already-finished task ran to term: discard *)
         a.at_resolved <- true;
         incr cancelled;
-        count (fun m -> m.m_cancelled);
         match sink with
         | None -> ()
         | Some tr -> Trace.replica_cancelled tr ~time:!now ~task:v ~client:c
@@ -420,14 +375,12 @@ let run ?sink ?live cfg policy ~workload g =
         (* the result vanished in transit: the server stays unaware and
            only the liveness timeout can recover the task *)
         incr lost;
-        count (fun m -> m.m_lost);
         match sink with
         | None -> ()
         | Some tr -> Trace.task_fail tr ~time:!now ~task:v ~client:c
       end
       else if a.at_failed then begin
         incr failures;
-        count (fun m -> m.m_failed);
         (match sink with
         | None -> ()
         | Some tr -> Trace.task_fail tr ~time:!now ~task:v ~client:c);
@@ -448,11 +401,7 @@ let run ?sink ?live cfg policy ~workload g =
         (match sink with
         | None -> ()
         | Some tr -> Trace.task_complete tr ~time:!now ~task:v ~client:c);
-        (match meters with
-        | None -> ()
-        | Some mt ->
-          Live.incr mt.m_completed ~shard:0 1;
-          Live.observe mt.h_e2e (!now -. first_alloc.(v)));
+        observe h_e2e (!now -. first_alloc.(v));
         if Policy.Robust.pooled robust v then Policy.Robust.withdraw robust v;
         pending.(v) <- false;
         Frontier.execute fr ~on_promote:(Policy.Robust.notify robust) v;
@@ -467,7 +416,6 @@ let run ?sink ?live cfg policy ~workload g =
                 st.(a'.at_client) <- st_idle;
                 freed := a'.at_client :: !freed;
                 incr cancelled;
-                count (fun m -> m.m_cancelled);
                 match sink with
                 | None -> ()
                 | Some tr ->
@@ -492,7 +440,6 @@ let run ?sink ?live cfg policy ~workload g =
       (* presumed lost; a late result may still arrive and win *)
       a.at_resolved <- true;
       incr timeouts;
-      count (fun m -> m.m_timeouts);
       (match sink with
       | None -> ()
       | Some tr -> Trace.timeout_fired tr ~time:!now ~task:v ~client:a.at_client);
@@ -512,7 +459,6 @@ let run ?sink ?live cfg policy ~workload g =
       && not pending.(v)
     then begin
       incr speculations;
-      count (fun m -> m.m_speculations);
       (match sink with
       | None -> ()
       | Some tr -> Trace.speculative_launch tr ~time:!now ~task:v);
@@ -534,7 +480,6 @@ let run ?sink ?live cfg policy ~workload g =
   let handle_crash c =
     if st.(c) <> st_dead then begin
       incr crashes;
-      count (fun m -> m.m_crashes);
       drop_client c ~transient:false
     end
   in
@@ -543,7 +488,6 @@ let run ?sink ?live cfg policy ~workload g =
        nothing to re-draw or schedule here *)
     if st.(c) <> st_dead && st.(c) <> st_offline then begin
       incr disconnects;
-      count (fun m -> m.m_disconnects);
       drop_client c ~transient:true
     end
   in
@@ -688,6 +632,19 @@ let run ?sink ?live cfg policy ~workload g =
   (match live with
   | None -> ()
   | Some m ->
+    (* added, not set: a registry shared by several runs accumulates *)
+    let c name v = Live.incr (Live.counter m name) ~shard:0 v in
+    c "sim.tasks_allocated" (List.length result.allocation_order);
+    c "sim.tasks_completed" !completed;
+    c "sim.tasks_failed" result.failures;
+    c "sim.stalls" result.stalls;
+    c "sim.timeouts" result.timeouts;
+    c "sim.retries" result.retries;
+    c "sim.tasks_lost" result.lost;
+    c "sim.speculations" result.speculations;
+    c "sim.replicas_cancelled" result.cancelled;
+    c "sim.client_crashes" result.crashes;
+    c "sim.client_disconnects" result.disconnects;
     Live.set (Live.gauge m "sim.makespan") result.makespan;
     Live.set (Live.gauge m "sim.utilization") result.utilization;
     Live.set (Live.gauge m "sim.mean_eligible") result.mean_eligible;

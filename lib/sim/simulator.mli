@@ -116,16 +116,18 @@ val run :
     sample whenever the allocatable pool changes, and the fault/recovery
     events (timeout fired, retry scheduled, speculative launch, replica
     cancelled, client crash / disconnect / rejoin) — ready for
-    {!Ic_obs.Exporter.chrome_trace}. [live], when given, accumulates
-    [sim.*] counters on cell shard 0 (tasks allocated / completed /
-    failed / lost, stalls, timeouts, retries, speculations, replicas
-    cancelled, client crashes / disconnects), log-bucketed histograms
-    (per-attempt task latency, end-to-end first-allocation-to-completion
-    latency, queue depth at allocation, stall duration) and end-of-run
-    gauges (makespan, utilization, mean eligible, unfinished count,
-    per-client busy fraction). With neither installed the run costs one
-    branch per instrumentation site; identically seeded runs produce
-    identical results, identical traces and byte-identical
+    {!Ic_obs.Exporter.chrome_trace}. [live], when given, receives
+    log-bucketed histograms while the run executes (per-attempt task
+    latency, end-to-end first-allocation-to-completion latency, queue
+    depth at allocation, stall duration). When the run ends, the
+    [result]'s counts are added to the [sim.*] counters (tasks
+    allocated / completed / failed / lost, stalls, timeouts, retries,
+    speculations, replicas cancelled, client crashes / disconnects), so
+    a registry shared by several runs accumulates, and the end-of-run
+    gauges are set (makespan, utilization, mean eligible, unfinished
+    count, per-client busy fraction). With neither installed the run
+    costs one branch per instrumentation site; identically seeded runs
+    produce identical results, identical traces and byte-identical
     {!Ic_obs.Live.to_json}.
 
     Raises [Invalid_argument] if [cfg.speed] yields a non-positive or

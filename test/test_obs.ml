@@ -484,6 +484,26 @@ let test_metrics_from_simulation () =
   in
   check_str "faulty run: byte-identical JSON" (faulty_json ()) (faulty_json ())
 
+(* the faulty seeded run's metrics artifact, pinned to a recorded MD5
+   of its [Live.to_json] *)
+let test_simulation_metrics_pinned () =
+  let g = Ic_families.Mesh.out_mesh 8 in
+  let cfg =
+    Sim.config ~n_clients:6 ~jitter:0.3 ~seed:31
+      ~faults:
+        (Ic_fault.Plan.make ~crash_rate:0.03 ~straggler_probability:0.3
+           ~straggler_factor:8.0 ~fail_probability:0.1 ())
+      ~recovery:
+        (Ic_fault.Recovery.make ~timeout_factor:3.0 ~detection_latency:0.25
+           ~backoff_base:0.1 ~backoff_jitter:0.5 ~speculation_factor:2.0 ())
+      ()
+  in
+  let l = Live.create () in
+  let _ = Sim.run ~live:l cfg Policy.fifo ~workload:Ic_sim.Workload.unit g in
+  check_str "faulty run: pinned JSON digest"
+    "18f913c434cb61a83bef705f112f914d"
+    (Digest.to_hex (Digest.string (Live.to_json l)))
+
 let test_engine_sink () =
   let g = Dag.make_exn ~n:4 ~arcs:[ (0, 1); (0, 2); (1, 3); (2, 3) ] () in
   let compute v parents = if v = 0 then 1 else Array.fold_left ( + ) v parents in
@@ -647,6 +667,91 @@ let test_live_to_json () =
     check "histogram round-trips" true
       (Option.bind (Json.member "histograms" doc) (Json.member "live.h")
       <> None)
+
+(* read-backed instruments render exactly like written ones: the same
+   OpenMetrics lines, the same sorted JSON, null for a non-finite value,
+   escaped hostile names *)
+let test_live_readers () =
+  let l = Live.create () in
+  let leases = ref 5 in
+  Live.counter_reader l "served.leases" (fun () -> !leases);
+  let depth = ref 3.0 in
+  Live.gauge_reader l "served.frontier_depth" (fun () -> !depth);
+  let page () = Live.openmetrics ~process:false l in
+  check "reader counter renders name_total" true
+    (contains_sub (page ()) "served_leases_total 5");
+  check "reader gauge renders bare" true
+    (contains_sub (page ()) "served_frontier_depth 3");
+  leases := 9;
+  depth := 0.0;
+  check "a read calls the reader" true
+    (contains_sub (page ()) "served_leases_total 9"
+    && contains_sub (page ()) "served_frontier_depth 0");
+  (* the handles of a read-backed name read through the reader *)
+  let c = Live.counter l "served.leases" in
+  check_int "counter_value" 9 (Live.counter_value c);
+  check "gauge_value" true
+    (Live.gauge_value (Live.gauge l "served.frontier_depth") = 0.0);
+  (* cells and readers add up; a second reader is summed with the first *)
+  Live.incr c ~shard:0 2;
+  Live.counter_reader l "served.leases" (fun () -> 100);
+  check_int "cells + both readers" 111 (Live.counter_value c);
+  (* a gauge holds its last write, reader or value *)
+  Live.gauge_reader l "served.frontier_depth" (fun () -> 7.0);
+  check "second gauge reader replaces the first" true
+    (Live.gauge_value (Live.gauge l "served.frontier_depth") = 7.0);
+  Live.set (Live.gauge l "served.frontier_depth") 1.5;
+  check "set replaces the reader" true
+    (Live.gauge_value (Live.gauge l "served.frontier_depth") = 1.5);
+  (match Live.gauge_reader l "served.leases" (fun () -> 0.0) with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a counter name accepted a gauge reader");
+  (* the same JSON as cells holding the same values *)
+  let twin = Live.create () in
+  Live.incr (Live.counter twin "served.leases") ~shard:3 111;
+  Live.set (Live.gauge twin "served.frontier_depth") 1.5;
+  check_str "reader JSON = cell JSON" (Live.to_json twin) (Live.to_json l);
+  let strip_uptime page =
+    String.split_on_char '\n' page
+    |> List.filter (fun ln -> not (contains_sub ln "uptime"))
+  in
+  check "reader exposition = cell exposition" true
+    (strip_uptime (Live.openmetrics ~process:false twin)
+    = strip_uptime (Live.openmetrics ~process:false l))
+
+let test_live_readers_hostile () =
+  let l = Live.create () in
+  let hostile = [ "mesh \"2x2\""; "back\\slash\\"; "line\nbreak" ] in
+  List.iteri
+    (fun i name -> Live.counter_reader l name (fun () -> i + 1))
+    hostile;
+  Live.gauge_reader l "p50 of nothing" (fun () -> nan);
+  Live.gauge_reader l "inf" (fun () -> infinity);
+  Live.gauge_reader l "gauge \"g\"\n" (fun () -> 2.5);
+  match Json.parse (Live.to_json l) with
+  | Error e -> Alcotest.fail ("reader-backed JSON invalid: " ^ e)
+  | Ok doc ->
+    let find section name =
+      Option.bind (Json.member section doc) (Json.member name)
+    in
+    List.iteri
+      (fun i name ->
+        check
+          (Printf.sprintf "reader counter %d round-trips" i)
+          true
+          (find "counters" name = Some (Json.Number (float_of_int (i + 1)))))
+      hostile;
+    check "hostile reader gauge round-trips" true
+      (find "gauges" "gauge \"g\"\n" = Some (Json.Number 2.5));
+    List.iter
+      (fun name ->
+        check (name ^ " reader gauge is null") true
+          (find "gauges" name = Some Json.Null))
+      [ "p50 of nothing"; "inf" ];
+    let page = Live.openmetrics ~process:false l in
+    check "names sanitized in the exposition" true
+      (contains_sub page "mesh__2x2__total 1"
+      && contains_sub page "line_break_total 3")
 
 (* --- flight recorder --- *)
 
@@ -1012,6 +1117,10 @@ let () =
           Alcotest.test_case "openmetrics exposition" `Quick
             test_live_openmetrics;
           Alcotest.test_case "json snapshot" `Quick test_live_to_json;
+          Alcotest.test_case "read-backed instruments render like cells"
+            `Quick test_live_readers;
+          Alcotest.test_case "read-backed: hostile names, non-finite values"
+            `Quick test_live_readers_hostile;
         ] );
       ( "flight recorder",
         [
@@ -1059,6 +1168,8 @@ let () =
       ( "wiring",
         [
           Alcotest.test_case "simulator metrics" `Quick test_metrics_from_simulation;
+          Alcotest.test_case "simulator metrics match pinned digest" `Quick
+            test_simulation_metrics_pinned;
           Alcotest.test_case "engine sink" `Quick test_engine_sink;
           Alcotest.test_case "sink transparency" `Quick
             test_sink_does_not_change_results;

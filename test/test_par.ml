@@ -391,6 +391,39 @@ let test_runtime_live_wiring () =
   (* and the deterministic fingerprint is untouched by the mirror *)
   Alcotest.(check int) "every task ran" (Dag.n_nodes g) st.Runtime.tasks
 
+(* the instrument names a runtime run leaves in its registry, pinned:
+   a scraper or dashboard keyed on them keeps working *)
+let test_runtime_live_names () =
+  let names l =
+    match Ic_obs.Json.parse (Live.to_json l) with
+    | Error e -> Alcotest.fail e
+    | Ok doc ->
+      List.concat_map
+        (fun section ->
+          match Ic_obs.Json.member section doc with
+          | Some (Ic_obs.Json.Object kvs) -> List.map fst kvs
+          | _ -> Alcotest.failf "no %s section" section)
+        [ "counters"; "gauges"; "histograms" ]
+      |> List.sort compare
+  in
+  let expected =
+    [
+      "par.domains"; "par.overflows"; "par.parks"; "par.steal_attempts";
+      "par.steals"; "par.task_s"; "par.tasks"; "par.wall_s";
+    ]
+  in
+  let l = Live.create ~shards:2 () in
+  ignore
+    (Runtime.run ~domains:2 ~live:l (Ic_families.Mesh.out_mesh 16)
+       ~task:ignore);
+  Alcotest.(check (list string)) "names after a run" expected (names l);
+  let empty = Live.create () in
+  ignore
+    (Runtime.run ~domains:2 ~live:empty (Dag.make_exn ~n:0 ~arcs:[] ())
+       ~task:ignore);
+  Alcotest.(check (list string)) "names after an empty run" expected
+    (names empty)
+
 let () =
   Alcotest.run "ic_par"
     [
@@ -427,5 +460,7 @@ let () =
           test_live_concurrent_reads
         :: Alcotest.test_case "runtime mirrors meters into ?live" `Quick
              test_runtime_live_wiring
+        :: Alcotest.test_case "runtime instrument names are pinned" `Quick
+             test_runtime_live_names
         :: qcheck [ prop_live_merge_on_read ] );
     ]

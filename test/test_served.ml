@@ -585,6 +585,119 @@ let test_sharded_run_spreads_leases () =
   Alcotest.(check int) "per-shard counters account for every leased task"
     st.Server.leased_tasks !shard_total
 
+(* what a scrape sees is the server's own state: after every handle and
+   every expire, each served.* counter and gauge read through Live equals
+   Server.stats and the frontier depth. An expiry re-pools leases with
+   no handle after it, so the gauges must not wait for one *)
+let test_live_reads_server_state () =
+  let g = Mesh.out_mesh 8 in
+  let n = Dag.n_nodes g in
+  let live = Live.create () in
+  let srv =
+    Server.create ~live
+      (Server.config ~n_shards:2 ~max_lease:16 ~expected_s:1.0
+         ~recovery:(Recovery.make ~timeout_factor:2.0 ())
+         ())
+      g
+  in
+  let c name = Live.counter_value (Live.counter live name) in
+  let gauge name = int_of_float (Live.gauge_value (Live.gauge live name)) in
+  let agree what =
+    let st = Server.stats srv in
+    Alcotest.(check (list int))
+      (what ^ ": Live = stats")
+      [
+        st.Server.leases; st.Server.leased_tasks; st.Server.completions;
+        st.Server.duplicate_completes; st.Server.reissues;
+        st.Server.retry_afters; st.Server.heartbeats;
+        st.Server.protocol_errors; st.Server.leased_tasks; st.Server.inflight;
+        Server.frontier_depth srv;
+      ]
+      [
+        c "served.leases"; c "served.leased_tasks"; c "served.completions";
+        c "served.duplicate_completes"; c "served.reissues";
+        c "served.retry_afters"; c "served.heartbeats";
+        c "served.protocol_errors";
+        c "served.shard0.leased" + c "served.shard1.leased";
+        gauge "served.inflight"; gauge "served.frontier_depth";
+      ]
+  in
+  let now = ref 0.0 in
+  let leased = ref [] in
+  let handle what msg =
+    now := !now +. 0.01;
+    let reply = Server.handle srv ~now:!now msg in
+    (match reply with
+    | Wire.Lease { tasks; _ } ->
+      Array.iter (fun v -> leased := v :: !leased) tasks
+    | _ -> ());
+    agree what;
+    reply
+  in
+  let expire () =
+    let fired = Server.expire srv ~now:!now in
+    agree (Printf.sprintf "expire at %g" !now);
+    fired
+  in
+  agree "fresh";
+  (* three levels of the mesh leased and completed leave four ready *)
+  for _ = 1 to 3 do
+    Array.iter
+      (fun v ->
+        ignore (handle "complete" (Wire.Complete { worker = 0; task = v })))
+      (lease_tasks (handle "lease" (Wire.Lease_req { worker = 0; k = 16 })))
+  done;
+  Alcotest.(check int) "four leased" 4
+    (Array.length
+       (lease_tasks (handle "lease" (Wire.Lease_req { worker = 1; k = 16 }))));
+  now := !now +. 100.0;
+  Alcotest.(check int) "all four expire" 4 (expire ());
+  (* then a seeded mix of every message kind and more expiries *)
+  let rng = Random.State.make [| 22 |] in
+  for _ = 1 to 400 do
+    match Random.State.int rng 6 with
+    | 0 | 1 ->
+      ignore
+        (handle "lease"
+           (Wire.Lease_req
+              {
+                worker = Random.State.int rng 4;
+                k = 1 + Random.State.int rng 4;
+              }))
+    | 2 -> (
+      match !leased with
+      | [] -> ()
+      | l ->
+        let v = List.nth l (Random.State.int rng (List.length l)) in
+        ignore (handle "complete" (Wire.Complete { worker = 0; task = v })))
+    | 3 ->
+      ignore
+        (handle "heartbeat"
+           (Wire.Heartbeat { worker = Random.State.int rng 4 }))
+    | 4 ->
+      ignore (handle "bad task" (Wire.Complete { worker = 0; task = n + 5 }))
+    | _ ->
+      now := !now +. Random.State.float rng 3.0;
+      ignore (expire ())
+  done;
+  let continue = ref true in
+  while !continue do
+    match handle "drain" (Wire.Lease_req { worker = 0; k = 16 }) with
+    | Wire.Lease { tasks; _ } ->
+      Array.iter
+        (fun v ->
+          ignore (handle "drain" (Wire.Complete { worker = 0; task = v })))
+        tasks
+    | Wire.Done _ -> continue := false
+    | _ ->
+      now := !now +. 100.0;
+      ignore (expire ())
+  done;
+  let st = Server.stats srv in
+  Alcotest.(check int) "drained exactly once" n st.Server.completions;
+  Alcotest.(check bool)
+    "leases expired on the way" true (st.Server.reissues > 4)
+
 (* -------------------------------------------------- virtual load harness *)
 
 let test_hammer_small_clean () =
@@ -1222,6 +1335,90 @@ let test_pinned_chaos_run () =
         recovered_tasks = 0;
       })
 
+(* the metrics artifacts of three seeded served runs, pinned to recorded
+   MD5s of their [Live.to_json]: how the registry learns a count may
+   change, what it dumps may not *)
+let pinned_scfg () =
+  Server.config ~n_shards:3 ~max_lease:16 ~expected_s:0.05 ~retry_after_s:0.05
+    ~recovery:(Recovery.make ~timeout_factor:4.0 ())
+    ()
+
+let pinned_fleet () =
+  let churn =
+    Plan.make ~crash_rate:0.2 ~disconnect_rate:2.0 ~mean_downtime:0.1 ~seed:5 ()
+  in
+  Hammer.config ~workers:200 ~k:4 ~mean_service_s:0.01 ~think_s:0.001 ~churn
+    ~seed:77 ()
+
+let digest json = Digest.to_hex (Digest.string json)
+
+let test_pinned_live_json () =
+  let g = Mesh.out_mesh 32 in
+  let n = Dag.n_nodes g in
+  let virtual_json =
+    let live = Live.create () in
+    let r =
+      Hammer.run_virtual ~live ~server:(pinned_scfg ()) (pinned_fleet ()) g
+    in
+    Alcotest.(check int) "virtual run drains" n r.Hammer.completed;
+    Live.to_json live
+  in
+  let chaos_json =
+    let live = Live.create () in
+    let wire =
+      Wire_plan.make ~drop:0.02 ~corrupt:0.02 ~truncate:0.01 ~duplicate:0.02
+        ~reorder:0.02 ~delay_mean:0.005 ~seed:0xC4A0 ()
+    in
+    let r =
+      Hammer.run_chaos ~live ~server:(pinned_scfg ()) ~wire
+        ~reply_timeout_s:0.5 (pinned_fleet ()) g
+    in
+    Alcotest.(check int) "chaos run drains" n r.Hammer.base.Hammer.completed;
+    Live.to_json live
+  in
+  let recover_json =
+    with_tmp @@ fun path ->
+    (* half the dag completed, then one lease stranded at the kill *)
+    let j = open_exn path in
+    let srv = Server.create ~journal:j (pinned_scfg ()) g in
+    let now = ref 0.0 in
+    while (Server.stats srv).Server.completions < n / 2 do
+      now := !now +. 0.001;
+      match Server.handle srv ~now:!now (Wire.Lease_req { worker = 0; k = 16 }) with
+      | Wire.Lease { tasks; _ } ->
+        Array.iter
+          (fun v ->
+            ignore
+              (Server.handle srv ~now:!now (Wire.Complete { worker = 0; task = v })))
+          tasks
+      | _ -> Alcotest.fail "phase 1 starved before the kill point"
+    done;
+    (match Server.handle srv ~now:!now (Wire.Lease_req { worker = 1; k = 8 }) with
+    | Wire.Lease _ -> ()
+    | _ -> Alcotest.fail "no lease left to strand");
+    Journal.close j;
+    let live = Live.create () in
+    let j = open_exn path in
+    let srv =
+      match Server.recover ~live ~journal:j (pinned_scfg ()) g with
+      | Ok s -> s
+      | Error e -> Alcotest.failf "recover: %s" e
+    in
+    let r = Hammer.drive ~live srv (pinned_fleet ()) in
+    Journal.close j;
+    Alcotest.(check int) "recovered run drains" n
+      r.Hammer.server.Server.completions;
+    Live.to_json live
+  in
+  Alcotest.(check (list string))
+    "virtual, chaos, kill-and-recover"
+    [
+      "61956db2ec45278a46551bd39177f388";
+      "f55e9b7cb378de11bdf1531a51f725ac";
+      "670e57445241c4c55df17193f1debcac";
+    ]
+    [ digest virtual_json; digest chaos_json; digest recover_json ]
+
 (* --------------------------------------------------------- quantiles *)
 
 let samples_of xs =
@@ -1674,6 +1871,8 @@ let () =
             test_protocol_errors_and_drain;
           Alcotest.test_case "sharded run spreads leases" `Quick
             test_sharded_run_spreads_leases;
+          Alcotest.test_case "Live reads the server's state after each step"
+            `Quick test_live_reads_server_state;
         ] );
       ( "hammer",
         [
@@ -1719,6 +1918,8 @@ let () =
             test_chaos_none_is_transparent;
           Alcotest.test_case "seeded chaos run matches pinned values" `Quick
             test_pinned_chaos_run;
+          Alcotest.test_case "seeded metrics artifacts match pinned digests"
+            `Quick test_pinned_live_json;
         ] );
       ( "tcp",
         [
