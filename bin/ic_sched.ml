@@ -836,16 +836,18 @@ let serve_cmd =
       value & opt int 1024
       & info [ "checkpoint-every" ] ~docv:"N"
           ~doc:
-            "Compact the journal to a checkpoint after every N journaled \
-             completions")
+            "Compact the journal after every N journaled completions: it \
+             rotates to a file holding one checkpoint, fsynced off the \
+             serving thread (FILE.prev is kept until that fsync is done)")
   in
   let fsync_arg =
     Arg.(
       value & flag
       & info [ "fsync" ]
           ~doc:
-            "fsync the journal after every record (machine-crash durable; \
-             default flushes per record, which survives kill -9)")
+            "fsync the journal before each batch of replies is sent \
+             (machine-crash durable; default flushes to the OS before each \
+             batch, which survives kill -9)")
   in
   let recover_arg =
     Arg.(

@@ -22,7 +22,15 @@ let complete ~arity ~depth =
       (Printf.sprintf
          "Out_tree.complete: arity %d, depth %d needs more than %d nodes" arity
          depth Dag.max_nodes);
-  let rec go d = if d = 0 then Leaf else Node (List.init arity (fun _ -> go (d - 1))) in
+  (* one subtree per level, shared by every child: the shape is
+     immutable and every traversal walks it as a tree, so [depth + 1]
+     blocks stand for [arity^depth] leaves *)
+  let rec go d =
+    if d = 0 then Leaf
+    else
+      let sub = go (d - 1) in
+      Node (List.init arity (fun _ -> sub))
+  in
   go depth
 
 let random rng ~max_internal ~arity =

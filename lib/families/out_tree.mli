@@ -12,7 +12,8 @@ type shape = Leaf | Node of shape list
 
 val complete : arity:int -> depth:int -> shape
 (** The complete [arity]-ary tree of the given depth ([depth = 0] is a
-    leaf). *)
+    leaf). The children of a node are one shared subtree, so the shape
+    takes [depth + 1] blocks however many nodes it stands for. *)
 
 val random : Random.State.t -> max_internal:int -> arity:int -> shape
 (** An irregular shape grown by repeatedly expanding a random leaf into a

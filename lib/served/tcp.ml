@@ -79,6 +79,25 @@ let serve ?sink ?on_listen ?(once = false) ?journal ?(recover = false)
       | Error e -> invalid_arg ("Tcp.serve: recovery failed: " ^ e))
     | _ -> Server.create ?sink ?journal ?live scfg dag
   in
+  (* the journal's own counts, read at scrape time; attached here rather
+     than in the server so in-process registries stay as they are *)
+  (match (journal, live) with
+  | Some j, Some l ->
+    let c name f =
+      Live.counter_reader l ("served.journal." ^ name) (fun () ->
+          f (Journal.stats j))
+    in
+    c "appends" (fun s -> s.Journal.appends);
+    c "writes" (fun s -> s.Journal.writes);
+    c "bytes" (fun s -> s.Journal.bytes);
+    c "checkpoints" (fun s -> s.Journal.checkpoints);
+    c "checkpoints_deferred" (fun s -> s.Journal.checkpoints_deferred)
+  | _ -> ());
+  (* a read's replies leave only after the records they depend on: one
+     journal flush per batch *)
+  let grouped f =
+    match journal with Some j -> Journal.group j f | None -> f ()
+  in
   let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt lsock Unix.SO_REUSEADDR true;
   Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
@@ -215,7 +234,7 @@ let serve ?sink ?on_listen ?(once = false) ?journal ?(recover = false)
                   Wire.encode out (Server.handle srv ~now:(now ()) msg);
                   answer ()
               in
-              let drop = answer () in
+              let drop = grouped answer in
               let drop =
                 try
                   send_all c.fd (Buffer.to_bytes out) (Buffer.length out);

@@ -63,7 +63,11 @@ val serve :
     [journal] hands the server a write-ahead {!Journal}; with [recover]
     the server is built by {!Server.recover} from that journal's replay
     instead of fresh (raises [Invalid_argument] if the replay does not
-    fit the dag). [log] receives one line per connection-level incident
+    fit the dag). The frames of one read are answered inside one
+    {!Journal.group}, so their records reach the OS in one write before
+    the replies are sent; with [live] too, the journal's {!Journal.stats}
+    are [served.journal.*] counter readers ([appends], [writes],
+    [bytes], [checkpoints], [checkpoints_deferred]). [log] receives one line per connection-level incident
     (resets, corrupt frames); default drops them. Returns the final
     {!Server.stats}.
 

@@ -372,6 +372,26 @@ let prop_in_tree_iff =
             pairing = optimal)
           (List.init 8 Fun.id))
 
+let prop_shared_complete_shape =
+  (* [Out_tree.complete] shares one subtree per level; numbering walks
+     the shape as a tree, so sharing must not change the dag *)
+  QCheck2.Test.make ~name:"out-tree: shared complete shape = unshared"
+    ~count:60
+    QCheck2.Gen.(pair (int_range 1 4) (int_range 0 5))
+    (fun (arity, depth) ->
+      let rec unshared d =
+        if d = 0 then F.Out_tree.Leaf
+        else F.Out_tree.Node (List.init arity (fun _ -> unshared (d - 1)))
+      in
+      let shared = F.Out_tree.complete ~arity ~depth in
+      F.Out_tree.n_nodes shared = F.Out_tree.n_nodes (unshared depth)
+      && Dag.equal
+           (F.Out_tree.dag_of_shape shared)
+           (F.Out_tree.dag_of_shape (unshared depth))
+      && Dag.equal
+           (F.In_tree.dag_of_shape shared)
+           (F.In_tree.dag_of_shape (unshared depth)))
+
 let prop_butterfly_iff =
   (* Section 5.1: for iterated compositions of B, IC-optimal IFF the two
      sources of every copy run consecutively (checked on B_2) *)
@@ -404,6 +424,7 @@ let () =
           Alcotest.test_case "in-tree iff characterization" `Quick
             test_in_tree_characterization;
           Alcotest.test_case "ternary in-tree" `Quick test_ternary_in_tree;
+          QCheck_alcotest.to_alcotest prop_shared_complete_shape;
         ] );
       ( "diamonds & alternations",
         [

@@ -1126,6 +1126,252 @@ let prop_recover_any_cut =
       Server.is_done srv && st.Server.completions = n
       && st.Server.inflight = 0)
 
+(* ------------------------------------------- group commit and rotation *)
+
+(* lease [k] tasks at a time and complete them until [completions] are
+   applied; the rest of the last batch stays leased *)
+let partial_drain ?(batch = fun f -> f ()) ~completions srv =
+  let now = ref 0.0 and completed = ref 0 in
+  while !completed < completions do
+    now := !now +. 0.001;
+    batch (fun () ->
+        match Server.handle srv ~now:!now (Wire.Lease_req { worker = 0; k = 4 }) with
+        | Wire.Lease { tasks; _ } ->
+          Array.iter
+            (fun v ->
+              if !completed < completions then begin
+                ignore
+                  (Server.handle srv ~now:!now (Wire.Complete { worker = 0; task = v }));
+                incr completed
+              end)
+            tasks
+        | Wire.Retry_after _ ->
+          now := !now +. 100.0;
+          ignore (Server.expire srv ~now:!now)
+        | _ -> Alcotest.fail "drain starved")
+  done
+
+let test_grouped_drain_same_bytes () =
+  let g = Mesh.out_mesh 12 in
+  let n = Dag.n_nodes g in
+  let drain ~grouped =
+    with_tmp @@ fun path ->
+    (* no checkpoint: when a deferred one lands depends on the disk *)
+    let j = open_exn ~checkpoint_every:1_000_000 path in
+    let srv = Server.create ~journal:j (Server.config ~n_shards:2 ()) g in
+    let batch f = if grouped then Journal.group j f else f () in
+    partial_drain ~batch ~completions:n srv;
+    let st = Journal.stats j in
+    Journal.close j;
+    (read_bytes path, st)
+  in
+  let plain, plain_st = drain ~grouped:false in
+  let grouped, grouped_st = drain ~grouped:true in
+  Alcotest.(check bool) "same bytes on disk" true (Bytes.equal plain grouped);
+  Alcotest.(check int) "same appends" plain_st.Journal.appends
+    grouped_st.Journal.appends;
+  Alcotest.(check int) "same bytes counted" plain_st.Journal.bytes
+    grouped_st.Journal.bytes;
+  Alcotest.(check int) "ungrouped: one write per append"
+    plain_st.Journal.appends plain_st.Journal.writes;
+  Alcotest.(check bool) "grouped: fewer writes" true
+    (grouped_st.Journal.writes < plain_st.Journal.writes)
+
+let test_group_flushes_when_body_raises () =
+  with_tmp @@ fun path ->
+  let j = open_exn path in
+  let before = Bytes.length (read_bytes path) in
+  (match
+     Journal.group j (fun () ->
+         Journal.append j (Journal.Complete 1);
+         Journal.append j (Journal.Complete 2);
+         Alcotest.(check int) "staged, not yet written" before
+           (Bytes.length (read_bytes path));
+         raise Exit)
+   with
+  | () -> Alcotest.fail "the body's exception was swallowed"
+  | exception Exit -> ());
+  (* 13 bytes a Complete record: 8 of header, 5 of payload *)
+  Alcotest.(check int) "both records reached the OS" (before + 26)
+    (Bytes.length (read_bytes path));
+  Alcotest.(check int) "one write" 1 (Journal.stats j).Journal.writes;
+  Journal.close j;
+  let j = open_exn path in
+  if Journal.replayed j <> [ Journal.Complete 1; Journal.Complete 2 ] then
+    Alcotest.fail "replay differs";
+  Journal.close j
+
+let test_writes_count_groups () =
+  with_tmp @@ fun path ->
+  let j = open_exn path in
+  for g = 1 to 10 do
+    Journal.group j (fun () ->
+        for i = 1 to g do
+          Journal.append j (Journal.Complete i)
+        done;
+        (* a nested group does not write on its own *)
+        Journal.group j (fun () -> Journal.append j (Journal.Lease [| g |])))
+  done;
+  (* a group that appends nothing writes nothing *)
+  Journal.group j ignore;
+  let st = Journal.stats j in
+  Alcotest.(check int) "appends" (55 + 10) st.Journal.appends;
+  Alcotest.(check int) "one write per group" 10 st.Journal.writes;
+  Alcotest.(check int) "bytes" ((55 * 13) + (10 * 15)) st.Journal.bytes;
+  Journal.append j (Journal.Complete 0);
+  Alcotest.(check int) "an ungrouped append is a write" 11
+    (Journal.stats j).Journal.writes;
+  Journal.close j
+
+let test_grouped_append_allocates_nothing () =
+  with_tmp @@ fun path ->
+  let j = open_exn path in
+  let r = Journal.Complete 7 in
+  let words =
+    Journal.group j (fun () ->
+        let before = Gc.minor_words () in
+        for _ = 1 to 1000 do
+          Journal.append j r
+        done;
+        Gc.minor_words () -. before)
+  in
+  Alcotest.(check (float 0.0)) "minor words over 1000 appends" 0.0 words;
+  Journal.close j;
+  Alcotest.(check int) "all written" 1000
+    (List.length (Journal.replayed (open_exn path)))
+
+let test_writer_outlives_its_journal () =
+  with_tmp @@ fun path ->
+  let prev = path ^ ".prev" and tmp = path ^ ".tmp" in
+  let bl = Journal.bitmap_len 8 in
+  let checkpoint j =
+    Journal.checkpoint j ~n:8 ~done_:(Bytes.make bl '\000')
+      ~leased:(Bytes.make bl '\000')
+  in
+  let j = open_exn path in
+  for _ = 1 to 20 do
+    checkpoint j;
+    (* a later open_ got there first: PATH.prev is gone before the
+       writer comes to unlink it *)
+    try Sys.remove prev with Sys_error _ -> ()
+  done;
+  Alcotest.(check bool) "rotated" true ((Journal.stats j).Journal.checkpoints >= 1);
+  (* close waits for the writer: it would hang had the writer died *)
+  Journal.close j;
+  (* a server dropped without close: its writer may still be running
+     while the next open settles the rotation it left *)
+  let dropped = open_exn path in
+  checkpoint dropped;
+  let j = open_exn path in
+  Alcotest.(check bool) "settled: no PATH.prev" false (Sys.file_exists prev);
+  checkpoint j;
+  Journal.close j;
+  Alcotest.(check bool) "no PATH.prev after close" false (Sys.file_exists prev);
+  Alcotest.(check bool) "no PATH.tmp after close" false (Sys.file_exists tmp);
+  let j = open_exn path in
+  (match Journal.replayed j with
+  | [ Journal.Checkpoint { n = 8; _ } ] -> ()
+  | _ -> Alcotest.fail "the rotated journal is not one checkpoint");
+  Journal.close j
+
+(* the on-disk states a rotation can leave, built from the two files it
+   moves between: OLD, the journal before a checkpoint, and NEW, the
+   rotated file (its leading checkpoint and the records after it) *)
+let rotation_fixture =
+  lazy
+    (let g = Mesh.out_mesh 8 in
+     let k = 20 in
+     let run ~checkpoint_every ~completions path =
+       let j = open_exn ~checkpoint_every path in
+       let srv = Server.create ~journal:j (Server.config ~n_shards:2 ()) g in
+       partial_drain ~completions srv;
+       Journal.close j;
+       read_bytes path
+     in
+     let old = with_tmp (run ~checkpoint_every:1_000_000 ~completions:k) in
+     let new_ = with_tmp (run ~checkpoint_every:k ~completions:(k + 10)) in
+     (* magic, then a Checkpoint record: 8 + 5 + 2 * bitmap bytes *)
+     let ckpt_end = 8 + 8 + 5 + (2 * Journal.bitmap_len (Dag.n_nodes g)) in
+     (g, k, old, new_, ckpt_end))
+
+let rotation_states =
+  [|
+    "partial PATH.tmp";
+    "link made, no rename";
+    "renamed, PATH.prev still there";
+    "torn leading checkpoint beside PATH.prev";
+    "PATH cut at any byte beside PATH.prev";
+    "PATH missing beside PATH.prev";
+  |]
+
+let prop_recover_any_rotation_state =
+  QCheck.Test.make ~name:"recovery from any state a rotation leaves" ~count:120
+    QCheck.(pair (int_bound (Array.length rotation_states - 1)) (int_bound 10_000))
+    (fun (state, cut) ->
+      let g, k, old, new_, ckpt_end = Lazy.force rotation_fixture in
+      let n = Dag.n_nodes g in
+      with_tmp @@ fun path ->
+      let prev = path ^ ".prev" and tmp = path ^ ".tmp" in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ prev; tmp ])
+      @@ fun () ->
+      let prefix b len = Bytes.sub b 0 (min len (Bytes.length b)) in
+      (* how many completions the state must give back *)
+      let expect =
+        match state with
+        | 0 ->
+          write_bytes path old;
+          write_bytes tmp (prefix new_ (cut mod ckpt_end));
+          `Exactly k
+        | 1 ->
+          write_bytes path old;
+          Unix.link path prev;
+          write_bytes tmp (prefix new_ ckpt_end);
+          `Exactly k
+        | 2 ->
+          write_bytes path new_;
+          write_bytes prev old;
+          `Exactly (k + 10)
+        | 3 ->
+          write_bytes path (prefix new_ (cut mod ckpt_end));
+          write_bytes prev old;
+          `Exactly k
+        | 4 ->
+          write_bytes path (prefix new_ (cut mod (Bytes.length new_ + 1)));
+          write_bytes prev old;
+          `At_least k
+        | _ ->
+          Sys.remove path;
+          write_bytes prev old;
+          `Exactly k
+      in
+      let j = open_exn ~checkpoint_every:16 path in
+      if Sys.file_exists prev || Sys.file_exists tmp then
+        QCheck.Test.fail_reportf "%s: open_ left PATH.prev or PATH.tmp"
+          rotation_states.(state);
+      let srv =
+        match Server.recover ~journal:j (Server.config ~n_shards:2 ()) g with
+        | Ok s -> s
+        | Error e ->
+          QCheck.Test.fail_reportf "%s, cut %d: %s" rotation_states.(state) cut e
+      in
+      let recovered = (Server.stats srv).Server.recovered_tasks in
+      (match expect with
+      | `Exactly e when recovered <> e ->
+        QCheck.Test.fail_reportf "%s, cut %d: recovered %d, expected %d"
+          rotation_states.(state) cut recovered e
+      | `At_least e when recovered < e ->
+        QCheck.Test.fail_reportf "%s, cut %d: recovered %d < %d"
+          rotation_states.(state) cut recovered e
+      | _ -> ());
+      greedy_drain ~now0:10.0 srv;
+      let st = Server.stats srv in
+      Journal.close j;
+      Server.is_done srv && st.Server.completions = n && st.Server.inflight = 0
+      && (not (Sys.file_exists prev))
+      && not (Sys.file_exists tmp))
+
 (* the tentpole acceptance: mesh-256 under a 10^4-worker churning fleet,
    killed mid-drain, recovered from the torn journal, drained to
    exactly-once — twice, byte-identically *)
@@ -1827,6 +2073,62 @@ let test_tcp_journal_recover_roundtrip () =
   Alcotest.(check int) "total exactly once" n st.Server.completions;
   Alcotest.(check int) "nothing left leased" 0 st.Server.inflight
 
+(* over sockets each read's replies leave after one journal write, and
+   the journal's own counts reach the registry as served.journal.* *)
+let test_tcp_journal_counters () =
+  let g = Mesh.out_mesh 10 in
+  let n = Dag.n_nodes g in
+  with_tmp @@ fun path ->
+  let j = open_exn ~checkpoint_every:16 path in
+  let live = Live.create () in
+  let port = Atomic.make 0 in
+  let server =
+    Domain.spawn (fun () ->
+        Tcp.serve ~journal:j ~live
+          ~on_listen:(fun p -> Atomic.set port p)
+          ~once:true ~port:0
+          (Server.config ~n_shards:2 ~expected_s:0.5 ())
+          g)
+  in
+  while Atomic.get port = 0 do
+    Unix.sleepf 0.001
+  done;
+  let cfg =
+    Hammer.config ~workers:20 ~k:4 ~mean_service_s:0.0005 ~think_s:0.0001 ()
+  in
+  let hr = Tcp.hammer ~connections:2 ~port:(Atomic.get port) cfg in
+  let st = Domain.join server in
+  Alcotest.(check bool) "client saw Done" true hr.Tcp.done_seen;
+  Alcotest.(check int) "exactly once" n st.Server.completions;
+  let js = Journal.stats j in
+  let counter name =
+    Live.counter_value (Live.counter live ("served.journal." ^ name))
+  in
+  Alcotest.(check int) "appends" js.Journal.appends (counter "appends");
+  Alcotest.(check int) "writes" js.Journal.writes (counter "writes");
+  Alcotest.(check int) "bytes" js.Journal.bytes (counter "bytes");
+  Alcotest.(check int) "checkpoints" js.Journal.checkpoints
+    (counter "checkpoints");
+  Alcotest.(check int) "checkpoints deferred" js.Journal.checkpoints_deferred
+    (counter "checkpoints_deferred");
+  Alcotest.(check bool) "every completion journaled" true
+    (js.Journal.appends >= n);
+  Alcotest.(check bool) "at most one write per append" true
+    (js.Journal.writes >= 1 && js.Journal.writes <= js.Journal.appends);
+  Alcotest.(check bool) "rotated" true (js.Journal.checkpoints >= 1);
+  Journal.close j;
+  Alcotest.(check bool) "no PATH.prev after close" false
+    (Sys.file_exists (path ^ ".prev"));
+  let j = open_exn path in
+  let srv =
+    match Server.recover ~journal:j (Server.config ~n_shards:2 ()) g with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "recover: %s" e
+  in
+  Alcotest.(check int) "the journal replays the whole drain" n
+    (Server.stats srv).Server.recovered_tasks;
+  Journal.close j
+
 let () =
   Alcotest.run "ic_served"
     [
@@ -1902,7 +2204,17 @@ let () =
              test_journal_corrupt_crc_truncates_from_there
         :: Alcotest.test_case "recover re-issues the unjournaled lease" `Quick
              test_recover_small_reissues_and_finishes
-        :: qcheck [ prop_recover_any_cut ] );
+        :: Alcotest.test_case "a grouped drain writes the same bytes" `Quick
+             test_grouped_drain_same_bytes
+        :: Alcotest.test_case "group flushes when its body raises" `Quick
+             test_group_flushes_when_body_raises
+        :: Alcotest.test_case "stats: one write per group" `Quick
+             test_writes_count_groups
+        :: Alcotest.test_case "grouped appends allocate nothing" `Quick
+             test_grouped_append_allocates_nothing
+        :: Alcotest.test_case "a writer outlives its journal" `Quick
+             test_writer_outlives_its_journal
+        :: qcheck [ prop_recover_any_cut; prop_recover_any_rotation_state ] );
       ( "recovery",
         [
           Alcotest.test_case
@@ -1929,6 +2241,8 @@ let () =
             test_tcp_resolve;
           Alcotest.test_case "chaos wire heals by reconnect" `Quick
             test_tcp_chaos_reconnects_and_finishes;
+          Alcotest.test_case "journal counters over real sockets" `Quick
+            test_tcp_journal_counters;
           Alcotest.test_case "journal + recover over real sockets" `Quick
             test_tcp_journal_recover_roundtrip;
           Alcotest.test_case "pipelined frames: FIFO replies = twin drive"
