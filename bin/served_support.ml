@@ -10,6 +10,9 @@ let serve ~dag ~port ~shards ~max_lease ~expected_s ~once ~journal
   | _ when bad_port port -> Error "--port must be in 0..65535"
   | _ when Option.fold ~none:false ~some:bad_port telemetry_port ->
     Error "--telemetry-port must be in 0..65535"
+  | _ when not (Float.is_finite telemetry_every_s && telemetry_every_s >= 0.0)
+    ->
+    Error "--telemetry-every-s must be finite and >= 0"
   | _ when recover && journal = None ->
     Error "--recover needs --journal: the journal is what is replayed"
   | _ when flight <> None && trace_out <> None ->
@@ -65,7 +68,7 @@ let serve ~dag ~port ~shards ~max_lease ~expected_s ~once ~journal
       | exception Unix.Unix_error (e, fn, _) ->
         Option.iter Ic_served.Journal.close j;
         Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
-      | exception Invalid_argument msg ->
+      | exception (Invalid_argument msg | Sys_error msg) ->
         Option.iter Ic_served.Journal.close j;
         Error msg
       | st ->

@@ -48,38 +48,48 @@ let operand_info = function
 let is_operand v = v < 4 || (v >= 8 && v < 12)
 let is_product v = (v >= 4 && v < 8) || (v >= 12 && v < 16)
 
-let rec multiply ?(threshold = 32) a b =
+let product values =
+  (* sums: 16 = AE+BG (top-left), 19 = AF+BH (top-right),
+     17 = CE+DG (bottom-left), 18 = CF+DH (bottom-right) *)
+  assemble ~half:(Array.length values.(16)) values.(16) values.(19)
+    values.(17) values.(18)
+
+let rec engine ?(threshold = 32) a b =
+  let n = Array.length a in
+  if n < 2 || n land (n - 1) <> 0 || Array.length b <> n then
+    invalid_arg
+      "Matmul.engine: need equal-size matrices of power-of-two size >= 2";
+  let half = n / 2 in
+  let g = M.dag () in
+  let module Slab = Ic_dag.Slab in
+  let poff = Dag.pred_offsets g and pdat = Dag.pred_sources g in
+  let compute v parents =
+    if is_operand v then begin
+      let side, qi, qj = operand_info v in
+      let src = match side with `Left -> a | `Right -> b in
+      quadrant src ~half ~row:(qi * half) ~col:(qj * half)
+    end
+    else if is_product v then begin
+      (* one parent is a left-matrix operand, the other a right one *)
+      let left, right =
+        match operand_info (Slab.get pdat (Slab.get poff v)) with
+        | `Left, _, _ -> (parents.(0), parents.(1))
+        | `Right, _, _ -> (parents.(1), parents.(0))
+      in
+      multiply ~threshold left right
+    end
+    else add_mat parents.(0) parents.(1)
+  in
+  { Engine.dag = g; compute }
+
+and multiply ?(threshold = 32) a b =
   let n = Array.length a in
   if n = 0 || n land (n - 1) <> 0 then
     invalid_arg "Matmul.multiply: dimension must be a power of two";
   if n <= threshold || n = 1 then naive a b
-  else begin
-    let half = n / 2 in
-    let g = M.dag () in
-    let module Slab = Ic_dag.Slab in
-    let poff = Dag.pred_offsets g and pdat = Dag.pred_sources g in
-    let compute v parents =
-      if is_operand v then begin
-        let side, qi, qj = operand_info v in
-        let src = match side with `Left -> a | `Right -> b in
-        quadrant src ~half ~row:(qi * half) ~col:(qj * half)
-      end
-      else if is_product v then begin
-        (* one parent is a left-matrix operand, the other a right one *)
-        let left, right =
-          match operand_info (Slab.get pdat (Slab.get poff v)) with
-          | `Left, _, _ -> (parents.(0), parents.(1))
-          | `Right, _, _ -> (parents.(1), parents.(0))
-        in
-        multiply ~threshold left right
-      end
-      else add_mat parents.(0) parents.(1)
-    in
-    let values = Engine.execute ~schedule:(M.schedule ()) { Engine.dag = g; compute } in
-    (* sums: 16 = AE+BG (top-left), 19 = AF+BH (top-right),
-       17 = CE+DG (bottom-left), 18 = CF+DH (bottom-right) *)
-    assemble ~half values.(16) values.(19) values.(17) values.(18)
-  end
+  else
+    product
+      (Engine.execute ~schedule:(M.schedule ()) (engine ~threshold a b))
 
 let random rng n =
   Array.init n (fun _ -> Array.init n (fun _ -> Random.State.float rng 2.0 -. 1.0))

@@ -48,9 +48,8 @@ let grid_schedule ~rows ~cols =
   done;
   Schedule.validate_exn ~n ~iter_arcs:(iter_grid_arcs ~rows ~cols) a
 
-let edit_distance s t =
+let edit_distance_engine s t =
   let rows = String.length s and cols = String.length t in
-  let g = grid ~rows ~cols in
   let w = cols + 1 in
   let compute v parents =
     let i = v / w and j = v mod w in
@@ -63,10 +62,15 @@ let edit_distance s t =
       min (diag + cost) (min (up + 1) (left + 1))
     end
   in
+  { Engine.dag = grid ~rows ~cols; compute }
+
+let edit_distance s t =
+  let rows = String.length s and cols = String.length t in
   let values =
-    Engine.execute ~schedule:(grid_schedule ~rows ~cols) { Engine.dag = g; compute }
+    Engine.execute ~schedule:(grid_schedule ~rows ~cols)
+      (edit_distance_engine s t)
   in
-  values.((rows * w) + cols)
+  values.((rows * (cols + 1)) + cols)
 
 let pyramid_reduce ~op input =
   let n = Array.length input in

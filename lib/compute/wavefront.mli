@@ -26,9 +26,15 @@ val grid_schedule : rows:int -> cols:int -> Ic_dag.Schedule.t
 (** Antidiagonal wavefront order, each antidiagonal from its top row down.
     Checked against {!iter_grid_arcs}; the grid is not built. *)
 
+val edit_distance_engine : string -> string -> int Engine.t
+(** The edit-distance table of [s] and [t] on
+    [grid ~rows:(String.length s) ~cols:(String.length t)]: cell
+    [(i, j)] holds the distance between the first [i] characters of [s]
+    and the first [j] of [t], so the last node holds the answer. *)
+
 val edit_distance : string -> string -> int
-(** Levenshtein distance computed through {!grid} under the wavefront
-    schedule. *)
+(** Levenshtein distance: {!edit_distance_engine} run under
+    {!grid_schedule}. *)
 
 val edit_distance_reference : string -> string -> int
 

@@ -72,71 +72,11 @@ let random seed =
   in
   { name = Printf.sprintf "random(%#x)" seed; instantiate }
 
-(* rank-based policy: lowest (rank, node) first, from a binary heap of
-   node ids. The order is total, so the pop sequence does not depend on
-   the heap's shape. *)
-
-let before rank a b = rank.(a) < rank.(b) || (rank.(a) = rank.(b) && a < b)
-
-let sift_up rank heap i0 =
-  let i = ref i0 in
-  while
-    !i > 0
-    &&
-    let p = (!i - 1) / 2 in
-    before rank heap.(!i) heap.(p)
-  do
-    let p = (!i - 1) / 2 in
-    let tmp = heap.(!i) in
-    heap.(!i) <- heap.(p);
-    heap.(p) <- tmp;
-    i := p
-  done
-
-let sift_down rank heap len i0 =
-  let i = ref i0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < len && before rank heap.(l) heap.(!smallest) then smallest := l;
-    if r < len && before rank heap.(r) heap.(!smallest) then smallest := r;
-    if !smallest = !i then continue := false
-    else begin
-      let tmp = heap.(!i) in
-      heap.(!i) <- heap.(!smallest);
-      heap.(!smallest) <- tmp;
-      i := !smallest
-    end
-  done
-
+(* rank-based policy: lowest (rank, node) first *)
 let ranked name make_rank =
   let instantiate g =
-    let rank = make_rank g in
-    let heap = ref (Array.make (max 16 (Dag.n_nodes g)) 0) in
-    let len = ref 0 in
-    {
-      notify =
-        (fun v ->
-          if !len = Array.length !heap then begin
-            let bigger = Array.make (2 * !len) 0 in
-            Array.blit !heap 0 bigger 0 !len;
-            heap := bigger
-          end;
-          !heap.(!len) <- v;
-          sift_up rank !heap !len;
-          incr len);
-      select =
-        (fun () ->
-          if !len = 0 then None
-          else begin
-            let v = !heap.(0) in
-            decr len;
-            !heap.(0) <- !heap.(!len);
-            sift_down rank !heap !len 0;
-            Some v
-          end);
-    }
+    let heap = Rank_heap.create (make_rank g) in
+    { notify = Rank_heap.push heap; select = (fun () -> Rank_heap.pop heap) }
   in
   { name; instantiate }
 

@@ -72,9 +72,15 @@ let rank_of_schedule s =
   rank
 
 let run_engine ?executor e ~fingerprint =
-  match executor with
-  | None -> fingerprint (Engine.execute e)
-  | Some exec -> fingerprint (Engine.execute ~executor:exec e)
+  fingerprint (Engine.execute ?executor e)
+
+(* a family's size bound, checked before anything is allocated *)
+let too_large family size what =
+  invalid_arg (Printf.sprintf "Payload.%s: size %d %s" family size what)
+
+let too_many_nodes family size =
+  too_large family size
+    (Printf.sprintf "needs more than %d nodes" Dag.max_nodes)
 
 (* ---- wavefront: edit distance on the (size+1)² grid ------------------ *)
 
@@ -83,31 +89,24 @@ let synth_string seed len =
 
 let wavefront ?(spin_us = 0.0) ~size () =
   if size < 1 then invalid_arg "Payload.wavefront: size must be >= 1";
+  if size >= Dag.max_nodes || (size + 1) * (size + 1) > Dag.max_nodes then
+    too_many_nodes "wavefront" size;
   let s = synth_string 3 size and tt = synth_string 11 size in
-  let rows = size and cols = size in
-  let g = Ic_compute.Wavefront.grid ~rows ~cols in
-  let w = cols + 1 in
-  let compute v parents =
-    let i = v / w and j = v mod w in
-    if i = 0 then j
-    else if j = 0 then i
-    else begin
-      (* parents ascending: (i-1, j-1), (i-1, j), (i, j-1) *)
-      let diag = parents.(0) and up = parents.(1) and left = parents.(2) in
-      let cost = if s.[i - 1] = tt.[j - 1] then 0 else 1 in
-      min (diag + cost) (min (up + 1) (left + 1))
-    end
-  in
-  let e = with_spin spin_us { Engine.dag = g; compute } in
-  let fingerprint values = Array.map float_of_int values in
+  let e = with_spin spin_us (Ic_compute.Wavefront.edit_distance_engine s tt) in
+  let g = e.Engine.dag in
   {
     name = Printf.sprintf "wavefront-%d" size;
     dag = g;
-    rank = rank_of_schedule (Ic_compute.Wavefront.grid_schedule ~rows ~cols);
-    exec = (fun executor -> run_engine ?executor e ~fingerprint);
+    rank =
+      rank_of_schedule
+        (Ic_compute.Wavefront.grid_schedule ~rows:size ~cols:size);
+    exec =
+      (fun executor ->
+        run_engine ?executor e ~fingerprint:(Array.map float_of_int));
     validate =
       (fun fp ->
-        fp.((rows * w) + cols)
+        (* the last cell holds the distance *)
+        fp.(Dag.n_nodes g - 1)
         = float_of_int (Ic_compute.Wavefront.edit_distance_reference s tt));
   }
 
@@ -115,6 +114,8 @@ let wavefront ?(spin_us = 0.0) ~size () =
 
 let fft ?(spin_us = 0.0) ~size () =
   if size < 1 then invalid_arg "Payload.fft: size must be >= 1";
+  if size > 30 || (size + 1) lsl size > Dag.max_nodes then
+    too_many_nodes "fft" size;
   let d = size in
   let n = 1 lsl d in
   let input =
@@ -158,92 +159,35 @@ let synth_mat seed n =
           (x /. 50.0) -. 1.0))
 
 let matmul ?(spin_us = 0.0) ~size () =
-  if size < 1 then invalid_arg "Payload.matmul: size must be >= 1"
-  else begin
-    let nm = 1 lsl size in
-    let a = synth_mat 5 nm and b = synth_mat 23 nm in
-    let half = nm / 2 in
-    let g = Ic_families.Matmul_dag.dag () in
-    let poff = Dag.pred_offsets g and pdat = Dag.pred_sources g in
-    let quadrant m qi qj =
-      Array.init half (fun i ->
-          Array.init half (fun j -> m.((qi * half) + i).((qj * half) + j)))
-    in
-    let operand_side = function
-      | 0 | 2 | 8 | 10 -> `Left
-      | 1 | 3 | 9 | 11 -> `Right
-      | _ -> invalid_arg "Payload.matmul: not an operand"
-    in
-    let is_operand v = v < 4 || (v >= 8 && v < 12) in
-    let is_product v = (v >= 4 && v < 8) || (v >= 12 && v < 16) in
-    let compute v parents =
-      if is_operand v then begin
-        let qi, qj =
-          match v with
-          | 0 -> (0, 0) (* A *)
-          | 2 -> (1, 0) (* C *)
-          | 8 -> (0, 1) (* B *)
-          | 10 -> (1, 1) (* D *)
-          | 1 -> (0, 0) (* E *)
-          | 3 -> (0, 1) (* F *)
-          | 9 -> (1, 0) (* G *)
-          | _ -> (1, 1) (* H = 11 *)
-        in
-        let src = match operand_side v with `Left -> a | `Right -> b in
-        quadrant src qi qj
-      end
-      else if is_product v then begin
-        let left, right =
-          match operand_side (Slab.get pdat (Slab.get poff v)) with
-          | `Left -> (parents.(0), parents.(1))
-          | `Right -> (parents.(1), parents.(0))
-        in
-        Ic_compute.Matmul.naive left right
-      end
-      else
-        Array.init half (fun i ->
-            Array.init half (fun j ->
-                parents.(0).(i).(j) +. parents.(1).(i).(j)))
-    in
-    let e = with_spin spin_us { Engine.dag = g; compute } in
-    let fingerprint values =
-      (* flatten every node's block, node-major *)
-      let out = Array.make (20 * half * half) 0.0 in
-      Array.iteri
-        (fun v m ->
-          Array.iteri
-            (fun i row ->
-              Array.iteri
-                (fun j x -> out.((((v * half) + i) * half) + j) <- x)
-                row)
-            m)
-        values;
-      out
-    in
-    let assemble fp =
-      (* sums: 16 = top-left, 19 = top-right, 17 = bottom-left,
-         18 = bottom-right (Matmul.multiply's reading of M) *)
-      let block v i j = fp.((((v * half) + i) * half) + j) in
-      Array.init nm (fun i ->
-          Array.init nm (fun j ->
-              let v =
-                if i < half then if j < half then 16 else 19
-                else if j < half then 17
-                else 18
-              in
-              block v (i mod half) (j mod half)))
-    in
-    {
-      name = Printf.sprintf "matmul-%d" nm;
-      dag = g;
-      rank = rank_of_schedule (Ic_families.Matmul_dag.schedule ());
-      exec = (fun executor -> run_engine ?executor e ~fingerprint);
-      validate =
-        (fun fp ->
-          Ic_compute.Matmul.approx_equal (assemble fp)
-            (Ic_compute.Matmul.naive a b));
-    }
-  end
+  if size < 1 then invalid_arg "Payload.matmul: size must be >= 1";
+  (* the fingerprint holds 20 blocks of 2^(size-1) x 2^(size-1) floats *)
+  if size > 26 || 20 lsl (2 * (size - 1)) > Sys.max_floatarray_length then
+    too_large "matmul" size
+      "makes matrices with more elements than a float array holds";
+  let nm = 1 lsl size in
+  let a = synth_mat 5 nm and b = synth_mat 23 nm in
+  let half = nm / 2 in
+  let e = with_spin spin_us (Ic_compute.Matmul.engine ~threshold:half a b) in
+  let g = e.Engine.dag in
+  (* every node's block, node-major, row-major within a block *)
+  let fingerprint values =
+    Array.concat (List.concat_map Array.to_list (Array.to_list values))
+  in
+  let blocks fp =
+    Array.init (Dag.n_nodes g) (fun v ->
+        Array.init half (fun i -> Array.sub fp (((v * half) + i) * half) half))
+  in
+  {
+    name = Printf.sprintf "matmul-%d" nm;
+    dag = g;
+    rank = rank_of_schedule (Ic_families.Matmul_dag.schedule ());
+    exec = (fun executor -> run_engine ?executor e ~fingerprint);
+    validate =
+      (fun fp ->
+        Ic_compute.Matmul.approx_equal
+          (Ic_compute.Matmul.product (blocks fp))
+          (Ic_compute.Matmul.naive a b));
+  }
 
 (* ---- quadrature: midpoint rule reduced through the binary in-tree ---- *)
 

@@ -2,7 +2,9 @@
 
     A payload bundles a dag from the paper's families with a value
     semantics from [lib/compute] (wavefront DP, FFT, block matrix
-    multiplication, quadrature), an IC-optimal priority ranking for the
+    multiplication, quadrature; the first three are
+    [Ic_compute]'s own engines, run unchanged), an IC-optimal priority
+    ranking for the
     [Ic_priority] mode, a result fingerprint (a [float array] that is
     bit-identical however the tasks were interleaved — see
     {!Runtime}'s determinism note), and a self-check against an
@@ -32,20 +34,27 @@ val check : t -> float array -> bool
 
     [size] scales each family's natural knob; every constructor is
     deterministic (inputs are derived from [size], never from a global
-    RNG). *)
+    RNG). A [size] below 1, or past the family's bound, raises
+    [Invalid_argument] before anything is allocated. *)
 
 val wavefront : ?spin_us:float -> size:int -> unit -> t
-(** Edit distance on a [size × size] grid ([size >= 1]):
-    [(size+1)²] nodes, antidiagonal IC-optimal order. *)
+(** Edit distance between two synthetic [size]-character strings:
+    {!Ic_compute.Wavefront.edit_distance_engine} on a [size × size]
+    grid, [(size+1)²] nodes (at most [Dag.max_nodes]), antidiagonal
+    IC-optimal order. *)
 
 val fft : ?spin_us:float -> size:int -> unit -> t
-(** The [2^size]-point FFT on the butterfly [B_size] ([size >= 1]):
-    [(size+1)·2^size] nodes. *)
+(** The [2^size]-point FFT on the butterfly [B_size]:
+    {!Ic_compute.Fft.engine}, [(size+1)·2^size] nodes (at most
+    [Dag.max_nodes]). *)
 
 val matmul : ?spin_us:float -> size:int -> unit -> t
-(** One level of the 20-node dag [M] over [2^size × 2^size] float
-    blocks ([size >= 1]) — eight independent naive block products, four
-    sums; granularity grows with [size] cubed. *)
+(** The product of two synthetic [2^size × 2^size] float matrices by one
+    level of the 20-node dag [M]:
+    {!Ic_compute.Matmul.engine}[ ~threshold:(2^(size-1))], eight
+    independent naive block products and four sums; granularity grows
+    with [size] cubed. The fingerprint holds every node's block, so
+    [20·4^(size-1)] floats must fit one float array. *)
 
 val quadrature : ?spin_us:float -> size:int -> unit -> t
 (** Midpoint quadrature of [4/(1+x²)] over [0,1] — which integrates to
@@ -57,4 +66,4 @@ val families : string list
 
 val make : ?spin_us:float -> family:string -> size:int -> unit -> t
 (** Constructor lookup by {!families} name; [Invalid_argument] on an
-    unknown family. *)
+    unknown family or a size the family refuses. *)

@@ -1,94 +1,36 @@
-type shard = {
-  lock : Mutex.t;
-  mutable heap : int array;  (* node ids, heap-ordered by rank *)
-  mutable len : int;
-}
+module Rank_heap = Ic_heuristics.Rank_heap
 
-type t = { rank : int array; shards : shard array }
+type shard = { lock : Mutex.t; heap : Rank_heap.t }
+type t = shard array
 
 let create ~shards ~rank =
   if shards <= 0 then invalid_arg "Pool.create: shards must be positive";
-  {
-    rank;
-    shards =
-      Array.init shards (fun _ ->
-          { lock = Mutex.create (); heap = Array.make 64 0; len = 0 });
-  }
-
-(* classic array binary heap; the key of node [v] is [rank.(v)] *)
-
-let sift_up rank heap i0 =
-  let i = ref i0 in
-  while
-    !i > 0
-    &&
-    let p = (!i - 1) / 2 in
-    rank.(heap.(!i)) < rank.(heap.(p))
-  do
-    let p = (!i - 1) / 2 in
-    let tmp = heap.(!i) in
-    heap.(!i) <- heap.(p);
-    heap.(p) <- tmp;
-    i := p
-  done
-
-let sift_down rank heap len i0 =
-  let i = ref i0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < len && rank.(heap.(l)) < rank.(heap.(!smallest)) then smallest := l;
-    if r < len && rank.(heap.(r)) < rank.(heap.(!smallest)) then smallest := r;
-    if !smallest = !i then continue := false
-    else begin
-      let tmp = heap.(!i) in
-      heap.(!i) <- heap.(!smallest);
-      heap.(!smallest) <- tmp;
-      i := !smallest
-    end
-  done
+  Array.init shards (fun _ ->
+      { lock = Mutex.create (); heap = Rank_heap.create rank })
 
 let push t ~shard v =
-  let s = t.shards.(shard) in
+  let s = t.(shard) in
   Mutex.lock s.lock;
-  if s.len = Array.length s.heap then begin
-    let bigger = Array.make (2 * s.len) 0 in
-    Array.blit s.heap 0 bigger 0 s.len;
-    s.heap <- bigger
-  end;
-  s.heap.(s.len) <- v;
-  sift_up t.rank s.heap s.len;
-  s.len <- s.len + 1;
+  Rank_heap.push s.heap v;
   Mutex.unlock s.lock
 
-let take_min rank s =
-  if s.len = 0 then None
-  else begin
-    let v = s.heap.(0) in
-    s.len <- s.len - 1;
-    s.heap.(0) <- s.heap.(s.len);
-    sift_down rank s.heap s.len 0;
-    Some v
-  end
-
 let pop t ~shard =
-  let s = t.shards.(shard) in
+  let s = t.(shard) in
   Mutex.lock s.lock;
-  let v = take_min t.rank s in
+  let v = Rank_heap.pop s.heap in
   Mutex.unlock s.lock;
   v
 
 let try_steal t ~shard =
-  let s = t.shards.(shard) in
+  let s = t.(shard) in
   (* cheap racy emptiness probe first: an empty shard costs no lock
      traffic on the steal sweep *)
-  if s.len = 0 then None
+  if Rank_heap.size s.heap = 0 then None
   else if not (Mutex.try_lock s.lock) then None
   else begin
-    let v = take_min t.rank s in
+    let v = Rank_heap.pop s.heap in
     Mutex.unlock s.lock;
     v
   end
 
-let size t = Array.fold_left (fun acc s -> acc + s.len) 0 t.shards
+let size t = Array.fold_left (fun acc s -> acc + Rank_heap.size s.heap) 0 t

@@ -3,8 +3,10 @@
 
     Where the deques give each domain plain LIFO/FIFO access, the pool
     keeps every ready task ranked by a precomputed priority (lower rank =
-    earlier in the IC-optimal or heuristic order). One shard — a binary
-    min-heap under a mutex — per domain: a domain pushes newly-ready
+    earlier in the IC-optimal or heuristic order; equal ranks go to the
+    lower node id). One shard — an {!Ic_heuristics.Rank_heap}, the heap
+    of the rank-based [Policy]s, under a mutex — per domain: a domain
+    pushes newly-ready
     tasks to its own shard and pops the lowest-rank task it can see,
     preferring its own shard and falling back to {e stealing} the best
     task of another domain's shard ([Mutex.try_lock], so a contended
@@ -27,11 +29,11 @@ val push : t -> shard:int -> int -> unit
 (** Insert a task into the given shard. *)
 
 val pop : t -> shard:int -> int option
-(** Take the lowest-rank task of the given shard (blocking on its
+(** Take the least [(rank, id)] task of the given shard (blocking on its
     mutex; the owner's own shard is expected to be nearly uncontended). *)
 
 val try_steal : t -> shard:int -> int option
-(** Take the lowest-rank task of the given shard, or [None] without
+(** Take the least [(rank, id)] task of the given shard, or [None] without
     blocking if the shard is empty or its lock is held. *)
 
 val size : t -> int

@@ -108,8 +108,10 @@ let steal_from ready victim =
 let park_min = 2e-6
 let park_max = 1e-3
 
-let run ?domains ?(order = Steal) ?priority ?(capacity = 8192) ?sink ?live g
-    ~task =
+(* slots per deque; a full deque spills to the overflow stack *)
+let deque_capacity = 8192
+
+let run ?domains ?(order = Steal) ?priority ?sink ?live g ~task =
   let n = Dag.n_nodes g in
   let n_domains =
     max 1 (match domains with Some d -> d | None -> default_domains ())
@@ -154,7 +156,10 @@ let run ?domains ?(order = Steal) ?priority ?(capacity = 8192) ?sink ?live g
     let ready =
       match order with
       | Steal ->
-        Deques (Array.init n_domains (fun _ -> Deque.create ~capacity), Overflow.create ())
+        Deques
+          ( Array.init n_domains (fun _ ->
+                Deque.create ~capacity:deque_capacity),
+            Overflow.create () )
       | Ic_priority ->
         let rank =
           match priority with Some p -> p | None -> Array.init n (fun v -> v)
@@ -308,7 +313,7 @@ let run ?domains ?(order = Steal) ?priority ?(capacity = 8192) ?sink ?live g
     st
   end
 
-let executor ?domains ?order ?priority ?capacity ?sink ?live ?on_stats () =
+let executor ?domains ?order ?priority ?sink ?live ?on_stats () =
  fun g step ->
-  let st = run ?domains ?order ?priority ?capacity ?sink ?live g ~task:step in
+  let st = run ?domains ?order ?priority ?sink ?live g ~task:step in
   match on_stats with None -> () | Some f -> f st

@@ -48,7 +48,6 @@ val run :
   ?domains:int ->
   ?order:order ->
   ?priority:int array ->
-  ?capacity:int ->
   ?sink:Ic_obs.Trace.t ->
   ?live:Ic_obs.Live.t ->
   Ic_dag.Dag.t ->
@@ -62,9 +61,9 @@ val run :
     total worker count — the calling domain is worker 0, [domains - 1]
     are spawned. [order] defaults to [Steal]. [priority] (Ic_priority
     only; default the identity, i.e. ascending node id) maps node to
-    rank, lower first; [Invalid_argument] on a length mismatch.
-    [capacity] (default 8192) sizes each deque; overflow spills to a
-    shared mutex-protected pool rather than resizing.
+    rank, lower first, equal ranks by node id; [Invalid_argument] on a
+    length mismatch. Each deque holds 8192 tasks; a push to a full deque
+    spills to a shared mutex-protected stack rather than resizing.
 
     An idle worker whose steal sweep keeps failing escalates from
     spinning to sleeping: the [k]-th consecutive failed sweep past the
@@ -88,7 +87,6 @@ val executor :
   ?domains:int ->
   ?order:order ->
   ?priority:int array ->
-  ?capacity:int ->
   ?sink:Ic_obs.Trace.t ->
   ?live:Ic_obs.Live.t ->
   ?on_stats:(stats -> unit) ->

@@ -75,31 +75,24 @@ let create plan ~dir =
 
 let stats t = t.stats
 
-(* what a frame's bytes become on the wire, stats updated; [`Hold b]
-   asks the caller to stash [b] behind the next frame *)
-let mangle_chunks stats (d : Wire_plan.decision) b =
+(* what a frame's bytes become on the wire under its action; a reorder
+   passes the frame through, holding it is the caller's business *)
+let mangle_chunks (d : Wire_plan.decision) b =
   let len = Bytes.length b in
   match d.Wire_plan.action with
-  | Wire_plan.Drop ->
-    stats.dropped <- stats.dropped + 1;
-    `Chunks []
+  | Wire_plan.Drop -> []
   | Wire_plan.Truncate ->
-    stats.truncated <- stats.truncated + 1;
     let keep = max 1 (min (len - 1) (int_of_float (d.Wire_plan.cut *. float_of_int len))) in
-    `Chunks [ Bytes.sub b 0 keep ]
+    [ Bytes.sub b 0 keep ]
   | Wire_plan.Corrupt ->
-    stats.corrupted <- stats.corrupted + 1;
     let b = Bytes.copy b in
     let byte = (d.Wire_plan.flip lsr 3) mod len in
     let bit = d.Wire_plan.flip land 7 in
     Bytes.set b byte
       (Char.chr (Char.code (Bytes.get b byte) lxor (1 lsl bit)));
-    `Chunks [ b ]
-  | Wire_plan.Duplicate ->
-    stats.duplicated <- stats.duplicated + 1;
-    `Chunks [ b; Bytes.copy b ]
-  | Wire_plan.Reorder -> `Hold b
-  | Wire_plan.Deliver -> `Chunks [ b ]
+    [ b ]
+  | Wire_plan.Duplicate -> [ b; Bytes.copy b ]
+  | Wire_plan.Reorder | Wire_plan.Deliver -> [ b ]
 
 let reset_reader t =
   t.reader <- Wire.Reader.create ();
@@ -112,9 +105,16 @@ let send t ~now msg =
   let d = Wire_plan.decision t.plan ~dir:t.dir ~frame:t.frame in
   t.frame <- t.frame + 1;
   t.stats.frames <- t.stats.frames + 1;
+  let st = t.stats in
+  (match d.Wire_plan.action with
+  | Wire_plan.Drop -> st.dropped <- st.dropped + 1
+  | Wire_plan.Truncate -> st.truncated <- st.truncated + 1
+  | Wire_plan.Corrupt -> st.corrupted <- st.corrupted + 1
+  | Wire_plan.Duplicate -> st.duplicated <- st.duplicated + 1
+  | Wire_plan.Reorder | Wire_plan.Deliver -> ());
   let chunks =
-    match mangle_chunks t.stats d b with
-    | `Hold b ->
+    match d.Wire_plan.action with
+    | Wire_plan.Reorder ->
       (* hold at most one frame; a second reorder while one is held
          releases the older frame first, which still swaps pairs *)
       (match t.held with
@@ -124,7 +124,8 @@ let send t ~now msg =
       | Some prev ->
         t.held <- Some b;
         [ prev ])
-    | `Chunks cs -> (
+    | _ -> (
+      let cs = mangle_chunks d b in
       match t.held with
       | None -> cs
       | Some prev ->
@@ -171,16 +172,6 @@ let send t ~now msg =
    exercise the server's reader-error and reconnect paths. *)
 let mangle plan ~dir ~frame b =
   let d = Wire_plan.decision plan ~dir ~frame in
-  let len = Bytes.length b in
   match d.Wire_plan.action with
-  | Wire_plan.Drop -> []
-  | Wire_plan.Truncate ->
-    let keep = max 1 (min (len - 1) (int_of_float (d.Wire_plan.cut *. float_of_int len))) in
-    [ Bytes.sub b 0 keep ]
-  | Wire_plan.Corrupt ->
-    let b = Bytes.copy b in
-    let byte = (d.Wire_plan.flip lsr 3) mod len in
-    let bit = d.Wire_plan.flip land 7 in
-    Bytes.set b byte (Char.chr (Char.code (Bytes.get b byte) lxor (1 lsl bit)));
-    [ b ]
-  | Wire_plan.Duplicate | Wire_plan.Reorder | Wire_plan.Deliver -> [ b ]
+  | Wire_plan.Duplicate -> [ b ]
+  | _ -> mangle_chunks d b

@@ -98,6 +98,17 @@ let serve ?sink ?on_listen ?(once = false) ?journal ?(recover = false)
   let grouped f =
     match journal with Some j -> Journal.group j f | None -> f ()
   in
+  (* opened before the listener is bound: a bad path fails the call
+     before any client can connect *)
+  let csv_oc =
+    match telemetry_csv with
+    | None -> None
+    | Some path ->
+      let oc = open_out path in
+      output_string oc csv_header;
+      flush oc;
+      Some oc
+  in
   let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt lsock Unix.SO_REUSEADDR true;
   Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
@@ -124,15 +135,6 @@ let serve ?sink ?on_listen ?(once = false) ?journal ?(recover = false)
   in
   let is_tsock fd = match tsock with Some s -> fd == s | None -> false in
   let tconns = ref [] in
-  let csv_oc =
-    match telemetry_csv with
-    | None -> None
-    | Some path ->
-      let oc = open_out path in
-      output_string oc csv_header;
-      flush oc;
-      Some oc
-  in
   let last_csv = ref neg_infinity in
   let t0 = Monotonic.now () in
   let now () = Monotonic.now () -. t0 in

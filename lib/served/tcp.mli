@@ -80,7 +80,9 @@ val serve :
     appends one snapshot row (completions, leases, inflight, frontier
     depth, re-issues, RSS) roughly every [telemetry_every_s] (default
     1.0) seconds, for trend lines without a scraper; it reads
-    {!Server.stats} and {!Server.frontier_depth}. [live] supplies the
+    {!Server.stats} and {!Server.frontier_depth}. The file is created
+    before the listener is bound, so an unwritable path raises
+    [Sys_error] before any client can connect. [live] supplies the
     registry to serve — one is created internally when [telemetry_port]
     is given without it. [sink] is handed to the server; a
     {!Ic_obs.Trace.recorder} there is the crash-surviving flight

@@ -45,6 +45,70 @@ let prop_parallel_matches_sequential =
       let par = Payload.execute ~executor p in
       par = seq && Payload.check p par)
 
+(* --- pinned fingerprints ---------------------------------------------- *)
+
+(* The MD5 of each payload's fingerprint (every float's IEEE bits) and of
+   its rank array, for every family at four sizes. Any change to a
+   payload's values, inputs or IC-optimal order shows here. *)
+let digest_floats a =
+  let b = Bytes.create (8 * Array.length a) in
+  Array.iteri
+    (fun i x -> Bytes.set_int64_le b (8 * i) (Int64.bits_of_float x))
+    a;
+  Digest.to_hex (Digest.bytes b)
+
+let digest_ints a =
+  let b = Bytes.create (8 * Array.length a) in
+  Array.iteri (fun i x -> Bytes.set_int64_le b (8 * i) (Int64.of_int x)) a;
+  Digest.to_hex (Digest.bytes b)
+
+let pinned_fingerprints =
+  [
+    ("wavefront", 1, "c61d71150f71afa8fe71bbecea42cf72",
+      "6708c3818d3340ec4ef4a3c795879ca2");
+    ("wavefront", 5, "cc3b09b859da3fce3a932fee3d8aed9c",
+      "adb543003ed9695369835b5414cd75d6");
+    ("wavefront", 16, "d24adbcf68634cd430cabd6028f0c443",
+      "ca5d5afb963055bce64d2b5e11bd849a");
+    ("wavefront", 40, "9fcc96af85c56c892d9a5750a94bec1d",
+      "561c8d7422708c9b793d14ef0c15dc7f");
+    ("fft", 1, "99dac87def72723fae14acb77248842d",
+      "6708c3818d3340ec4ef4a3c795879ca2");
+    ("fft", 3, "acbc417e040dba7de488cdd51d6a1435",
+      "743895a54c377706ee30c02def3e3539");
+    ("fft", 6, "4c8ce00da0e1573862cd1669cd0de522",
+      "f07f7c3812764ed75e5cb5357d89dfc3");
+    ("fft", 9, "c37d2f94e78db714f62c3281a9a46c0a",
+      "5726a9d5e1a26a4a87d4fde39e7bcf05");
+    ("matmul", 1, "da567875882c35ab046656431bb0fbc4",
+      "9ac3045eddc72ae51d694d30b6fc6e12");
+    ("matmul", 2, "82d338696ced48ccf67999df9a50fb9e",
+      "9ac3045eddc72ae51d694d30b6fc6e12");
+    ("matmul", 4, "0d679422678b65cc9961a0693da9f506",
+      "9ac3045eddc72ae51d694d30b6fc6e12");
+    ("matmul", 6, "fb2bda0240e9905ebb9043caed9f8e6d",
+      "9ac3045eddc72ae51d694d30b6fc6e12");
+    ("quadrature", 1, "a3f82d8459c95483f65458d4ddf1d4e0",
+      "f0156444d7069a5861574f84db207ffd");
+    ("quadrature", 4, "bd311f77841a535b60bcdf56c25d0f21",
+      "e5183a9085da8c8053094bd7706ca3e3");
+    ("quadrature", 10, "f4cb4edcbd7943ec985d525f231616f0",
+      "ce697b0bc8754250bfcb75be1b986a72");
+    ("quadrature", 14, "7ad56eac2f0fc421dd26c731c6c52f45",
+      "f47b5cfe4f7e303dfc95e48716a6ac5e");
+  ]
+
+let test_pinned_fingerprints () =
+  List.iter
+    (fun (family, size, fp_md5, rank_md5) ->
+      let p = Payload.make ~family ~size () in
+      let what = Printf.sprintf "%s size %d" family size in
+      Alcotest.(check string) (what ^ " fingerprint") fp_md5
+        (digest_floats (Payload.execute p));
+      Alcotest.(check string) (what ^ " rank") rank_md5
+        (digest_ints (Payload.rank p)))
+    pinned_fingerprints
+
 (* --- deque vs a sequence model, single domain ------------------------ *)
 
 (* ops: 0 = push, 1 = owner pop (expect newest), 2 = steal (expect
@@ -160,6 +224,45 @@ let test_pool_steal () =
     (Pool.try_steal p ~shard:0);
   Alcotest.(check (option int)) "empty steal" None (Pool.try_steal p ~shard:1);
   Alcotest.(check int) "size" 1 (Pool.size p)
+
+(* random pushes and pops over heavily tied ranks (32 ids, ranks 0..3,
+   repeats allowed) pop exactly as a sorted-list model: least
+   (rank, id) first *)
+let prop_rank_order name ~make ~push ~pop =
+  QCheck2.Test.make ~name ~count:300
+    ~print:QCheck2.Print.(pair (array int) (list (option int)))
+    QCheck2.Gen.(
+      pair
+        (array_size (return 32) (int_bound 3))
+        (list_size (int_range 0 300) (opt ~ratio:0.6 (int_bound 31))))
+    (fun (rank, ops) ->
+      let h = make rank in
+      let model = ref [] in
+      List.for_all
+        (function
+          | Some v ->
+            push h v;
+            model := List.merge compare [ (rank.(v), v) ] !model;
+            true
+          | None -> (
+            match (pop h, !model) with
+            | None, [] -> true
+            | Some v, (_, m) :: rest ->
+              model := rest;
+              v = m
+            | _ -> false))
+        ops)
+
+let prop_rank_heap_order =
+  let module H = Ic_heuristics.Rank_heap in
+  prop_rank_order "rank heap pops in (rank, id) order" ~make:H.create
+    ~push:H.push ~pop:H.pop
+
+let prop_pool_order =
+  prop_rank_order "one-shard pool pops in (rank, id) order"
+    ~make:(fun rank -> Pool.create ~shards:1 ~rank)
+    ~push:(fun p v -> Pool.push p ~shard:0 v)
+    ~pop:(fun p -> Pool.pop p ~shard:0)
 
 (* --- runtime edge cases ---------------------------------------------- *)
 
@@ -431,6 +534,11 @@ let () =
         Alcotest.test_case "dependences respected on mesh" `Quick
           test_tasks_respect_dependences
         :: qcheck [ prop_parallel_matches_sequential ] );
+      ( "payload",
+        [
+          Alcotest.test_case "pinned fingerprints and ranks" `Quick
+            test_pinned_fingerprints;
+        ] );
       ( "deque",
         Alcotest.test_case "concurrent stress: no loss, no dup" `Quick
           test_deque_concurrent_stress
@@ -439,7 +547,8 @@ let () =
         [
           Alcotest.test_case "rank order" `Quick test_pool_rank_order;
           Alcotest.test_case "steal best" `Quick test_pool_steal;
-        ] );
+        ]
+        @ qcheck [ prop_rank_heap_order; prop_pool_order ] );
       ( "edges",
         [
           Alcotest.test_case "empty dag" `Quick test_empty_dag;
