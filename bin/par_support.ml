@@ -31,11 +31,7 @@ let run ~family ~size ~spin_us ~domains ~order ?trace_out ?metrics_out ~check ()
           else (Float.nan, None)
         in
         let sink = Option.map (fun _ -> Ic_obs.Trace.create ()) trace_out in
-        let live =
-          Option.map
-            (fun _ -> Ic_obs.Live.create ~shards:domains ())
-            metrics_out
-        in
+        let live = Option.map (fun _ -> Ic_obs.Live.create ()) metrics_out in
         let stats = ref None in
         let executor =
           Ic_par.Runtime.executor ~domains ~order

@@ -93,7 +93,7 @@ let serve ~dag ~port ~shards ~max_lease ~expected_s ~once ~journal
    via Live so the JSON shape matches every other artifact *)
 let hammer_metrics_json (r : Ic_served.Tcp.hammer_result) =
   let l = Ic_obs.Live.create () in
-  let c name v = Ic_obs.Live.incr (Ic_obs.Live.counter l name) ~shard:0 v in
+  let c name v = Ic_obs.Live.incr (Ic_obs.Live.counter l name) v in
   let g name v = Ic_obs.Live.set (Ic_obs.Live.gauge l name) v in
   c "hammer.workers" r.Ic_served.Tcp.workers;
   c "hammer.completes_sent" r.Ic_served.Tcp.completes_sent;

@@ -94,34 +94,32 @@ let execute ?schedule ?executor ?sink t =
     (* the engine has no simulated clock; events are stamped with the
        execution step, client 0 standing in for "the engine" *)
     let step = ref 0 in
-    (match sink with
-    | None -> ()
-    | Some tr ->
-      Frontier.set_observer fr
-        (Some
-           {
-             Frontier.on_push =
-               (fun w -> Trace.frontier_push tr ~time:(float_of_int !step) ~node:w);
-             on_pop =
-               (fun w -> Trace.frontier_pop tr ~time:(float_of_int !step) ~node:w);
-           });
-      Frontier.iter (fun v -> Trace.frontier_push tr ~time:0.0 ~node:v) fr;
-      Trace.eligible_count tr ~time:0.0 ~count:(Frontier.count fr));
+    let emit kind ~time ~a =
+      match sink with
+      | None -> ()
+      | Some tr -> Trace.emit tr kind ~time:(float_of_int time) ~a ~b:0
+    in
+    (* the frontier's step callback, built once *)
+    let on_promote =
+      match sink with
+      | None -> None
+      | Some _ -> Some (fun w -> emit Trace.Frontier_push ~time:!step ~a:w)
+    in
+    Frontier.iter (fun v -> emit Trace.Frontier_push ~time:0 ~a:v) fr;
+    emit Trace.Eligible_count ~time:0 ~a:(Frontier.count fr);
     let next i =
       match order with
       | Some o -> o.(i)
       | None -> (
         match Frontier.choose fr with Some v -> v | None -> assert false)
     in
-    let emit_executed v =
-      match sink with
-      | None -> ()
-      | Some tr ->
-        let i = !step in
-        Trace.task_start tr ~time:(float_of_int i) ~task:v ~client:0;
-        Trace.task_complete tr ~time:(float_of_int (i + 1)) ~task:v ~client:0;
-        Trace.eligible_count tr ~time:(float_of_int (i + 1))
-          ~count:(Frontier.count fr)
+    let execute v =
+      let i = !step in
+      emit Trace.Frontier_pop ~time:i ~a:v;
+      Frontier.execute ?on_promote fr v;
+      emit Trace.Task_start ~time:i ~a:v;
+      emit Trace.Task_complete ~time:(i + 1) ~a:v;
+      emit Trace.Eligible_count ~time:(i + 1) ~a:(Frontier.count fr)
     in
     let v0 = next 0 in
     if not (Frontier.is_eligible fr v0) then
@@ -129,8 +127,7 @@ let execute ?schedule ?executor ?sink t =
     (* v0 is eligible at step 0, hence a source *)
     let values = Array.make n (t.compute v0 [||]) in
     let buffer = scratch_pool ~max_deg:(max_in_degree poff n) values.(v0) in
-    Frontier.execute fr v0;
-    emit_executed v0;
+    execute v0;
     for i = 1 to n - 1 do
       step := i;
       let v = next i in
@@ -142,8 +139,7 @@ let execute ?schedule ?executor ?sink t =
       for k = 0 to d - 1 do
         Array.unsafe_set parents k values.(Slab.unsafe_get pdat (base + k))
       done;
-      Frontier.execute fr v;
-      emit_executed v;
+      execute v;
       values.(v) <- t.compute v parents
     done;
     values

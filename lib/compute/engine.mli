@@ -40,8 +40,7 @@ val execute :
     engine is untimed, so step [i] plays the role of the clock), frontier
     push/pop events, and the eligibility count after every step — the
     same event model the simulator emits, so the exporters apply
-    unchanged. Without a sink the execute path pays one branch per
-    node.
+    unchanged. Without a sink each event site costs one branch.
 
     [executor], when given, delegates ordering to the given strategy
     instead of the engine's sequential frontier loop; each [step] call

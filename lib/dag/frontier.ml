@@ -24,8 +24,6 @@
 
 module A1 = Bigarray.Array1
 
-type observer = { on_push : int -> unit; on_pop : int -> unit }
-
 type t = {
   g : Dag.t;
   off : Slab.t;  (* CSR successor adjacency, shared with the dag *)
@@ -37,10 +35,6 @@ type t = {
   mutable floor : int;  (* n_executed when the trail was allocated *)
   mutable count : int;  (* eligible nodes = pool.(0 .. count-1) *)
   mutable n_executed : int;
-  mutable executes : int;
-  mutable promotions : int;
-  mutable restores : int;
-  mutable observer : observer option;
 }
 
 let dag t = t.g
@@ -59,13 +53,7 @@ let make_state g remaining pool count n_executed =
     floor = n_executed;
     count;
     n_executed;
-    executes = 0;
-    promotions = 0;
-    restores = 0;
-    observer = None;
   }
-
-let set_observer t o = t.observer <- o
 
 let create g =
   Ic_prof.Span.enter "frontier.create";
@@ -149,9 +137,6 @@ let execute ?on_promote t v =
   Array.unsafe_set t.remaining v (-1);
   if t.trail != [||] then Array.unsafe_set t.trail t.n_executed v;
   t.n_executed <- t.n_executed + 1;
-  t.executes <- t.executes + 1;
-  let observer = t.observer in
-  (match observer with None -> () | Some o -> o.on_pop v);
   let off = t.off and dat = t.dat in
   for i = Slab.unsafe_get off v to Slab.unsafe_get off (v + 1) - 1 do
     let w = Slab.unsafe_get dat i in
@@ -161,8 +146,6 @@ let execute ?on_promote t v =
       Array.unsafe_set t.pool t.count w;
       Array.unsafe_set t.pos w t.count;
       t.count <- t.count + 1;
-      t.promotions <- t.promotions + 1;
-      (match observer with None -> () | Some o -> o.on_push w);
       match on_promote with None -> () | Some f -> f w
     end
   done;
@@ -181,7 +164,6 @@ let restore t snap =
   if snap < t.floor || snap > t.n_executed || (snap < t.n_executed && t.trail == [||])
   then invalid_arg "Frontier.restore: stale snapshot";
   Ic_prof.Span.enter "frontier.restore";
-  t.restores <- t.restores + 1;
   while t.n_executed > snap do
     let v = t.trail.(t.n_executed - 1) in
     t.n_executed <- t.n_executed - 1;
@@ -226,9 +208,8 @@ let restore t snap =
        stay GC-invisible and cache-lean at the 10^8-node scale;
      - unpacked  (int array, 8 bytes/node) beyond that.
 
-   Each run bumps the matching counter below; [scratch_counts] reads
-   them, so the silent-fallback behaviour the tiers replace is now
-   observable.
+   [scratch_tier] is the choice, exposed so a caller can see which tier
+   a dag gets without running the replay.
 
    [profile_raw] is the bare loop; [profile] adds the span. The raw entry
    point stays exposed so the bench harness can compare instrumented
@@ -256,15 +237,6 @@ let fill_remaining g f =
     f v (Slab.unsafe_get poff (v + 1) - Slab.unsafe_get poff v)
   done
 
-type scratch_counts = { packed8 : int; packed16 : int; unpacked : int }
-
-let packed8_runs = ref 0
-let packed16_runs = ref 0
-let unpacked_runs = ref 0
-
-let scratch_counts () =
-  { packed8 = !packed8_runs; packed16 = !packed16_runs; unpacked = !unpacked_runs }
-
 let profile_raw g ~order =
   let n = Dag.n_nodes g in
   if Array.length order <> n then
@@ -280,7 +252,6 @@ let profile_raw g ~order =
      gated hot path *)
   (match scratch_tier g with
   | Packed8 ->
-    incr packed8_runs;
     let remaining = Bytes.create n in
     for v = 0 to n - 1 do
       Bytes.unsafe_set remaining v
@@ -300,7 +271,6 @@ let profile_raw g ~order =
       Array.unsafe_set out (i + 1) !c
     done
   | Packed16 ->
-    incr packed16_runs;
     (* uint16 bigarray: off-heap, 2 bytes/node, reads/writes are plain
        ints — no boxing on any middle-end *)
     let remaining = A1.create Bigarray.int16_unsigned Bigarray.c_layout n in
@@ -322,7 +292,6 @@ let profile_raw g ~order =
       Array.unsafe_set out (i + 1) !c
     done
   | Unpacked ->
-    incr unpacked_runs;
     let remaining = Dag.in_degrees g in
     for i = 0 to n - 1 do
       let v = Array.unsafe_get order i in
@@ -351,8 +320,3 @@ let profile g ~order =
       Ic_prof.Span.leave ();
       raise e
   end
-
-type stats = { executes : int; promotions : int; restores : int }
-
-let stats (t : t) =
-  { executes = t.executes; promotions = t.promotions; restores = t.restores }

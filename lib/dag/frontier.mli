@@ -67,7 +67,14 @@ val execute : ?on_promote:(int -> unit) -> t -> int -> unit
 (** [execute t v] marks the eligible node [v] executed and promotes every
     child whose last missing parent was [v]. [on_promote] is called once per
     newly eligible child, in ascending child order. [O(out-degree v)].
-    Raises [Invalid_argument] if [v] is out of range or not eligible. *)
+    Raises [Invalid_argument] if [v] is out of range or not eligible.
+
+    [on_promote] is the frontier's only callback, and the tracing layer
+    ({!Ic_obs.Trace}) uses it too: the simulator and the value engine
+    emit a [Frontier_pop] for [v] before calling [execute], and a
+    [Frontier_push] from an [on_promote] they build once per run, so no
+    closure is allocated per step. {!restore} and the bulk {!profile}
+    pass take no callback. *)
 
 (** {1 Undo} *)
 
@@ -104,10 +111,9 @@ val profile_raw : Dag.t -> order:int array -> int array
 (** {2 Replay scratch tiers}
 
     The replay pass sizes its remaining-parents scratch to the dag's
-    maximum in-degree: 1 byte/node up to 255 ([packed8]), an off-heap
-    uint16 bigarray up to 65535 ([packed16]), a plain int array beyond
-    ([unpacked]). The choice used to be silent; these counters make it
-    observable. *)
+    maximum in-degree: 1 byte/node up to 255 ([Packed8]), an off-heap
+    uint16 bigarray up to 65535 ([Packed16]), a plain int array beyond
+    ([Unpacked]). {!scratch_tier} names the tier a dag gets. *)
 
 type scratch_tier = Packed8 | Packed16 | Unpacked
 (** The remaining-parents representation a dag's maximum in-degree calls
@@ -125,36 +131,3 @@ val fill_remaining : Dag.t -> (int -> int -> unit) -> unit
     in ascending order — the initialization loop every remaining-parents
     scratch (sequential or atomic) starts from, without materializing an
     intermediate int array. *)
-
-type scratch_counts = { packed8 : int; packed16 : int; unpacked : int }
-
-val scratch_counts : unit -> scratch_counts
-(** Process-wide count of {!profile}/{!profile_raw} runs per scratch
-    tier. *)
-
-(** {1 Observability} *)
-
-type observer = {
-  on_push : int -> unit;  (** a node just became eligible *)
-  on_pop : int -> unit;  (** a node was just executed *)
-}
-(** A structured-event hook for the tracing layer ({!Ic_obs.Trace}): the
-    simulator and the value engine install an observer that stamps push
-    and pop events with their own notion of time. *)
-
-val set_observer : t -> observer option -> unit
-(** Install (or with [None] remove) the frontier's observer. The observer
-    fires on {!execute} only — one [on_pop] for the executed node, then
-    one [on_push] per promoted child, interleaved with [on_promote] —
-    never on {!restore} or the bulk {!profile} pass, which stay
-    callback-free. With no observer installed the execute path pays one
-    branch, preserving the zero-instrumentation overhead contract. *)
-
-type stats = {
-  executes : int;  (** total {!execute} calls that succeeded *)
-  promotions : int;  (** nodes that became eligible through {!execute} *)
-  restores : int;  (** total {!restore} calls *)
-}
-
-val stats : t -> stats
-(** Per-frontier operation counters, for bench harnesses and debugging. *)

@@ -1,25 +1,17 @@
-(* Domain-safe instruments. The design constraint is the write path: a
-   counter increment from inside Ic_par's work loop or Ic_served's
-   select loop must cost one atomic RMW on a cell nobody else writes,
-   and an absent registry must cost one branch at the call site. The
-   read side (scrape endpoint, top dashboard) merges whatever it finds;
-   it runs a few times a second, so it can afford to sum cells and
-   rebuild quantiles from buckets.
+(* Domain-safe instruments. Producers count in their own state and
+   either attach a reader or add a run's totals once, when it ends, so
+   a counter is written a few times per run: one atomic cell is all it
+   needs. Histograms are the one instrument written per event. The read
+   side (scrape endpoint, dump at exit) sums a counter's cell and
+   readers and renders histogram buckets.
 
    Registration is guarded by a mutex that only protects the name
    table — instruments themselves are immutable records over Atomic
-   cells. Counter cells are allocated with spacer arrays between them so
-   consecutive cells land on different cache lines (minor-heap
-   allocation is sequential and promotion preserves order). *)
+   cells. *)
 
 type counter = {
-  cells : int Atomic.t array;
-  c_mask : int;
-  (* spacers between the cells; kept reachable so the GC cannot
-     collect them and later allocations cannot slide the cells onto a
-     shared cache line *)
-  _c_pads : int array array;
-  (* counts kept by their producers, summed with the cells on read *)
+  cell : int Atomic.t;
+  (* counts kept by their producers, summed with the cell on read *)
   c_readers : (unit -> int) list Atomic.t;
 }
 
@@ -42,38 +34,19 @@ type histogram = {
 type instrument = C of counter | G of gauge | H of histogram
 
 type t = {
-  n_shards : int;
   lock : Mutex.t;
   tbl : (string, instrument) Hashtbl.t;
   created_at : float;
 }
 
-let rec pow2_ge n k = if k >= n then k else pow2_ge n (2 * k)
-
-let create ?(shards = 8) () =
-  let shards = pow2_ge (max shards 1) 1 in
+let create () =
   {
-    n_shards = shards;
     lock = Mutex.create ();
     tbl = Hashtbl.create 32;
     created_at = Unix.gettimeofday ();
   }
 
-let shards t = t.n_shards
-
 let with_lock t f = Mutex.protect t.lock f
-
-let make_cells n =
-  let pads = Array.make n [||] in
-  let cells =
-    Array.init n (fun i ->
-        let c = Atomic.make 0 in
-        (* 15 words of spacing: cell box (2 words) + pad (16 words
-           with header) > one 64-byte line *)
-        pads.(i) <- Array.make 15 0;
-        c)
-  in
-  (cells, pads)
 
 let register t name make_i describe ~kind =
   let i =
@@ -94,15 +67,7 @@ let register t name make_i describe ~kind =
 
 let counter t name =
   register t name ~kind:"counter"
-    (fun () ->
-      let cells, pads = make_cells t.n_shards in
-      C
-        {
-          cells;
-          c_mask = t.n_shards - 1;
-          _c_pads = pads;
-          c_readers = Atomic.make [];
-        })
+    (fun () -> C { cell = Atomic.make 0; c_readers = Atomic.make [] })
     (function C c -> Some c | _ -> None)
 
 let zero () = 0.0
@@ -133,8 +98,7 @@ let histogram t name =
 
 (* ----------------------------------------------------------- hot path *)
 
-let incr c ~shard n =
-  ignore (Atomic.fetch_and_add c.cells.(shard land c.c_mask) n)
+let incr c n = ignore (Atomic.fetch_and_add c.cell n)
 
 let set g v = Atomic.set g (fun () -> v)
 
@@ -157,10 +121,9 @@ let observe h x =
 (* ------------------------------------------------------ merge-on-read *)
 
 let counter_value c =
-  let s = ref 0 in
-  Array.iter (fun cell -> s := !s + Atomic.get cell) c.cells;
-  List.iter (fun f -> s := !s + f ()) (Atomic.get c.c_readers);
-  !s
+  List.fold_left
+    (fun s f -> s + f ())
+    (Atomic.get c.cell) (Atomic.get c.c_readers)
 
 let gauge_value g = (Atomic.get g) ()
 
@@ -173,36 +136,9 @@ let histogram_snapshot h =
     count = Atomic.get h.h_count;
   }
 
-let hsnap_sub a b =
-  {
-    counts = Array.init n_buckets (fun i -> max 0 (a.counts.(i) - b.counts.(i)));
-    sum = a.sum -. b.sum;
-    count = max 0 (a.count - b.count);
-  }
-
 let bucket_upper i =
   let base = Float.ldexp 1.0 (lo_e + (i / 2)) in
   if i land 1 = 0 then 0.75 *. base else base
-
-let bucket_lower i = if i = 0 then bucket_upper 0 /. 2.0 else bucket_upper (i - 1)
-
-let quantile s q =
-  if s.count <= 0 then nan
-  else begin
-    let target = Float.max 1.0 (q *. float_of_int s.count) in
-    let res = ref nan in
-    let cum = ref 0 in
-    (try
-       for i = 0 to n_buckets - 1 do
-         cum := !cum + s.counts.(i);
-         if float_of_int !cum >= target then begin
-           res := sqrt (bucket_lower i *. bucket_upper i);
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !res
-  end
 
 (* ---------------------------------------------------------- rendering *)
 
@@ -223,7 +159,7 @@ let fmt_float x =
     Printf.sprintf "%.0f" x
   else Printf.sprintf "%.9g" x
 
-(* JSON has no NaN or infinity; an empty quantile gauge renders null *)
+(* JSON has no NaN or infinity; a non-finite gauge renders null *)
 let json_float x = if Float.is_finite x then fmt_float x else "null"
 
 let rss_bytes () =

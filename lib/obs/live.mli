@@ -1,6 +1,6 @@
-(** The metrics registry: sharded counters, atomic gauges and
-    lock-free log-bucketed histograms, domain-safe and readable while
-    the producers are still running.
+(** The metrics registry: atomic counters and gauges and lock-free
+    log-bucketed histograms, domain-safe and readable while the
+    producers are still running.
 
     It is the only registry in the tree, and each event is counted in
     one place. A producer that already keeps a count in its own state
@@ -8,8 +8,8 @@
     [Ic_served.Server]'s [served.*] counters and gauges read the
     server's fields, so a scrape and [Server.stats] see the same
     numbers. A producer that keeps its totals per run
-    ([Ic_sim.Simulator], [Ic_par.Runtime]) adds them to the cells once,
-    when the run ends. Latency histograms are the one thing observed
+    ([Ic_sim.Simulator], [Ic_par.Runtime]) adds them to the counters
+    once, when the run ends. Latency histograms are the one thing observed
     per event. The same registry serves a scrape endpoint mid-run and
     the dump-at-exit artifact. For a seeded single-writer run the dump
     is deterministic: counters are exact once writers stop, bucketing
@@ -19,39 +19,30 @@
 
     {2 Cell layout}
 
-    A counter owns one [Atomic.t] cell per shard (shard count is fixed
-    at registry creation and rounded up to a power of two). Writers
-    increment [cells.(shard land mask)] with a single
-    [Atomic.fetch_and_add]; passing the writer's domain/worker index as
-    [shard] gives each domain a private cell, so the hot path never
-    contends. The cells are allocated with padding objects between them
-    to keep them on separate cache lines. [counter_value] merges on
-    read by summing the cells; the sum is not a linearizable snapshot
-    (increments can land mid-sum) but is exact once the writers are
+    A counter is one [int Atomic.t] cell plus the readers attached to
+    it. Counters are written a few times per run, never per event, so
+    one cell shared by every domain does not contend: {!incr} is a
+    single [Atomic.fetch_and_add] from any domain. {!counter_value}
+    adds the cell and the readers; it is exact once the writers are
     quiescent, and never under-counts a write that happened-before the
     read.
 
-    A counter may also carry readers, summed with its cells on read.
     A gauge is a single atomic cell holding its last write — a value
     from {!set} or a reader from {!gauge_reader}. Histograms are a
     shared array of atomic buckets, log-spaced at two buckets per
     octave (powers of two), covering ~5e-7 .. 2e3 with saturation at
     both ends; an observation is two [fetch_and_add]s (bucket + count)
-    plus a fixed-point sum update, lock-free and allocation-free.
-    Quantiles are reconstructed from bucket counts by geometric
-    interpolation, optionally against a previous snapshot — that delta
-    is the sliding-window p50/p95/p99 a scraper wants. *)
+    plus a fixed-point sum update, lock-free and allocation-free. The
+    registry computes no quantiles: {!openmetrics} exposes the
+    cumulative buckets, and a scraper takes quantiles or windows from
+    them ([ic_sched top] prints the scrape with per-second rates of the
+    [_total] series). *)
 
 type t
 (** A live registry: a set of named instruments. *)
 
-val create : ?shards:int -> unit -> t
-(** A fresh registry. [shards] (default 8, rounded up to a power of
-    two) is the number of counter cells per counter — make it at least
-    the number of concurrently-writing domains. *)
-
-val shards : t -> int
-(** The (rounded) shard count. *)
+val create : unit -> t
+(** A fresh, empty registry. *)
 
 type counter
 type gauge
@@ -71,7 +62,7 @@ val histogram : t -> string -> histogram
 val counter_reader : t -> string -> (unit -> int) -> unit
 (** [counter_reader l name f] attaches [f] to the counter [name]
     (registering it on first use): {!counter_value}, {!openmetrics} and
-    {!to_json} add [f ()] to the counter's cells. A second reader under
+    {!to_json} add [f ()] to the counter's cell. A second reader under
     the same name is summed with the first, so a registry shared by
     several producers totals their counts, as [incr]s from each would.
     The registry keeps [f], and whatever it closes over, alive. Raises
@@ -89,11 +80,11 @@ val gauge_reader : t -> string -> (unit -> float) -> unit
     there: [Ic_served.Server]'s readers are plain field loads, and its
     scrape endpoint runs in the same loop as the server. *)
 
-(** {1 Hot path} *)
+(** {1 Writing} *)
 
-val incr : counter -> shard:int -> int -> unit
-(** [incr c ~shard n] adds [n] to [c]'s cell [shard land mask]. One
-    atomic RMW on a cell no other domain should be writing. *)
+val incr : counter -> int -> unit
+(** [incr c n] adds [n] to [c]'s cell: one atomic RMW, safe from any
+    domain. *)
 
 val set : gauge -> float -> unit
 (** Last write wins; [set] replaces a reader attached with
@@ -104,7 +95,7 @@ val observe : histogram -> float -> unit
 (** {1 Merge-on-read} *)
 
 val counter_value : counter -> int
-(** Sum of all cells and of every attached reader's value. *)
+(** The cell plus every attached reader's value. *)
 
 val gauge_value : gauge -> float
 
@@ -115,15 +106,6 @@ type hsnap = {
 }
 
 val histogram_snapshot : histogram -> hsnap
-
-val hsnap_sub : hsnap -> hsnap -> hsnap
-(** [hsnap_sub a b] is the window [a - b]: observations recorded after
-    [b] was taken. *)
-
-val quantile : hsnap -> float -> float
-(** [quantile s q] reconstructs the [q]-quantile (0 <= q <= 1) from
-    bucket counts by geometric interpolation; [nan] when the snapshot
-    is empty. *)
 
 val n_buckets : int
 
@@ -153,5 +135,5 @@ val to_json : t -> string
     [{"counters": {...}, "gauges": {...}, "histograms": {...}}], names
     sorted and escaped. A histogram is
     [{"count": n, "sum": s, "buckets": [[le, cumulative], ...]}] over
-    its occupied buckets. A non-finite gauge (an empty quantile, say)
-    renders as [null], so the output is always standard JSON. *)
+    its occupied buckets. A non-finite gauge renders as [null], so the
+    output is always standard JSON. *)

@@ -290,41 +290,6 @@ let emit t kind ~time ~a ~b =
       (header_size + ((seq - 1) mod r.n_slots * slot_size))
       r.scratch slot_size
 
-let task_alloc t ~time ~task ~client = emit t Task_alloc ~time ~a:task ~b:client
-let task_start t ~time ~task ~client = emit t Task_start ~time ~a:task ~b:client
-
-let task_complete t ~time ~task ~client =
-  emit t Task_complete ~time ~a:task ~b:client
-
-let task_fail t ~time ~task ~client = emit t Task_fail ~time ~a:task ~b:client
-let client_stall t ~time ~client = emit t Client_stall ~time ~a:client ~b:0
-let client_resume t ~time ~client = emit t Client_resume ~time ~a:client ~b:0
-let frontier_push t ~time ~node = emit t Frontier_push ~time ~a:node ~b:0
-let frontier_pop t ~time ~node = emit t Frontier_pop ~time ~a:node ~b:0
-let eligible_count t ~time ~count = emit t Eligible_count ~time ~a:count ~b:0
-
-let timeout_fired t ~time ~task ~client =
-  emit t Timeout_fired ~time ~a:task ~b:client
-
-let retry_scheduled t ~time ~task ~retry =
-  emit t Retry_scheduled ~time ~a:task ~b:retry
-
-let speculative_launch t ~time ~task =
-  emit t Speculative_launch ~time ~a:task ~b:0
-
-let replica_cancelled t ~time ~task ~client =
-  emit t Replica_cancelled ~time ~a:task ~b:client
-
-let client_crash t ~time ~client ~transient =
-  emit t Client_crash ~time ~a:client ~b:(if transient then 1 else 0)
-
-let client_rejoin t ~time ~client = emit t Client_rejoin ~time ~a:client ~b:0
-
-let frontier_depth t ~time ~shard ~depth =
-  emit t Frontier_depth ~time ~a:shard ~b:depth
-
-let inflight t ~time ~count = emit t Inflight ~time ~a:count ~b:0
-
 (* ---------------------------------------------------------- reading *)
 
 let column c i =

@@ -105,28 +105,12 @@ val clear : t -> unit
 
 val emit : t -> kind -> time:float -> a:int -> b:int -> unit
 (** Record one event: four column cells in memory; on a recorder, one
-    frame written in place (no syscall, no allocation). *)
-
-(** Typed wrappers over {!emit}, one per event kind; unused payload slots
-    are recorded as [0]. *)
-
-val task_alloc : t -> time:float -> task:int -> client:int -> unit
-val task_start : t -> time:float -> task:int -> client:int -> unit
-val task_complete : t -> time:float -> task:int -> client:int -> unit
-val task_fail : t -> time:float -> task:int -> client:int -> unit
-val client_stall : t -> time:float -> client:int -> unit
-val client_resume : t -> time:float -> client:int -> unit
-val frontier_push : t -> time:float -> node:int -> unit
-val frontier_pop : t -> time:float -> node:int -> unit
-val eligible_count : t -> time:float -> count:int -> unit
-val timeout_fired : t -> time:float -> task:int -> client:int -> unit
-val retry_scheduled : t -> time:float -> task:int -> retry:int -> unit
-val speculative_launch : t -> time:float -> task:int -> unit
-val replica_cancelled : t -> time:float -> task:int -> client:int -> unit
-val client_crash : t -> time:float -> client:int -> transient:bool -> unit
-val client_rejoin : t -> time:float -> client:int -> unit
-val frontier_depth : t -> time:float -> shard:int -> depth:int -> unit
-val inflight : t -> time:float -> count:int -> unit
+    frame written in place (no syscall, no allocation). This is the only
+    recording call: the payload slots each {!kind} documents are [a] and
+    [b], and a slot the kind does not use is recorded as [0]. Producers
+    ([Ic_sim.Simulator], [Ic_compute.Engine], [Ic_par.Runtime],
+    [Ic_served.Server]) each wrap it in one local [emit] over their
+    optional sink. *)
 
 (** {1 Reading} *)
 

@@ -46,7 +46,8 @@ val wavefront : ?spin_us:float -> size:int -> unit -> t
 val fft : ?spin_us:float -> size:int -> unit -> t
 (** The [2^size]-point FFT on the butterfly [B_size]:
     {!Ic_compute.Fft.engine}, [(size+1)·2^size] nodes (at most
-    [Dag.max_nodes]). *)
+    [Dag.max_nodes]) and [2·size·2^size] arcs (at most
+    [Slab.max_value]). *)
 
 val matmul : ?spin_us:float -> size:int -> unit -> t
 (** The product of two synthetic [2^size × 2^size] float matrices by one

@@ -123,7 +123,7 @@ let run ?domains ?(order = Steal) ?priority ?sink ?live g ~task =
     match live with
     | None -> ()
     | Some l ->
-      let c name v = Live.incr (Live.counter l name) ~shard:0 v in
+      let c name v = Live.incr (Live.counter l name) v in
       c "par.tasks" st.tasks;
       c "par.steals" st.steals;
       c "par.steal_attempts" st.steal_attempts;
@@ -198,21 +198,20 @@ let run ?domains ?(order = Steal) ?priority ?sink ?live g ~task =
         workers
     in
     let t0 = Ic_prof.Monotonic.now () in
+    (* a worker records into its own buffer, stamped since [t0] *)
+    let emit w kind v =
+      match w.trace with
+      | None -> ()
+      | Some tr ->
+        Trace.emit tr kind ~time:(Ic_prof.Monotonic.now () -. t0) ~a:v ~b:w.id
+    in
     let run_task w v =
       let lt0 =
         match w.task_s with None -> 0.0 | Some _ -> Ic_prof.Monotonic.now ()
       in
-      (match w.trace with
-      | None -> ()
-      | Some tr ->
-        Trace.task_alloc tr ~time:(Ic_prof.Monotonic.now () -. t0) ~task:v
-          ~client:w.id);
+      emit w Trace.Task_alloc v;
       task v;
-      (match w.trace with
-      | None -> ()
-      | Some tr ->
-        Trace.task_complete tr ~time:(Ic_prof.Monotonic.now () -. t0) ~task:v
-          ~client:w.id);
+      emit w Trace.Task_complete v;
       (match w.task_s with
       | None -> ()
       | Some h -> Live.observe h (Ic_prof.Monotonic.now () -. lt0));

@@ -594,7 +594,7 @@ let run_chaos ?sink ?live ~server:scfg ~wire
         let c field v =
           Live.incr
             (Live.counter l (Printf.sprintf "served.chaos.%s.%s" name field))
-            ~shard:0 v
+            v
         in
         c "frames" s.Chaos.frames;
         c "delivered" s.Chaos.delivered;
@@ -608,6 +608,6 @@ let run_chaos ?sink ?live ~server:scfg ~wire
       in
       link "c2s" (Chaos.stats c2s);
       link "s2c" (Chaos.stats s2c);
-      Live.incr (Live.counter l "served.chaos.retries") ~shard:0 !retries)
+      Live.incr (Live.counter l "served.chaos.retries") !retries)
     live;
   { base; c2s = Chaos.stats c2s; s2c = Chaos.stats s2c; retries = !retries }

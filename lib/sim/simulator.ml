@@ -119,29 +119,23 @@ let run ?sink ?live cfg policy ~workload g =
   let h_queue_depth = histogram "sim.queue_depth" in
   let h_stall = histogram "sim.stall_duration" in
   let observe h x = match h with None -> () | Some h -> Live.observe h x in
-  (* frontier push/pop events are stamped with the simulated clock *)
-  (match sink with
-  | None -> ()
-  | Some tr ->
-    Frontier.set_observer fr
-      (Some
-         {
-           Frontier.on_push = (fun v -> Trace.frontier_push tr ~time:!now ~node:v);
-           on_pop = (fun v -> Trace.frontier_pop tr ~time:!now ~node:v);
-         }));
-  Frontier.iter (Policy.Robust.notify robust) fr;
-  (match sink with
-  | None -> ()
-  | Some tr ->
-    (* the initial sources are eligible before anything executes *)
-    Frontier.iter (fun v -> Trace.frontier_push tr ~time:0.0 ~node:v) fr;
-    Trace.eligible_count tr ~time:0.0 ~count:(Policy.Robust.size robust));
-  let trace_eligible () =
-    match sink with
-    | None -> ()
-    | Some tr ->
-      Trace.eligible_count tr ~time:!now ~count:(Policy.Robust.size robust)
+  (* every event goes through [emit], stamped with the simulated clock
+     unless [time] says otherwise; without a sink it is one branch *)
+  let emit ?(time = !now) kind ~a ~b =
+    match sink with None -> () | Some tr -> Trace.emit tr kind ~time ~a ~b
   in
+  let trace_eligible () =
+    emit Trace.Eligible_count ~a:(Policy.Robust.size robust) ~b:0
+  in
+  (* the frontier's step callback, built once: a promoted node is pushed
+     on the simulated clock, then offered to the policy *)
+  let on_promote v =
+    emit Trace.Frontier_push ~a:v ~b:0;
+    Policy.Robust.notify robust v
+  in
+  (* the initial sources are eligible before anything executes *)
+  Frontier.iter on_promote fr;
+  trace_eligible ();
   let events : ev Heap.t = Heap.create () in
   (* per-client state *)
   let busy = Array.make cfg.n_clients 0.0 in
@@ -204,9 +198,7 @@ let run ?sink ?live cfg policy ~workload g =
     let d = !now -. stalled_since.(c) in
     stall_time := !stall_time +. d;
     stalled_since.(c) <- nan;
-    (match sink with
-    | None -> ()
-    | Some tr -> Trace.client_resume tr ~time:!now ~client:c);
+    emit Trace.Client_resume ~a:c ~b:0;
     observe h_stall d
   in
   let close_attempt id =
@@ -257,12 +249,9 @@ let run ?sink ?live cfg policy ~workload g =
     if replicas.(v) = 1 then incr inflight;
     open_attempts.(v) <- id :: open_attempts.(v);
     if Float.is_nan first_alloc.(v) then first_alloc.(v) <- !now;
-    (match sink with
-    | None -> ()
-    | Some tr ->
-      Trace.task_alloc tr ~time:!now ~task:v ~client;
-      Trace.task_start tr ~time:(!now +. comm) ~task:v ~client;
-      Trace.eligible_count tr ~time:!now ~count:(Policy.Robust.size robust));
+    emit Trace.Task_alloc ~a:v ~b:client;
+    emit Trace.Task_start ~time:(!now +. comm) ~a:v ~b:client;
+    trace_eligible ();
     Heap.push events (!now +. duration) (Ev_complete id);
     if Recovery.timeouts_enabled rc then
       Heap.push events (!now +. Recovery.timeout_after rc ~expected)
@@ -278,9 +267,7 @@ let run ?sink ?live cfg policy ~workload g =
       incr stalls;
       if Float.is_nan stalled_since.(client) then begin
         stalled_since.(client) <- !now;
-        match sink with
-        | None -> ()
-        | Some tr -> Trace.client_stall tr ~time:!now ~client
+        emit Trace.Client_stall ~a:client ~b:0
       end
     end;
     Queue.add client waiting
@@ -339,9 +326,7 @@ let run ?sink ?live cfg policy ~workload g =
       else begin
         retries_of.(v) <- k + 1;
         incr retries;
-        (match sink with
-        | None -> ()
-        | Some tr -> Trace.retry_scheduled tr ~time:!now ~task:v ~retry:k);
+        emit Trace.Retry_scheduled ~a:v ~b:k;
         let d = Recovery.backoff rc ~task:v ~retry:k in
         if d > 0.0 then begin
           pending.(v) <- true;
@@ -367,23 +352,17 @@ let run ?sink ?live cfg policy ~workload g =
         (* a replica of an already-finished task ran to term: discard *)
         a.at_resolved <- true;
         incr cancelled;
-        match sink with
-        | None -> ()
-        | Some tr -> Trace.replica_cancelled tr ~time:!now ~task:v ~client:c
+        emit Trace.Replica_cancelled ~a:v ~b:c
       end
       else if a.at_lost then begin
         (* the result vanished in transit: the server stays unaware and
            only the liveness timeout can recover the task *)
         incr lost;
-        match sink with
-        | None -> ()
-        | Some tr -> Trace.task_fail tr ~time:!now ~task:v ~client:c
+        emit Trace.Task_fail ~a:v ~b:c
       end
       else if a.at_failed then begin
         incr failures;
-        (match sink with
-        | None -> ()
-        | Some tr -> Trace.task_fail tr ~time:!now ~task:v ~client:c);
+        emit Trace.Task_fail ~a:v ~b:c;
         if not a.at_resolved then begin
           a.at_resolved <- true;
           (* an unresolved live replica covers the task; its own fate
@@ -398,13 +377,12 @@ let run ?sink ?live cfg policy ~workload g =
         incr completed;
         computed_by.(v) <- c;
         completion_order := v :: !completion_order;
-        (match sink with
-        | None -> ()
-        | Some tr -> Trace.task_complete tr ~time:!now ~task:v ~client:c);
+        emit Trace.Task_complete ~a:v ~b:c;
         observe h_e2e (!now -. first_alloc.(v));
         if Policy.Robust.pooled robust v then Policy.Robust.withdraw robust v;
         pending.(v) <- false;
-        Frontier.execute fr ~on_promote:(Policy.Robust.notify robust) v;
+        emit Trace.Frontier_pop ~a:v ~b:0;
+        Frontier.execute fr ~on_promote v;
         (* redundant replicas are cancelled, their clients freed *)
         List.iter
           (fun id' ->
@@ -416,11 +394,7 @@ let run ?sink ?live cfg policy ~workload g =
                 st.(a'.at_client) <- st_idle;
                 freed := a'.at_client :: !freed;
                 incr cancelled;
-                match sink with
-                | None -> ()
-                | Some tr ->
-                  Trace.replica_cancelled tr ~time:!now ~task:v
-                    ~client:a'.at_client
+                emit Trace.Replica_cancelled ~a:v ~b:a'.at_client
               end
             end)
           open_attempts.(v);
@@ -440,9 +414,7 @@ let run ?sink ?live cfg policy ~workload g =
       (* presumed lost; a late result may still arrive and win *)
       a.at_resolved <- true;
       incr timeouts;
-      (match sink with
-      | None -> ()
-      | Some tr -> Trace.timeout_fired tr ~time:!now ~task:v ~client:a.at_client);
+      emit Trace.Timeout_fired ~a:v ~b:a.at_client;
       if not (covered v) then schedule_retry v;
       wake ()
     end
@@ -459,9 +431,7 @@ let run ?sink ?live cfg policy ~workload g =
       && not pending.(v)
     then begin
       incr speculations;
-      (match sink with
-      | None -> ()
-      | Some tr -> Trace.speculative_launch tr ~time:!now ~task:v);
+      emit Trace.Speculative_launch ~a:v ~b:0;
       Policy.Robust.notify robust v;
       trace_eligible ();
       wake ()
@@ -473,9 +443,7 @@ let run ?sink ?live cfg policy ~workload g =
     if st.(c) >= 0 then close_attempt st.(c);
     if not (Float.is_nan stalled_since.(c)) then end_stall c;
     st.(c) <- (if transient then st_offline else st_dead);
-    match sink with
-    | None -> ()
-    | Some tr -> Trace.client_crash tr ~time:!now ~client:c ~transient
+    emit Trace.Client_crash ~a:c ~b:(if transient then 1 else 0)
   in
   let handle_crash c =
     if st.(c) <> st_dead then begin
@@ -494,9 +462,7 @@ let run ?sink ?live cfg policy ~workload g =
   let handle_rejoin c =
     if st.(c) = st_offline then begin
       st.(c) <- st_idle;
-      (match sink with
-      | None -> ()
-      | Some tr -> Trace.client_rejoin tr ~time:!now ~client:c);
+      emit Trace.Client_rejoin ~a:c ~b:0;
       allocate c
     end
   in
@@ -633,7 +599,7 @@ let run ?sink ?live cfg policy ~workload g =
   | None -> ()
   | Some m ->
     (* added, not set: a registry shared by several runs accumulates *)
-    let c name v = Live.incr (Live.counter m name) ~shard:0 v in
+    let c name v = Live.incr (Live.counter m name) v in
     c "sim.tasks_allocated" (List.length result.allocation_order);
     c "sim.tasks_completed" !completed;
     c "sim.tasks_failed" result.failures;
@@ -658,7 +624,6 @@ let run ?sink ?live cfg policy ~workload g =
           (if makespan > 0.0 then b /. makespan else 0.0))
       busy);
   Span.leave () (* sim.obs_export *);
-  (match sink with None -> () | Some _ -> Frontier.set_observer fr None);
   Span.leave () (* sim.finalize *);
   result
 

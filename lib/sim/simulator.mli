@@ -111,8 +111,9 @@ val run :
 
     [sink], when given, receives the full structured event stream with
     simulated timestamps: task allocation / start / completion / failure
-    per client, client stall/resume periods, frontier push/pop (via
-    {!Ic_dag.Frontier.set_observer}), an {!Ic_obs.Trace.Eligible_count}
+    per client, client stall/resume periods, frontier push/pop (a pop
+    before each [Frontier.execute], a push from its [on_promote]), an
+    {!Ic_obs.Trace.Eligible_count}
     sample whenever the allocatable pool changes, and the fault/recovery
     events (timeout fired, retry scheduled, speculative launch, replica
     cancelled, client crash / disconnect / rejoin) — ready for

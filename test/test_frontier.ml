@@ -181,27 +181,10 @@ let test_promotions_ascending () =
       order
   done
 
-let test_stats () =
-  let g = Ic_families.Mesh.out_mesh 4 in
-  let n = Dag.n_nodes g in
-  let order = Schedule.order (Ic_families.Mesh.out_schedule 4) in
-  let fr = Frontier.create g in
-  let snap = Frontier.snapshot fr in
-  Array.iter (Frontier.execute fr) order;
-  Frontier.restore fr snap;
-  Array.iter (Frontier.execute fr) order;
-  let stats = Frontier.stats fr in
-  check_int "executes" (2 * n) stats.Frontier.executes;
-  (* every non-source is promoted exactly once per full replay *)
-  check_int "promotions"
-    (2 * Dag.n_nonsources g)
-    stats.Frontier.promotions;
-  check_int "restores" 1 stats.Frontier.restores
-
 (* [profile]'s remaining-parents scratch is tiered by maximum in-degree
    (<= 255 packed8, <= 65535 packed16, beyond unpacked). A k-star — k
    leaves all feeding one center — pins the maximum in-degree exactly, so
-   these tests cross each boundary and check both the tier counters and
+   these tests cross each boundary and check both the tier picked and
    that every tier computes the same (known) profile. *)
 let star k =
   let b = Dag.Builder.create ~n:(k + 1) ~hint:k () in
@@ -210,8 +193,10 @@ let star k =
   done;
   Dag.Builder.build_exn b
 
-let profile_star k =
+let profile_star k tier =
   let g = star k in
+  check (Printf.sprintf "star %d scratch tier" k) true
+    (Frontier.scratch_tier g = tier);
   let order = Array.init (k + 1) Fun.id in
   let prof = Frontier.profile g ~order in
   check_int "star profile length" (k + 2) (Array.length prof);
@@ -222,24 +207,10 @@ let profile_star k =
   check_int "drained" 0 prof.(k + 1)
 
 let test_scratch_tier_boundaries () =
-  let counts () = Frontier.scratch_counts () in
-  let c0 = counts () in
-  profile_star 255;
-  let c1 = counts () in
-  check_int "255 uses packed8" (c0.Frontier.packed8 + 1) c1.Frontier.packed8;
-  check_int "255 leaves packed16 alone" c0.Frontier.packed16 c1.Frontier.packed16;
-  profile_star 256;
-  let c2 = counts () in
-  check_int "256 uses packed16" (c1.Frontier.packed16 + 1) c2.Frontier.packed16;
-  check_int "256 leaves packed8 alone" c1.Frontier.packed8 c2.Frontier.packed8;
-  profile_star 65535;
-  let c3 = counts () in
-  check_int "65535 still packed16" (c2.Frontier.packed16 + 1) c3.Frontier.packed16;
-  profile_star 65536;
-  let c4 = counts () in
-  check_int "65536 falls back to unpacked" (c3.Frontier.unpacked + 1)
-    c4.Frontier.unpacked;
-  check_int "65536 leaves packed16 alone" c3.Frontier.packed16 c4.Frontier.packed16
+  profile_star 255 Frontier.Packed8;
+  profile_star 256 Frontier.Packed16;
+  profile_star 65535 Frontier.Packed16;
+  profile_star 65536 Frontier.Unpacked
 
 let () =
   Alcotest.run "frontier"
@@ -262,7 +233,6 @@ let () =
           Alcotest.test_case "execute errors" `Quick test_execute_errors;
           Alcotest.test_case "promotions ascending" `Quick
             test_promotions_ascending;
-          Alcotest.test_case "stats counters" `Quick test_stats;
         ] );
       ( "scratch tiers",
         [

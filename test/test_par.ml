@@ -389,7 +389,7 @@ let test_mesh256_records_steals () =
     work := !acc
   in
   let rec attempt k =
-    let l = Live.create ~shards:4 () in
+    let l = Live.create () in
     let st = Runtime.run ~domains:4 ~live:l g ~task in
     let recorded = Live.counter_value (Live.counter l "par.steals") in
     Alcotest.(check int) "metrics steals = stats steals" st.Runtime.steals
@@ -404,12 +404,30 @@ let test_mesh256_records_steals () =
   attempt 1;
   ignore !work
 
+(* a 1-domain run's event order, pinned; its times come from the wall
+   clock, so only kinds and payloads are hashed *)
+let test_runtime_trace_pinned () =
+  let g = Ic_families.Mesh.out_mesh 8 in
+  let sink = Ic_obs.Trace.create () in
+  ignore (Runtime.run ~domains:1 ~sink g ~task:ignore);
+  let b = Buffer.create 4096 in
+  Ic_obs.Trace.iter
+    (fun e ->
+      Buffer.add_string b
+        (Printf.sprintf "%s %d %d\n"
+           (Ic_obs.Trace.kind_name e.Ic_obs.Trace.kind)
+           e.Ic_obs.Trace.a e.Ic_obs.Trace.b))
+    sink;
+  Alcotest.(check int) "two events per task" (2 * Dag.n_nodes g) (Ic_obs.Trace.length sink);
+  Alcotest.(check string) "pinned trace digest" "5b418a3b8fd503b043290e965cfacd2f"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* --- live registry under real domains ------------------------------- *)
 
-(* merge-on-read correctness: N domains each hammer their own shard of
-   one shared counter; once the writers are quiescent the merged sum
-   must equal the sequential oracle exactly — no lost increments, no
-   double counts, under any (domains, increments, step) mix *)
+(* N domains all increment the one cell of a shared counter; once the
+   writers are quiescent its value must equal the sequential oracle
+   exactly — no lost increments, no double counts, under any (domains,
+   increments, step) mix *)
 let prop_live_merge_on_read =
   QCheck2.Test.make
     ~name:"live counter merge-on-read = sequential oracle (N domains)"
@@ -419,17 +437,17 @@ let prop_live_merge_on_read =
     QCheck2.Gen.(
       triple (int_range 1 6) (int_range 1 5_000) (int_range 1 3))
     (fun (domains, per_domain, by) ->
-      let l = Live.create ~shards:domains () in
+      let l = Live.create () in
       let c = Live.counter l "t.hits" in
       let other = Live.counter l "t.other" in
       let spawned =
-        List.init domains (fun shard ->
+        List.init domains (fun _ ->
             Domain.spawn (fun () ->
                 for _ = 1 to per_domain do
-                  Live.incr c ~shard by;
+                  Live.incr c by;
                   (* a second instrument in the same registry must not
                      absorb or leak any of the increments *)
-                  Live.incr other ~shard 1
+                  Live.incr other 1
                 done))
       in
       List.iter Domain.join spawned;
@@ -437,17 +455,17 @@ let prop_live_merge_on_read =
       && Live.counter_value other = domains * per_domain)
 
 (* while writers are still running, a concurrent reader must see a
-   monotonically growing merged value bounded by the true total: reads
-   tear across cells but never invent or lose settled increments *)
+   monotonically growing value bounded by the true total: reads never
+   invent or lose settled increments *)
 let test_live_concurrent_reads () =
   let writers = 4 and per_domain = 200_000 in
-  let l = Live.create ~shards:writers () in
+  let l = Live.create () in
   let c = Live.counter l "t.c" in
   let spawned =
-    List.init writers (fun shard ->
+    List.init writers (fun _ ->
         Domain.spawn (fun () ->
             for _ = 1 to per_domain do
-              Live.incr c ~shard 1
+              Live.incr c 1
             done))
   in
   let last = ref 0 in
@@ -461,8 +479,8 @@ let test_live_concurrent_reads () =
     last := v
   done;
   List.iter Domain.join spawned;
-  Alcotest.(check bool) "merged reads never go backwards" true !monotone;
-  Alcotest.(check bool) "merged reads never exceed the true total" true
+  Alcotest.(check bool) "reads never go backwards" true !monotone;
+  Alcotest.(check bool) "reads never exceed the true total" true
     !bounded;
   Alcotest.(check int) "quiescent sum is exact" (writers * per_domain)
     (Live.counter_value c)
@@ -471,7 +489,7 @@ let test_live_concurrent_reads () =
    run: live par.* totals equal the deterministic stats *)
 let test_runtime_live_wiring () =
   let g = Ic_families.Mesh.out_mesh 64 in
-  let l = Live.create ~shards:4 () in
+  let l = Live.create () in
   let work = ref 0 in
   let st =
     Runtime.run ~domains:4 ~live:l g ~task:(fun _ ->
@@ -515,7 +533,7 @@ let test_runtime_live_names () =
       "par.steals"; "par.task_s"; "par.tasks"; "par.wall_s";
     ]
   in
-  let l = Live.create ~shards:2 () in
+  let l = Live.create () in
   ignore
     (Runtime.run ~domains:2 ~live:l (Ic_families.Mesh.out_mesh 16)
        ~task:ignore);
@@ -563,6 +581,8 @@ let () =
         [
           Alcotest.test_case "mesh-256 x 4 domains records steals" `Quick
             test_mesh256_records_steals;
+          Alcotest.test_case "1-domain trace matches pinned digest" `Quick
+            test_runtime_trace_pinned;
         ] );
       ( "live",
         Alcotest.test_case "concurrent reads are monotone and bounded" `Quick
