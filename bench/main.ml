@@ -409,7 +409,8 @@ let large_build name build =
   let seconds, alloc = time_it build in
   let g = build () in
   large_record ~name ~n_nodes:(Ic_dag.Dag.n_nodes g)
-    ~n_arcs:(Ic_dag.Dag.n_arcs g) ~seconds ~alloc_bytes:alloc
+    ~n_arcs:(Ic_dag.Dag.n_arcs g) ~seconds ~alloc_bytes:alloc;
+  seconds
 
 let large_profile name g s ~min_runs =
   let seconds, alloc = time_it ~min_runs (fun () -> Ic_dag.Profile.run g s) in
@@ -421,15 +422,48 @@ let run_large () =
   let mesh_levels = if !quick then 256 else 1024 in
   let butterfly_dim = if !quick then 10 else 16 in
   let prefix_inputs = if !quick then 1 lsl 12 else 1 lsl 18 in
-  large_build
-    (Printf.sprintf "build_out_mesh_%d" mesh_levels)
-    (fun () -> F.Mesh.out_mesh mesh_levels);
-  large_build
-    (Printf.sprintf "build_butterfly_%d" butterfly_dim)
-    (fun () -> F.Butterfly_net.dag butterfly_dim);
-  large_build
-    (Printf.sprintf "build_prefix_%d" prefix_inputs)
-    (fun () -> F.Prefix_dag.dag prefix_inputs);
+  let direct_s =
+    large_build
+      (Printf.sprintf "build_out_mesh_%d" mesh_levels)
+      (fun () -> F.Mesh.out_mesh mesh_levels)
+  in
+  ignore
+    (large_build
+       (Printf.sprintf "build_butterfly_%d" butterfly_dim)
+       (fun () -> F.Butterfly_net.dag butterfly_dim));
+  ignore
+    (large_build
+       (Printf.sprintf "build_prefix_%d" prefix_inputs)
+       (fun () -> F.Prefix_dag.dag prefix_inputs));
+  (* the Builder's buffered path: the same mesh arcs, held in memory and
+     fed in reverse order, so every arc after the first goes through the
+     8-byte-per-arc buffer, the count and scatter passes and the row
+     sort; its time over the direct fill's comes from this one run *)
+  let n = (mesh_levels + 1) * (mesh_levels + 2) / 2
+  and m = mesh_levels * (mesh_levels + 1) in
+  let us = Array.make m 0 and vs = Array.make m 0 in
+  let k = ref 0 in
+  F.Mesh.iter_arcs mesh_levels (fun u v ->
+      us.(!k) <- u;
+      vs.(!k) <- v;
+      incr k);
+  let reversed_s =
+    large_build
+      (Printf.sprintf "build_out_mesh_%d_reversed" mesh_levels)
+      (fun () ->
+        let b = Ic_dag.Dag.Builder.create ~n ~hint:m () in
+        for i = m - 1 downto 0 do
+          Ic_dag.Dag.Builder.add_arc b us.(i) vs.(i)
+        done;
+        Ic_dag.Dag.Builder.build_exn b)
+  in
+  emit_json
+    (Printf.sprintf
+       "{\"phase\": %s, \"bench\": %s, \"ratio\": %.3f}"
+       (Ic_obs.Json.quote !current_phase)
+       (Ic_obs.Json.quote
+          (Printf.sprintf "build_out_mesh_%d_reversed_over_direct" mesh_levels))
+       (reversed_s /. direct_s));
   (* schedule replay at the large mesh size, one pass over ~1M arcs *)
   let g = F.Mesh.out_mesh mesh_levels in
   let s = F.Mesh.out_schedule mesh_levels in
@@ -444,9 +478,10 @@ let run_large () =
      (IC_BUILDER_SPILL reaches the family constructor's internal Builder),
      arcs round-tripping through the unlinked temp file in 64k-arc chunks *)
   Unix.putenv "IC_BUILDER_SPILL" (string_of_int (1 lsl 16));
-  large_build
-    (Printf.sprintf "build_out_mesh_%d_spill" mesh_levels)
-    (fun () -> F.Mesh.out_mesh mesh_levels);
+  ignore
+    (large_build
+       (Printf.sprintf "build_out_mesh_%d_spill" mesh_levels)
+       (fun () -> F.Mesh.out_mesh mesh_levels));
   Unix.putenv "IC_BUILDER_SPILL" "";
   (* snapshots: write the large mesh out, map it back in O(1), and replay
      the profile straight off the mapping *)

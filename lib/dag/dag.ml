@@ -173,16 +173,47 @@ let max_nodes = Slab.max_value - 1
 module Builder = struct
   type dag = t
 
-  (* Arcs are buffered as raw little-endian int32 pairs in a [Bytes.t]
-     (8 bytes per arc; the GC treats it as opaque, so even the in-memory
-     buffer is never scanned). In streaming mode ([spill_arcs]) the buffer
-     is a fixed-size chunk flushed to an unlinked temp file whenever full,
-     so peak memory during construction is one chunk regardless of the
-     final arc count; [build] then streams the file back in two passes. *)
+  (* Two fills, one finish.
+
+     The direct fill writes the final child CSR while the stream allows
+     it: every arc in range, pointing forward (u < v), from a source no
+     lower than the previous arc's. Each target lands in [sdat] at once,
+     [soff] is set as the source advances, and [poff] counts parents as
+     arcs arrive; a finished row is sorted in place and checked for
+     duplicates. The out-mesh, butterfly and prefix generators, among
+     others, emit such streams. These three slabs become the built dag's
+     own.
+
+     The first arc that breaks a condition, or a row holding a duplicate,
+     moves the arcs taken so far into the buffered fill, and the stream
+     continues there: raw little-endian int32 pairs in a [Bytes.t] (8
+     bytes per arc, opaque to the GC). In streaming mode ([spill_arcs],
+     which starts buffered) the buffer is a fixed-size chunk flushed to an
+     unlinked temp file whenever full, so peak memory during construction
+     is one chunk regardless of the final arc count. [build] streams the
+     pending arcs back in two passes, a count and a scatter into the child
+     rows, then sorts and checks those rows as the direct fill does.
+
+     [finish] is shared: it fills the parent rows by walking the child
+     rows in source order, so they come out sorted, and runs Kahn's
+     algorithm only if some arc pointed backward. *)
   type nonrec t = {
     n : int;
     labels : string array option;
+    hint : int;
     spill_arcs : int;  (* flush threshold; [max_int] = never spill *)
+    mutable direct : bool;
+    mutable row : int;  (* source being filled; the rows below are finished *)
+    mutable m : int;  (* arcs in [sdat] *)
+    mutable room : int;
+        (* arcs [sdat] takes before [add_arc] leaves its fast path: its
+           capacity, or 0 when buffered or when a built dag shares
+           [soff]/[sdat] *)
+    mutable shared : bool;
+        (* the last built dag holds [soff], [poff] and maybe [sdat] *)
+    mutable soff : Slab.t;  (* n + 1; entries 0 .. row are row starts *)
+    mutable sdat : Slab.t;
+    mutable poff : Slab.t;  (* n + 1; the in-degree of [v] at [v + 1] *)
     mutable buf : Bytes.t;
     mutable fill : int;  (* arcs currently in [buf] *)
     mutable spilled : int;  (* arcs already flushed to the temp file *)
@@ -197,9 +228,11 @@ module Builder = struct
       | Some k when k > 0 -> k
       | _ -> max_int)
 
+  let no_slab = Slab.create 0
+
   let create ?labels ~n ?(hint = 16) ?spill_arcs () =
-    (* before the buffer is sized from [hint]: a dag too large for the
-       CSR fails here, not in an allocation or an arc loop *)
+    (* before anything is sized from [n] or [hint]: a dag too large for
+       the CSR fails here, not in an allocation or an arc loop *)
     if n > max_nodes then
       invalid_arg
         (Printf.sprintf
@@ -214,18 +247,30 @@ module Builder = struct
       | Some _ -> invalid_arg "Dag.Builder.create: spill_arcs must be positive"
       | None -> default_spill ()
     in
-    let initial = max 1 (min (max 1 hint) spill_arcs) in
+    let hint = max 1 hint in
+    let direct = n >= 0 && spill_arcs = max_int in
+    let sdat = if direct then Slab.create hint else no_slab in
     {
       n;
       labels;
+      hint;
       spill_arcs;
-      buf = Bytes.create (8 * initial);
+      direct;
+      row = 0;
+      m = 0;
+      room = Slab.length sdat;
+      shared = false;
+      soff = (if direct then Slab.create (n + 1) else no_slab);
+      sdat;
+      poff = (if direct then Slab.create (n + 1) else no_slab);
+      buf =
+        (if direct then Bytes.empty else Bytes.create (8 * min hint spill_arcs));
       fill = 0;
       spilled = 0;
       file = None;
     }
 
-  let n_pending b = b.spilled + b.fill
+  let n_pending b = b.m + b.spilled + b.fill
   let spilled b = b.spilled > 0
 
   (* The temp file is unlinked the moment it is created (best-effort):
@@ -253,7 +298,8 @@ module Builder = struct
     else if x < -Slab.max_value - 1 then -Slab.max_value - 1
     else x
 
-  let add_arc b u v =
+  (* append to the buffered fill *)
+  let push b u v =
     if 8 * b.fill = Bytes.length b.buf then begin
       if b.fill >= b.spill_arcs then begin
         let oc, _ = channels b in
@@ -276,7 +322,103 @@ module Builder = struct
     Bytes.set_int32_le b.buf (off + 4) (Int32.of_int (clamp32 v));
     b.fill <- b.fill + 1
 
-  (* One sequential pass over every pending arc: spilled chunks streamed
+  (* Sort [sdat.(lo .. hi-1)] in place; the duplicated target, or -1. A
+     row that already ascends strictly (nearly every row a family emits)
+     costs one compare per entry. *)
+  let sort_row sdat lo hi =
+    let i = ref (lo + 1) in
+    while !i < hi && Slab.unsafe_get sdat (!i - 1) < Slab.unsafe_get sdat !i do
+      incr i
+    done;
+    if !i >= hi then -1
+    else begin
+      Slab.sort_range sdat ~lo ~hi;
+      let dup = ref (-1) and i = ref (lo + 1) in
+      while !dup < 0 && !i < hi do
+        if Slab.unsafe_get sdat (!i - 1) = Slab.unsafe_get sdat !i then
+          dup := Slab.unsafe_get sdat !i;
+        incr i
+      done;
+      !dup
+    end
+
+  let finish_row b = sort_row b.sdat (Slab.unsafe_get b.soff b.row) b.m < 0
+
+  (* the next [sdat] capacity past [m] arcs *)
+  let capacity b m = min Slab.max_value (max 16 (max b.hint (2 * m)))
+
+  let resize b cap =
+    let sdat = Slab.create cap in
+    if b.m > 0 then Slab.blit (Slab.sub b.sdat 0 b.m) (Slab.sub sdat 0 b.m);
+    b.sdat <- sdat;
+    b.room <- cap
+
+  (* copy what the last built dag holds before the fill writes again; its
+     [poff] holds row offsets by now, and gives the in-degrees back *)
+  let unshare b =
+    let offsets = b.poff in
+    b.poff <- Slab.create (b.n + 1);
+    for v = 0 to b.n - 1 do
+      Slab.unsafe_set b.poff (v + 1)
+        (Slab.unsafe_get offsets (v + 1) - Slab.unsafe_get offsets v)
+    done;
+    b.soff <- Slab.copy b.soff;
+    b.shared <- false;
+    resize b (capacity b b.m)
+
+  (* Move the direct fill's arcs, row by row, into the buffered fill. *)
+  let hand_over b =
+    b.buf <- Bytes.create (8 * max b.hint (2 * b.m));
+    for u = 0 to b.row do
+      let hi = if u < b.row then Slab.unsafe_get b.soff (u + 1) else b.m in
+      for i = Slab.unsafe_get b.soff u to hi - 1 do
+        push b u (Slab.unsafe_get b.sdat i)
+      done
+    done;
+    b.direct <- false;
+    b.shared <- false;
+    b.m <- 0;
+    b.room <- 0;
+    b.soff <- no_slab;
+    b.sdat <- no_slab;
+    b.poff <- no_slab
+
+  (* Make room in the direct fill for a forward arc from [u >= b.row]:
+     finish the rows it passes and grow [sdat]. False when the fill must
+     hand over: a finished row holds a duplicate, or [sdat] is at the
+     int32 bound. *)
+  let advance b u =
+    if b.shared then unshare b;
+    (u = b.row
+    || finish_row b
+       && begin
+            for r = b.row + 1 to u do
+              Slab.unsafe_set b.soff r b.m
+            done;
+            b.row <- u;
+            true
+          end)
+    && (b.m < b.room
+       || b.m < Slab.max_value
+          && begin
+               resize b (capacity b b.m);
+               true
+             end)
+
+  let rec add_arc b u v =
+    if u = b.row && u < v && v < b.n && b.m < b.room then begin
+      Slab.unsafe_set b.sdat b.m v;
+      b.m <- b.m + 1;
+      Slab.unsafe_set b.poff (v + 1) (Slab.unsafe_get b.poff (v + 1) + 1)
+    end
+    else if b.direct && u >= b.row && u < v && v < b.n && advance b u then
+      add_arc b u v
+    else begin
+      if b.direct then hand_over b;
+      push b u v
+    end
+
+  (* One sequential pass over every buffered arc: spilled chunks streamed
      back through a bounded scratch buffer, then the in-memory tail. *)
   let iter_pending b f =
     (match b.file with
@@ -302,20 +444,112 @@ module Builder = struct
         (Int32.to_int (Bytes.get_int32_le b.buf ((8 * i) + 4)))
     done
 
-  (* Build both CSR directions in O(n + m) slab passes without ever
-     materializing the edge list in heap memory:
-       1. streaming count pass — validates endpoints/self-loops and fills
-          both offset tables;
-       2. streaming scatter pass — parents of each node land in [pdat]
-          rows (arrival order), then each row is sorted in place (rows are
-          short: insertion sort, heapsort fallback);
-       3. a scan of [pdat] in (target, source) order scatters targets by
-          source, which fills [sdat] rows already sorted.
-     Duplicates are adjacent within the finished [sdat] rows; acyclicity
-     is Kahn's algorithm over the successor CSR with slab scratch. Unlike
-     the previous in-heap three-pass counting sort, no m-sized
-     intermediate arc arrays exist: peak transient state is the two
-     offset tables plus two n-entry scratch slabs. *)
+  (* Turn the row lengths at [off.(i + 1)] into row starts shifted by one,
+     a scatter's cursors: [off.(i + 1)] becomes row [i]'s first slot, and
+     the scatter leaves it at row [i + 1]'s, which completes the offsets.
+     Returns the number of empty rows. *)
+  let shift_counts off rows =
+    let start = ref 0 and empty = ref 0 in
+    for i = 0 to rows - 1 do
+      let d = Slab.unsafe_get off (i + 1) in
+      if d = 0 then incr empty;
+      Slab.unsafe_set off (i + 1) !start;
+      start := !start + d
+    done;
+    !empty
+
+  (* Both fills end here, with sorted, duplicate-free child rows and the
+     in-degrees in [poff]. The parent rows are filled by walking the child
+     rows in source order, so each comes out ascending with no sort.
+     Kahn's algorithm runs only when some arc pointed backward: arcs that
+     all point forward cannot close a cycle. *)
+  let finish b ~soff ~sdat ~poff ~backward =
+    let n = b.n in
+    let pdat = Slab.create (Slab.length sdat) in
+    let n_sources = shift_counts poff n in
+    for u = 0 to n - 1 do
+      for i = Slab.unsafe_get soff u to Slab.unsafe_get soff (u + 1) - 1 do
+        let v = Slab.unsafe_get sdat i in
+        let p = Slab.unsafe_get poff (v + 1) in
+        Slab.unsafe_set poff (v + 1) (p + 1);
+        Slab.unsafe_set pdat p u
+      done
+    done;
+    let g = { n; soff; sdat; poff; pdat; labels = b.labels; n_sources } in
+    if
+      backward
+      && Ic_prof.Span.time "dag.build.acyclic" (fun () ->
+             let indeg = Slab.create n in
+             for v = 0 to n - 1 do
+               Slab.unsafe_set indeg v (in_degree g v)
+             done;
+             let queue = Slab.create n in
+             kahn_drain ~n ~soff ~sdat ~indeg ~queue ~emit:ignore <> n)
+    then Error "graph has a cycle"
+    else Ok g
+
+  (* The built dag takes [soff] and [poff], and [sdat] when it is exactly
+     full; the builder copies them back before it writes again
+     ([unshare]). *)
+  let build_direct b =
+    let m = b.m in
+    for r = b.row + 1 to b.n do
+      Slab.unsafe_set b.soff r m
+    done;
+    let sdat =
+      if Slab.length b.sdat = m then b.sdat else Slab.copy (Slab.sub b.sdat 0 m)
+    in
+    b.shared <- true;
+    b.room <- 0;
+    finish b ~soff:b.soff ~sdat ~poff:b.poff ~backward:false
+
+  (* Count pass (validating endpoints and self-loops, noting backward
+     arcs), scatter pass into the child rows, then the row sort and
+     duplicate check. No m-sized intermediate exists beyond the buffer
+     itself. *)
+  let build_buffered b =
+    let n = b.n and m = n_pending b in
+    let soff = Slab.create (n + 1) and poff = Slab.create (n + 1) in
+    let bad_endpoint = ref None and self_loop = ref None in
+    let backward = ref false in
+    Ic_prof.Span.time "dag.build.validate" (fun () ->
+        iter_pending b (fun u v ->
+            if u < 0 || u >= n || v < 0 || v >= n then begin
+              if !bad_endpoint = None then bad_endpoint := Some (u, v)
+            end
+            else if u = v then begin
+              if !self_loop = None then self_loop := Some u
+            end
+            else begin
+              if u > v then backward := true;
+              Slab.unsafe_set soff (u + 1) (Slab.unsafe_get soff (u + 1) + 1);
+              Slab.unsafe_set poff (v + 1) (Slab.unsafe_get poff (v + 1) + 1)
+            end));
+    match (!bad_endpoint, !self_loop) with
+    | Some (u, v), _ ->
+      Error (Printf.sprintf "arc (%d -> %d) out of range [0, %d)" u v n)
+    | None, Some u -> Error (Printf.sprintf "self-loop on node %d" u)
+    | None, None ->
+      ignore (shift_counts soff n);
+      let sdat = Slab.create m in
+      Ic_prof.Span.time "dag.build.scatter" (fun () ->
+          iter_pending b (fun u v ->
+              let p = Slab.unsafe_get soff (u + 1) in
+              Slab.unsafe_set soff (u + 1) (p + 1);
+              Slab.unsafe_set sdat p v));
+      let dup = ref None in
+      Ic_prof.Span.time "dag.build.sort" (fun () ->
+          let u = ref 0 in
+          while !dup = None && !u < n do
+            let lo = Slab.unsafe_get soff !u in
+            let w = sort_row sdat lo (Slab.unsafe_get soff (!u + 1)) in
+            if w >= 0 then dup := Some (!u, w);
+            incr u
+          done);
+      (match !dup with
+      | Some (u, v) -> Error (Printf.sprintf "duplicate arc (%d -> %d)" u v)
+      | None -> finish b ~soff ~sdat ~poff ~backward:!backward)
+
   let build b =
     Ic_prof.Span.time "dag.build" @@ fun () ->
     let n = b.n and m = n_pending b in
@@ -329,98 +563,12 @@ module Builder = struct
           (Printf.sprintf "labels length %d does not match node count %d"
              (Array.length ls) n)
       | _ ->
-        let soff = Slab.create (n + 1) in
-        let poff = Slab.create (n + 1) in
-        let bad_endpoint = ref None and self_loop = ref None in
-        Ic_prof.Span.time "dag.build.validate" (fun () ->
-            iter_pending b (fun u v ->
-                if u < 0 || u >= n || v < 0 || v >= n then begin
-                  if !bad_endpoint = None then bad_endpoint := Some (u, v)
-                end
-                else if u = v then begin
-                  if !self_loop = None then self_loop := Some u
-                end
-                else begin
-                  Slab.unsafe_set soff (u + 1) (Slab.unsafe_get soff (u + 1) + 1);
-                  Slab.unsafe_set poff (v + 1) (Slab.unsafe_get poff (v + 1) + 1)
-                end));
-        (match (!bad_endpoint, !self_loop) with
-        | Some (u, v), _ ->
-          Error (Printf.sprintf "arc (%d -> %d) out of range [0, %d)" u v n)
-        | None, Some u -> Error (Printf.sprintf "self-loop on node %d" u)
-        | None, None ->
-          for v = 0 to n - 1 do
-            Slab.unsafe_set soff (v + 1)
-              (Slab.unsafe_get soff (v + 1) + Slab.unsafe_get soff v);
-            Slab.unsafe_set poff (v + 1)
-              (Slab.unsafe_get poff (v + 1) + Slab.unsafe_get poff v)
-          done;
-          let fill = Slab.create n in
-          let pdat = Slab.create m in
-          Ic_prof.Span.time "dag.build.sort" (fun () ->
-              (* scatter parents by target, then sort each row *)
-              for v = 0 to n - 1 do
-                Slab.unsafe_set fill v (Slab.unsafe_get poff v)
-              done;
-              iter_pending b (fun u v ->
-                  let p = Slab.unsafe_get fill v in
-                  Slab.unsafe_set fill v (p + 1);
-                  Slab.unsafe_set pdat p u);
-              for v = 0 to n - 1 do
-                Slab.sort_range pdat ~lo:(Slab.unsafe_get poff v)
-                  ~hi:(Slab.unsafe_get poff (v + 1))
-              done);
-          let sdat = Slab.create m in
-          Ic_prof.Span.time "dag.build.scatter" (fun () ->
-              (* pdat in (target, source) order scatters into sorted sdat
-                 rows: for a fixed source the targets arrive ascending *)
-              for v = 0 to n - 1 do
-                Slab.unsafe_set fill v (Slab.unsafe_get soff v)
-              done;
-              for v = 0 to n - 1 do
-                for i = Slab.unsafe_get poff v to Slab.unsafe_get poff (v + 1) - 1 do
-                  let u = Slab.unsafe_get pdat i in
-                  let p = Slab.unsafe_get fill u in
-                  Slab.unsafe_set fill u (p + 1);
-                  Slab.unsafe_set sdat p v
-                done
-              done);
-          (* duplicates are adjacent within a row *)
-          let dup = ref None in
-          for u = 0 to n - 1 do
-            for i = Slab.unsafe_get soff u + 1 to Slab.unsafe_get soff (u + 1) - 1 do
-              if
-                !dup = None
-                && Slab.unsafe_get sdat i = Slab.unsafe_get sdat (i - 1)
-              then dup := Some (u, Slab.unsafe_get sdat i)
-            done
-          done;
-          (match !dup with
-          | Some (u, v) -> Error (Printf.sprintf "duplicate arc (%d -> %d)" u v)
-          | None ->
-            let n_sources = ref 0 in
-            for v = 0 to n - 1 do
-              let d = Slab.unsafe_get poff (v + 1) - Slab.unsafe_get poff v in
-              Slab.unsafe_set fill v d;
-              if d = 0 then incr n_sources
-            done;
-            let queue = Slab.create n in
-            let drained =
-              Ic_prof.Span.time "dag.build.acyclic" (fun () ->
-                  kahn_drain ~n ~soff ~sdat ~indeg:fill ~queue ~emit:ignore)
-            in
-            if drained <> n then Error "graph has a cycle"
-            else
-              Ok
-                {
-                  n;
-                  soff;
-                  sdat;
-                  poff;
-                  pdat;
-                  labels = b.labels;
-                  n_sources = !n_sources;
-                }))
+        if b.direct && b.shared then unshare b;
+        if b.direct && finish_row b then build_direct b
+        else begin
+          if b.direct then hand_over b;
+          build_buffered b
+        end
 
   let build_exn b =
     match build b with

@@ -18,15 +18,32 @@ type t
 
 (** {1 Construction} *)
 
-(** Growable arc buffer for constructing dags without intermediate arc
-    lists: family generators emit arcs straight into one flat off-heap
-    byte buffer, and {!Builder.build} turns it into both CSR directions in
-    [O(n + m)] streaming passes, with the same validation as {!make}.
+(** Incremental dag construction without intermediate arc lists, with
+    the same validation as {!make}. The stream itself picks one of two
+    fills; both give the same dag, or the same error.
 
-    In streaming mode ([spill_arcs], or the [IC_BUILDER_SPILL] environment
-    variable) the buffer is flushed to an unlinked temp file in fixed-size
-    chunks, so a dag of any size can be built with peak builder memory of
-    one chunk — the edge list is never materialized in process memory. *)
+    {b Direct fill.} While every arc is in range, points forward
+    ([u < v]) and comes from a source no lower than the previous arc's,
+    each target is written straight into the final child CSR, row offsets
+    are set as the source advances and in-degrees are counted as arcs
+    arrive. Each finished row is sorted in place and checked for
+    duplicates, so targets within a row may come in any order.
+    {!Builder.build} then fills the parent rows in one pass and skips the
+    cycle check (forward arcs cannot close a cycle). The out-mesh,
+    butterfly, prefix, wavefront-grid and bitonic-network generators emit
+    such streams; the trees' pre-order does not.
+
+    {b Buffered fill.} The first arc that breaks a condition, or a row
+    holding a duplicate, moves the arcs taken so far into a flat
+    8-byte-per-arc buffer, and the rest of the stream follows them there.
+    {!Builder.build} counts and scatters them into child rows, sorts
+    those, and runs Kahn's algorithm only if some arc pointed backward.
+
+    Streaming mode ([spill_arcs], or the [IC_BUILDER_SPILL] environment
+    variable) selects the buffered fill from the first arc, and flushes
+    the buffer to an unlinked temp file in fixed-size chunks, so a dag of
+    any size can be built with peak builder memory of one chunk — the
+    edge list is never materialized in process memory. *)
 val max_nodes : int
 (** The largest node count a dag can have: [Slab.max_value - 1]. *)
 
@@ -34,7 +51,7 @@ module Builder : sig
   type dag = t
 
   type t
-  (** A mutable arc buffer targeted at a fixed node count. *)
+  (** A mutable dag under construction, with a fixed node count. *)
 
   val create :
     ?labels:string array ->
@@ -50,28 +67,36 @@ module Builder : sig
       large for the CSR fails at once; a negative [n] is reported by
       {!build}.
 
-      [spill_arcs], when given (must be positive), bounds the in-memory
-      buffer: each time that many arcs are pending they are flushed to an
-      unlinked temp file, and {!build} streams them back. When absent, the
-      [IC_BUILDER_SPILL] environment variable (a positive integer) supplies
-      the default, so family constructors stream without signature changes;
-      otherwise the buffer grows in memory (8 bytes per arc). *)
+      [spill_arcs], when given (must be positive), selects the buffered
+      fill and bounds its in-memory buffer: each time that many arcs are
+      pending they are flushed to an unlinked temp file, and {!build}
+      streams them back. When absent, the [IC_BUILDER_SPILL] environment
+      variable (a positive integer) supplies the default, so family
+      constructors stream without signature changes. Otherwise the fill is
+      direct while the stream allows it, into a child slab sized from
+      [hint] (4 bytes per arc), and buffered after that (8 bytes per arc,
+      the buffer also sized from [hint]). *)
 
   val add_arc : t -> int -> int -> unit
-  (** [add_arc b u v] appends the arc [u -> v]. Amortized [O(1)]; no
-      validation happens until {!build}. *)
+  (** [add_arc b u v] appends the arc [u -> v]. Amortized [O(1)], and
+      allocation-free once [hint] has sized the fill; no error is
+      reported until {!build}. *)
 
   val n_pending : t -> int
-  (** Number of arcs buffered so far (in memory plus spilled). *)
+  (** Number of arcs added so far (filled directly, buffered or
+      spilled). *)
 
   val spilled : t -> bool
   (** Has any chunk been flushed to the temp file? *)
 
   val build : t -> (dag, string) result
   (** Validate and freeze: fails with a descriptive message on a negative
-      node count, label length mismatch, out-of-range endpoints,
-      self-loops, duplicate arcs, or cycles. The builder may be reused (and
-      added to) afterwards; the built dag shares nothing with it. *)
+      node count, label length mismatch, out-of-range endpoints or
+      self-loops (the first in stream order), then duplicate arcs (the
+      least), then cycles — the same message whichever fill the stream
+      took. The builder may be reused (and added to) afterwards; the built
+      dag never changes. After a direct fill the dag takes the builder's
+      slabs, and the builder copies them before it writes again. *)
 
   val build_exn : t -> dag
   (** Like {!build} but raises [Invalid_argument] on bad input. *)

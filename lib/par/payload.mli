@@ -28,7 +28,9 @@ val execute : ?executor:Ic_compute.Engine.executor -> t -> float array
 
 val check : t -> float array -> bool
 (** Validate a fingerprint against the payload's independent reference
-    (e.g. the DP recurrence, the naive DFT, π). *)
+    (e.g. the DP recurrence, π). The FFT's outputs are checked against an
+    in-place radix-2 FFT, and 16 of them against the DFT's definition,
+    in [O(n log n)] time and [O(n)] memory. *)
 
 (** {1 Constructors}
 

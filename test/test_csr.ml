@@ -185,6 +185,169 @@ let test_builder_reuse () =
   check_int "g2 arcs" 2 (Dag.n_arcs g2);
   check "g2 has both" true (Dag.has_arc g2 0 1 && Dag.has_arc g2 1 2)
 
+(* Arc streams in the orders a builder may see. [Sorted] and
+   [Late_inversion] keep the whole stream (or all but its tail) in source
+   order and forward, so they exercise the direct fill; [Reversed] and
+   [Shuffled] leave it within the first arcs or two. *)
+type order = Sorted | Late_inversion | Reversed | Shuffled
+
+type fault = No_fault | Duplicate | Self_loop | Out_of_range | Back_arc
+
+let order_gen =
+  QCheck2.Gen.oneofl [ Sorted; Late_inversion; Reversed; Shuffled ]
+
+let fault_gen =
+  QCheck2.Gen.oneofl
+    [ No_fault; No_fault; Duplicate; Self_loop; Out_of_range; Back_arc ]
+
+let arrange rng order arcs =
+  let sorted = List.sort compare arcs in
+  match order with
+  | Sorted -> sorted
+  | Reversed -> List.rev sorted
+  | Shuffled ->
+    List.map (fun a -> (Random.State.bits rng, a)) arcs
+    |> List.sort compare |> List.map snd
+  | Late_inversion ->
+    (* swap one neighbouring pair in the last half of the stream: within a
+       row the direct fill's row sort absorbs it, across rows it hands the
+       arcs over to the buffered path *)
+    let a = Array.of_list sorted in
+    let m = Array.length a in
+    if m >= 2 then begin
+      let late = Random.State.int rng (max 1 (m - 1 - (m / 2))) in
+      let i = min (m - 2) ((m / 2) + late) in
+      let x = a.(i) in
+      a.(i) <- a.(i + 1);
+      a.(i + 1) <- x
+    end;
+    Array.to_list a
+
+(* insert [arc] at a random position of [stream] *)
+let insert_at rng arc stream =
+  let k = Random.State.int rng (List.length stream + 1) in
+  List.filteri (fun i _ -> i < k) stream
+  @ (arc :: List.filteri (fun i _ -> i >= k) stream)
+
+let inject rng n fault stream =
+  let pick () = List.nth stream (Random.State.int rng (List.length stream)) in
+  match fault with
+  | No_fault -> stream
+  | Duplicate when stream <> [] -> insert_at rng (pick ()) stream
+  | Back_arc when stream <> [] ->
+    let u, v = pick () in
+    insert_at rng (v, u) stream
+  | Self_loop ->
+    let v = Random.State.int rng n in
+    insert_at rng (v, v) stream
+  | Out_of_range ->
+    let u = Random.State.int rng n in
+    let bad =
+      if Random.State.bool rng then (u, n + Random.State.int rng 3) else (-1, u)
+    in
+    insert_at rng bad stream
+  | Duplicate | Back_arc -> stream
+
+let add_all b stream =
+  List.iter (fun (u, v) -> Dag.Builder.add_arc b u v) stream
+
+(* both CSR directions and the source count agree *)
+let same_dag g h =
+  Dag.equal g h
+  && Ic_dag.Slab.equal (Dag.pred_offsets g) (Dag.pred_offsets h)
+  && Ic_dag.Slab.equal (Dag.pred_sources g) (Dag.pred_sources h)
+  && Dag.n_sources g = Dag.n_sources h
+
+(* [got] matches [Dag.make] on the reversed stream, which takes the
+   buffered path; an [Ok] dag also holds exactly the stream's arcs, in
+   ascending rows on both sides, and no cycle, so a fault shared by both
+   paths shows *)
+let matches_reference n stream got =
+  match (got, Dag.make ~n ~arcs:(List.rev stream) ()) with
+  | Error e, Error e' when e = e' -> true
+  | Ok g, Ok h when same_dag g h ->
+    let arcs = List.sort_uniq compare stream in
+    let by_target (u, v) (u', v') = compare (v, u) (v', u') in
+    let parents =
+      List.concat_map
+        (fun v -> List.map (fun u -> (u, v)) (Array.to_list (Dag.pred g v)))
+        (List.init n Fun.id)
+    in
+    List.rev (Dag.fold_arcs g [] (fun acc u v -> (u, v) :: acc)) = arcs
+    && parents = List.sort by_target arcs
+    (* [topological_order] asserts that Kahn's algorithm drains every node *)
+    && Array.length (Dag.topological_order g) = n
+  | Error e, Error e' -> QCheck2.Test.fail_reportf "error %S, reference %S" e e'
+  | Ok _, Error e -> QCheck2.Test.fail_reportf "built; reference: %s" e
+  | Error e, Ok _ -> QCheck2.Test.fail_reportf "%s; reference built" e
+  | Ok _, Ok _ -> QCheck2.Test.fail_reportf "dag differs from the reference"
+
+let stream_gen =
+  QCheck2.Gen.(
+    quad (int_range 1 30) order_gen fault_gen (int_bound 1_000_000))
+
+let slabs g =
+  Dag.[ succ_offsets g; succ_targets g; pred_offsets g; pred_sources g ]
+
+let prop_builder_any_order =
+  QCheck2.Test.make ~name:"builder: any arc order = buffered reference"
+    ~count:500 stream_gen
+    (fun (n, order, fault, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let arcs = random_arcs rng n (Random.State.float rng 0.5) in
+      let stream = inject rng n fault (arrange rng order arcs) in
+      let b = Dag.Builder.create ~n () in
+      add_all b stream;
+      matches_reference n stream (Dag.Builder.build b)
+      (* a second build of the same builder gives the same answer *)
+      && matches_reference n stream (Dag.Builder.build b))
+
+let prop_builder_reuse =
+  QCheck2.Test.make ~name:"builder: adding after a build leaves the first dag"
+    ~count:300 stream_gen
+    (fun (n, order, fault, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let arcs = random_arcs rng n (Random.State.float rng 0.5) in
+      let stream = inject rng n fault (arrange rng order arcs) in
+      let k = Random.State.int rng (List.length stream + 1) in
+      let head = List.filteri (fun i _ -> i < k) stream in
+      let tail = List.filteri (fun i _ -> i >= k) stream in
+      let b = Dag.Builder.create ~n () in
+      add_all b head;
+      let first = Dag.Builder.build b in
+      (* a copy of the first dag's slabs, taken before the builder moves on *)
+      let kept = Result.map (fun g -> List.map Ic_dag.Slab.copy (slabs g)) first in
+      add_all b tail;
+      let second = Dag.Builder.build b in
+      let unchanged =
+        match (first, kept) with
+        | Ok g, Ok copies -> List.for_all2 Ic_dag.Slab.equal copies (slabs g)
+        | _ -> true
+      in
+      matches_reference n head first
+      && matches_reference n stream second
+      && unchanged)
+
+(* Words allocated on the OCaml heap: minor allocations plus direct major
+   ones (a large [Bytes.t] goes straight to the major heap). The minor
+   count comes from [Gc.minor_words]: [Gc.counters]'s own can take in
+   words allocated before a collection that falls inside the window. *)
+let heap_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let test_family_build_heap () =
+  (* a family's sorted, forward stream fills the CSR slabs directly: the
+     OCaml heap sees a few bigarray headers and closures, never an
+     8-byte-per-arc buffer (65,792 arcs would be 526 KB) *)
+  ignore (Ic_families.Mesh.out_mesh 4);
+  let before = heap_words () in
+  let g = Ic_families.Mesh.out_mesh 256 in
+  let bytes = (heap_words () -. before) *. float_of_int (Sys.word_size / 8) in
+  check_int "arcs" 65_792 (Dag.n_arcs g);
+  if bytes >= 16384.0 then
+    Alcotest.failf "building out_mesh 256 allocated %.0f heap bytes" bytes
+
 (* ancestor cone of [v] by an independent reverse DFS on the oracle *)
 let cone_size { opred; _ } v =
   let seen = Array.make (Array.length opred) false in
@@ -305,7 +468,10 @@ let () =
           Alcotest.test_case "builder reuse" `Quick test_builder_reuse;
           Alcotest.test_case "builder add_arc allocation-free" `Quick
             test_builder_add_arc_unboxed;
-        ] );
+          Alcotest.test_case "family build heap" `Quick test_family_build_heap;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_builder_any_order; prop_builder_reuse ] );
       ( "engine",
         [
           Alcotest.test_case "value_at cone" `Quick test_value_at_cone;

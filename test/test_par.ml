@@ -109,6 +109,25 @@ let test_pinned_fingerprints () =
         (digest_ints (Payload.rank p)))
     pinned_fingerprints
 
+(* The fft check compares every output with the sequential FFT and a
+   sample with the DFT's definition: a fingerprint off at any single
+   output, in either component, is rejected. *)
+let test_fft_check_rejects_one_bad_output () =
+  let d = 6 in
+  let p = Payload.make ~family:"fft" ~size:d () in
+  let fp = Payload.execute p in
+  Alcotest.(check bool) "clean fingerprint passes" true (Payload.check p fp);
+  for r = 0 to (1 lsl d) - 1 do
+    let v = Ic_families.Butterfly_net.node ~d d r in
+    List.iter
+      (fun i ->
+        let bad = Array.copy fp in
+        bad.(i) <- bad.(i) +. 0.5;
+        if Payload.check p bad then
+          Alcotest.failf "output %d: entry %d off by 0.5 passed" r i)
+      [ 2 * v; (2 * v) + 1 ]
+  done
+
 (* --- deque vs a sequence model, single domain ------------------------ *)
 
 (* ops: 0 = push, 1 = owner pop (expect newest), 2 = steal (expect
@@ -556,6 +575,8 @@ let () =
         [
           Alcotest.test_case "pinned fingerprints and ranks" `Quick
             test_pinned_fingerprints;
+          Alcotest.test_case "fft check rejects one bad output" `Quick
+            test_fft_check_rejects_one_bad_output;
         ] );
       ( "deque",
         Alcotest.test_case "concurrent stress: no loss, no dup" `Quick
