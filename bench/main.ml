@@ -565,8 +565,8 @@ let run_fault () =
 (* The acceptance measurement for the self-profiler's disabled path:
    [Frontier.profile] (instrumented, profiling off) against
    [Frontier.profile_raw] (the identical loop with no instrumentation) on
-   the mesh-256 replay, plus the full create/execute replay whose inner
-   loop carries an enter/leave pair per executed node. Each number is the
+   the mesh-256 replay, plus the full create/execute replay, whose only
+   span is the one around [Frontier.create]. Each number is the
    best of 3 batches of >= 20 runs, so scheduler noise has three chances
    to get out of the way; the derived overhead_pct record is what DESIGN.md
    quotes and what the perf JSON tracks over time. *)

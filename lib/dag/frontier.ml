@@ -8,15 +8,23 @@
    [v] is unexecuted with [r] unexecuted parents (eligible iff [r = 0]);
    [remaining.(v) = -r - 1 < 0] means [v] is executed and had [r]
    unexecuted parents when it was (always 0 on the execute path; nonzero
-   only for non-ideal sets given to [of_set]). This keeps the per-node
-   state in one cache-friendly array and makes undo a negation.
+   only for non-ideal sets given to [of_set]). Undo is a negation.
 
-   The adjacency read in the hot loops is the dag's successor CSR slabs
-   ({!Slab.t}, off-heap int32), shared with the dag — reads compile to
-   unboxed loads.
+   The per-node state lives off the OCaml heap in one int32 slab
+   ({!Slab.t}), like the dag's own CSR, whose successor slabs the hot
+   loops read directly: [remaining] at [0 .. n-1], [pool] at [n ..] and
+   [pos] at [2n ..] — 12 bytes a node, never scanned by the GC, and reads
+   and writes compile to unboxed loads and stores. It is one slab, not
+   three, because a Bigarray allocation (a malloc and a finalised header)
+   costs about three small [Array.make]s, and searches such as
+   [Batched.optimal] build a small frontier per state. Nothing needs
+   zero-filling: [remaining] is written for every node, and the pool and
+   positions are only read where they were written ([pos] only for pool
+   members), so the pool's unused tail is never even faulted in.
 
-   The trail records the execution order for [restore]; it is allocated on
-   the first [snapshot], so pure replay consumers never pay for it.
+   The trail records the execution order for [restore], in a slab of its
+   own allocated on the first [snapshot], so pure replay consumers never
+   pay for it.
 
    Unsafe accesses below are justified by the construction invariants:
    every node id handled comes from the dag's adjacency (so is in [0, n)),
@@ -26,46 +34,49 @@ module A1 = Bigarray.Array1
 
 type t = {
   g : Dag.t;
+  n : int;
   off : Slab.t;  (* CSR successor adjacency, shared with the dag *)
   dat : Slab.t;
-  remaining : int array;
-  pool : int array;
-  pos : int array;
-  mutable trail : int array;  (* [||] until the first snapshot *)
+  state : Slab.t;  (* remaining, then pool at [n], then pos at [2n] *)
+  mutable trail : Slab.t;  (* [no_trail] until the first snapshot *)
   mutable floor : int;  (* n_executed when the trail was allocated *)
   mutable count : int;  (* eligible nodes = pool.(0 .. count-1) *)
   mutable n_executed : int;
 }
 
+let uninit n : Slab.t = A1.create Bigarray.int32 Bigarray.c_layout n
+let no_trail = uninit 0
+
 let dag t = t.g
 let count t = t.count
 let executed_count t = t.n_executed
 
-let make_state g remaining pool count n_executed =
+let make_state g =
+  let n = Dag.n_nodes g in
   {
     g;
+    n;
     off = Dag.succ_offsets g;
     dat = Dag.succ_targets g;
-    remaining;
-    pool;
-    pos = Array.make (Array.length remaining) 0;
-    trail = [||];
-    floor = n_executed;
-    count;
-    n_executed;
+    state = uninit (3 * n);
+    trail = no_trail;
+    floor = 0;
+    count = 0;
+    n_executed = 0;
   }
 
 let create g =
   Ic_prof.Span.enter "frontier.create";
-  let n = Dag.n_nodes g in
-  let remaining = Dag.in_degrees g in
-  let pool = Array.make n 0 in
+  let t = make_state g in
+  let poff = Dag.pred_offsets g in
+  let st = t.state and pool = t.n and pos = 2 * t.n in
   let count = ref 0 in
-  let t = make_state g remaining pool 0 0 in
-  for v = 0 to n - 1 do
-    if Array.unsafe_get remaining v = 0 then begin
-      Array.unsafe_set pool !count v;
-      Array.unsafe_set t.pos v !count;
+  for v = 0 to t.n - 1 do
+    let r = Slab.unsafe_get poff (v + 1) - Slab.unsafe_get poff v in
+    Slab.unsafe_set st v r;
+    if r = 0 then begin
+      Slab.unsafe_set st (pool + !count) v;
+      Slab.unsafe_set st (pos + v) !count;
       incr count
     end
   done;
@@ -78,25 +89,25 @@ let of_set g ~executed =
   if Array.length executed <> n then
     invalid_arg "Frontier.of_set: length mismatch";
   let poff = Dag.pred_offsets g and pdat = Dag.pred_sources g in
-  let remaining = Array.make n 0 in
-  let pool = Array.make n 0 in
+  let t = make_state g in
+  let st = t.state and pool = n and pos = 2 * n in
   let count = ref 0 and n_executed = ref 0 in
-  let t = make_state g remaining pool 0 0 in
   for v = 0 to n - 1 do
     let unmet = ref 0 in
-    for i = Slab.get poff v to Slab.get poff (v + 1) - 1 do
-      if not executed.(Slab.unsafe_get pdat i) then incr unmet
+    for i = Slab.unsafe_get poff v to Slab.unsafe_get poff (v + 1) - 1 do
+      if not (Array.unsafe_get executed (Slab.unsafe_get pdat i)) then
+        incr unmet
     done;
     let unmet = !unmet in
-    if executed.(v) then begin
-      remaining.(v) <- -unmet - 1;
+    if Array.unsafe_get executed v then begin
+      Slab.unsafe_set st v (-unmet - 1);
       incr n_executed
     end
     else begin
-      remaining.(v) <- unmet;
+      Slab.unsafe_set st v unmet;
       if unmet = 0 then begin
-        pool.(!count) <- v;
-        t.pos.(v) <- !count;
+        Slab.unsafe_set st (pool + !count) v;
+        Slab.unsafe_set st (pos + v) !count;
         incr count
       end
     end
@@ -106,91 +117,110 @@ let of_set g ~executed =
   t.floor <- !n_executed;
   t
 
-let in_range t v = v >= 0 && v < Array.length t.remaining
-let is_executed t v = in_range t v && t.remaining.(v) < 0
-let is_eligible t v = in_range t v && t.remaining.(v) = 0
+let in_range t v = v >= 0 && v < t.n
+let is_executed t v = in_range t v && Slab.unsafe_get t.state v < 0
+let is_eligible t v = in_range t v && Slab.unsafe_get t.state v = 0
 
 let members t =
-  let a = Array.sub t.pool 0 t.count in
+  let st = t.state and pool = t.n in
+  let a = Array.make t.count 0 in
+  for i = 0 to t.count - 1 do
+    Array.unsafe_set a i (Slab.unsafe_get st (pool + i))
+  done;
   Array.sort compare a;
   a
 
 let to_list t = Array.to_list (members t)
 let iter f t = Array.iter f (members t)
-let choose t = if t.count = 0 then None else Some t.pool.(t.count - 1)
+
+let choose t =
+  if t.count = 0 then None
+  else Some (Slab.unsafe_get t.state (t.n + t.count - 1))
 
 let execute ?on_promote t v =
   if not (is_eligible t v) then
     invalid_arg
       (if in_range t v then
-         if t.remaining.(v) < 0 then "Frontier.execute: node already executed"
+         if Slab.unsafe_get t.state v < 0 then
+           "Frontier.execute: node already executed"
          else "Frontier.execute: node not eligible"
        else "Frontier.execute: node out of range");
-  Ic_prof.Span.enter "frontier.execute";
+  let st = t.state and pool = t.n and pos = 2 * t.n in
   (* swap-remove v from the pool *)
   let last = t.count - 1 in
-  let pv = Array.unsafe_get t.pos v in
-  let moved = Array.unsafe_get t.pool last in
-  Array.unsafe_set t.pool pv moved;
-  Array.unsafe_set t.pos moved pv;
-  t.count <- last;
-  Array.unsafe_set t.remaining v (-1);
-  if t.trail != [||] then Array.unsafe_set t.trail t.n_executed v;
+  let pv = Slab.unsafe_get st (pos + v) in
+  let moved = Slab.unsafe_get st (pool + last) in
+  Slab.unsafe_set st (pool + pv) moved;
+  Slab.unsafe_set st (pos + moved) pv;
+  Slab.unsafe_set st v (-1);
+  if t.trail != no_trail then Slab.unsafe_set t.trail t.n_executed v;
   t.n_executed <- t.n_executed + 1;
   let off = t.off and dat = t.dat in
+  let count = ref last in
   for i = Slab.unsafe_get off v to Slab.unsafe_get off (v + 1) - 1 do
     let w = Slab.unsafe_get dat i in
-    let r = Array.unsafe_get t.remaining w - 1 in
-    Array.unsafe_set t.remaining w r;
+    let r = Slab.unsafe_get st w - 1 in
+    Slab.unsafe_set st w r;
     if r = 0 then begin
-      Array.unsafe_set t.pool t.count w;
-      Array.unsafe_set t.pos w t.count;
-      t.count <- t.count + 1;
-      match on_promote with None -> () | Some f -> f w
+      let c = !count in
+      Slab.unsafe_set st (pool + c) w;
+      Slab.unsafe_set st (pos + w) c;
+      count := c + 1;
+      match on_promote with
+      | None -> ()
+      | Some f ->
+        (* the callback reads a count that includes [w] *)
+        t.count <- c + 1;
+        f w
     end
   done;
-  Ic_prof.Span.leave ()
+  t.count <- !count
 
 type snapshot = int
 
 let snapshot t =
-  if t.trail == [||] then begin
-    t.trail <- Array.make (Array.length t.remaining) 0;
+  if t.trail == no_trail then begin
+    t.trail <- uninit t.n;
     t.floor <- t.n_executed
   end;
   t.n_executed
 
 let restore t snap =
-  if snap < t.floor || snap > t.n_executed || (snap < t.n_executed && t.trail == [||])
+  if
+    snap < t.floor || snap > t.n_executed
+    || (snap < t.n_executed && t.trail == no_trail)
   then invalid_arg "Frontier.restore: stale snapshot";
-  Ic_prof.Span.enter "frontier.restore";
-  while t.n_executed > snap do
-    let v = t.trail.(t.n_executed - 1) in
-    t.n_executed <- t.n_executed - 1;
+  let st = t.state and pool = t.n and pos = 2 * t.n in
+  let trail = t.trail and off = t.off and dat = t.dat in
+  let count = ref t.count in
+  for k = t.n_executed - 1 downto snap do
+    let v = Slab.unsafe_get trail k in
     (* children of v executed after v have already been undone, so any
        child with no unexecuted parent is currently in the pool *)
-    let off = t.off and dat = t.dat in
     for i = Slab.unsafe_get off v to Slab.unsafe_get off (v + 1) - 1 do
       let w = Slab.unsafe_get dat i in
-      if Array.unsafe_get t.remaining w = 0 then begin
-        let last = t.count - 1 in
-        let pw = Array.unsafe_get t.pos w in
-        let moved = Array.unsafe_get t.pool last in
-        Array.unsafe_set t.pool pw moved;
-        Array.unsafe_set t.pos moved pw;
-        t.count <- last
+      let r = Slab.unsafe_get st w in
+      if r = 0 then begin
+        let last = !count - 1 in
+        let pw = Slab.unsafe_get st (pos + w) in
+        let moved = Slab.unsafe_get st (pool + last) in
+        Slab.unsafe_set st (pool + pw) moved;
+        Slab.unsafe_set st (pos + moved) pw;
+        count := last
       end;
-      Array.unsafe_set t.remaining w (Array.unsafe_get t.remaining w + 1)
+      Slab.unsafe_set st w (r + 1)
     done;
-    let r = -t.remaining.(v) - 1 in
-    t.remaining.(v) <- r;
+    let r = -Slab.unsafe_get st v - 1 in
+    Slab.unsafe_set st v r;
     if r = 0 then begin
-      t.pool.(t.count) <- v;
-      t.pos.(v) <- t.count;
-      t.count <- t.count + 1
+      let c = !count in
+      Slab.unsafe_set st (pool + c) v;
+      Slab.unsafe_set st (pos + v) c;
+      count := c + 1
     end
   done;
-  Ic_prof.Span.leave ()
+  t.count <- !count;
+  t.n_executed <- snap
 
 (* Bulk replay: the whole profile of an execution order in one tight pass,
    without pool, position or trail upkeep. This is the hot path behind

@@ -11,6 +11,12 @@
     engine all drive their eligibility bookkeeping through this module
     rather than rebuilding remaining-parent counts by hand.
 
+    The per-node state (remaining-parent counts, the eligible pool and
+    each member's position in it) is 12 bytes a node in one off-heap
+    int32 slab ({!Slab.t}), like the dag's own CSR: the GC never scans
+    it, and creating a frontier and replaying a whole schedule allocates
+    no OCaml heap per node.
+
     Frontiers also support cheap {!snapshot}/{!restore} (undo to an earlier
     point of the same execution), which turns backtracking searches over
     ideals into [execute]/[restore] pairs instead of from-scratch

@@ -1,6 +1,7 @@
 module Dag = Ic_dag.Dag
 module Schedule = Ic_dag.Schedule
 module Profile = Ic_dag.Profile
+module Slab = Ic_dag.Slab
 
 type shape = Leaf | Node of shape list
 
@@ -66,41 +67,77 @@ let random rng ~max_internal ~arity =
   in
   go Leaf max_internal
 
-(* shapes can be as deep as the dag is large, so all traversals here use an
-   explicit stack rather than recursion *)
+(* Shapes can be as deep as the dag is large, so traversals use an
+   explicit stack: the children still to visit at each open level. Those
+   lists are the shape's own, so a walk allocates only the stack, O(depth)
+   words, never a word per node. [enter] sees every node in pre-order,
+   children left to right; [leave] is called once a node's subtree is
+   done. *)
+let walk shape ~enter ~leave =
+  let stack = ref (Array.make 16 []) and depth = ref 0 in
+  let visit s =
+    enter s;
+    match s with
+    | Leaf -> leave ()
+    | Node cs ->
+      if !depth = Array.length !stack then begin
+        let bigger = Array.make (2 * !depth) [] in
+        Array.blit !stack 0 bigger 0 !depth;
+        stack := bigger
+      end;
+      !stack.(!depth) <- cs;
+      incr depth
+  in
+  visit shape;
+  while !depth > 0 do
+    let top = !depth - 1 in
+    match !stack.(top) with
+    | [] ->
+      depth := top;
+      leave ()
+    | c :: rest ->
+      !stack.(top) <- rest;
+      visit c
+  done
+
 let count_nodes ~leaves_only shape =
   let count = ref 0 in
-  let stack = Stack.create () in
-  Stack.push shape stack;
-  while not (Stack.is_empty stack) do
-    match Stack.pop stack with
+  walk shape ~leave:ignore ~enter:(function
     | Leaf -> incr count
-    | Node cs ->
-      if not leaves_only then incr count;
-      List.iter (fun c -> Stack.push c stack) cs
-  done;
+    | Node _ -> if not leaves_only then incr count);
   !count
 
 let n_nodes = count_nodes ~leaves_only:false
 let n_leaves = count_nodes ~leaves_only:true
 
+(* Ids in pre-order, children left to right. A first walk records each
+   node's subtree size; then node [v]'s children are [v + 1] and, after
+   each child [c], [c + size c]. So every node's arcs are added together
+   and in ascending order, sources ascending: a sorted, forward stream
+   that the Builder turns into the CSR directly. While a subtree is open,
+   its root's entry links to the next open root (a stack threaded through
+   the slab); it becomes the size when the subtree closes. *)
 let dag_of_shape shape =
   let n = n_nodes shape in
+  let size = Slab.create n in
+  let next = ref 0 and top = ref (-1) in
+  walk shape
+    ~enter:(fun _ ->
+      Slab.unsafe_set size !next !top;
+      top := !next;
+      incr next)
+    ~leave:(fun () ->
+      let id = !top in
+      top := Slab.unsafe_get size id;
+      Slab.unsafe_set size id (!next - id));
   let b = Dag.Builder.create ~n ~hint:(n - 1) () in
-  (* ids in DFS pre-order, children left to right: push children reversed so
-     the leftmost subtree is numbered first *)
-  let next = ref 0 in
-  let stack = Stack.create () in
-  Stack.push (-1, shape) stack;
-  while not (Stack.is_empty stack) do
-    let parent, s = Stack.pop stack in
-    let id = !next in
-    incr next;
-    if parent >= 0 then Dag.Builder.add_arc b parent id;
-    match s with
-    | Leaf -> ()
-    | Node children ->
-      List.iter (fun c -> Stack.push (id, c) stack) (List.rev children)
+  for v = 0 to n - 1 do
+    let stop = v + Slab.unsafe_get size v in
+    let c = ref (v + 1) in
+    while !c < stop do
+      Dag.Builder.add_arc b v !c;
+      c := !c + Slab.unsafe_get size !c
+    done
   done;
   Dag.Builder.build_exn b
 
@@ -141,8 +178,8 @@ let schedules_all_optimal g =
       let v = Stack.pop stack in
       if not (Dag.is_sink g v) then begin
         order := v :: !order;
-        for i = Ic_dag.Slab.get soff (v + 1) - 1 downto Ic_dag.Slab.get soff v do
-          Stack.push (Ic_dag.Slab.get sdat i) stack
+        for i = Slab.get soff (v + 1) - 1 downto Slab.get soff v do
+          Stack.push (Slab.get sdat i) stack
         done
       end
     done;

@@ -1,6 +1,6 @@
 (** Nestable wall-clock self-profiling spans over named regions.
 
-    The scheduler's hot paths ([Dag.Builder.build], [Frontier.execute],
+    The scheduler's hot paths ([Dag.Builder.build], [Frontier.profile],
     the [Optimal] search, [Simulator.run]'s event handlers, …) are wrapped
     in [enter]/[leave] pairs keyed by static region names. While profiling
     is {!enable}d, each pair accumulates wall-clock time

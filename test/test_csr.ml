@@ -348,6 +348,48 @@ let test_family_build_heap () =
   if bytes >= 16384.0 then
     Alcotest.failf "building out_mesh 256 allocated %.0f heap bytes" bytes
 
+(* An out-tree's dag numbers its nodes in pre-order, children left to
+   right. The reference here is the definition, recursively: ids are
+   handed out on the way down, and the arc list goes to [Dag.make]. *)
+let preorder_dag shape =
+  let module T = Ic_families.Out_tree in
+  let next = ref 0 and arcs = ref [] in
+  let rec go parent s =
+    let id = !next in
+    incr next;
+    if parent >= 0 then arcs := (parent, id) :: !arcs;
+    match s with T.Leaf -> () | T.Node cs -> List.iter (go id) cs
+  in
+  go (-1) shape;
+  Dag.make_exn ~n:!next ~arcs:!arcs ()
+
+let test_out_tree_numbering () =
+  let module T = Ic_families.Out_tree in
+  let rng = Random.State.make [| 0x7EE |] in
+  let shapes =
+    [ T.Leaf; T.complete ~arity:1 ~depth:5; T.complete ~arity:2 ~depth:6;
+      T.complete ~arity:3 ~depth:4 ]
+    @ List.init 30 (fun i ->
+          T.random rng ~max_internal:(1 + (i * 3)) ~arity:(1 + (i mod 4)))
+  in
+  List.iteri
+    (fun i shape ->
+      check (Printf.sprintf "shape %d: pre-order dag" i) true
+        (Dag.equal (preorder_dag shape) (T.dag_of_shape shape)))
+    shapes
+
+let test_out_tree_build_heap () =
+  (* each node's child arcs are emitted when the node is numbered, so the
+     stream is sorted and forward and fills the CSR directly: no buffer
+     of a word per arc (outtree:2.14 has 32,766 arcs) *)
+  ignore (Ic_families.Out_tree.dag ~arity:2 ~depth:2);
+  let before = heap_words () in
+  let g = Ic_families.Out_tree.dag ~arity:2 ~depth:14 in
+  let bytes = (heap_words () -. before) *. float_of_int (Sys.word_size / 8) in
+  check_int "arcs" 32_766 (Dag.n_arcs g);
+  if bytes >= 16384.0 then
+    Alcotest.failf "building outtree:2.14 allocated %.0f heap bytes" bytes
+
 (* ancestor cone of [v] by an independent reverse DFS on the oracle *)
 let cone_size { opred; _ } v =
   let seen = Array.make (Array.length opred) false in
@@ -469,6 +511,9 @@ let () =
           Alcotest.test_case "builder add_arc allocation-free" `Quick
             test_builder_add_arc_unboxed;
           Alcotest.test_case "family build heap" `Quick test_family_build_heap;
+          Alcotest.test_case "out-tree numbering" `Quick test_out_tree_numbering;
+          Alcotest.test_case "out-tree build heap" `Quick
+            test_out_tree_build_heap;
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [ prop_builder_any_order; prop_builder_reuse ] );
