@@ -474,15 +474,6 @@ let run_large () =
   let g256 = F.Mesh.out_mesh 256 in
   let s256 = F.Mesh.out_schedule 256 in
   large_profile "profile_out_mesh_256_alloc" g256 s256 ~min_runs:20;
-  (* streaming construction: the same mesh through the spilling Builder
-     (IC_BUILDER_SPILL reaches the family constructor's internal Builder),
-     arcs round-tripping through the unlinked temp file in 64k-arc chunks *)
-  Unix.putenv "IC_BUILDER_SPILL" (string_of_int (1 lsl 16));
-  ignore
-    (large_build
-       (Printf.sprintf "build_out_mesh_%d_spill" mesh_levels)
-       (fun () -> F.Mesh.out_mesh mesh_levels));
-  Unix.putenv "IC_BUILDER_SPILL" "";
   (* snapshots: write the large mesh out, map it back in O(1), and replay
      the profile straight off the mapping *)
   let snap = Filename.temp_file "ic_bench_mesh" ".icdag" in

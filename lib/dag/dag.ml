@@ -180,19 +180,17 @@ module Builder = struct
      lower than the previous arc's. Each target lands in [sdat] at once,
      [soff] is set as the source advances, and [poff] counts parents as
      arcs arrive; a finished row is sorted in place and checked for
-     duplicates. The out-mesh, butterfly and prefix generators, among
-     others, emit such streams. These three slabs become the built dag's
-     own.
+     duplicates. The out-mesh, butterfly, prefix and out-tree generators,
+     among others, emit such streams. These three slabs become the built
+     dag's own.
 
      The first arc that breaks a condition, or a row holding a duplicate,
      moves the arcs taken so far into the buffered fill, and the stream
      continues there: raw little-endian int32 pairs in a [Bytes.t] (8
-     bytes per arc, opaque to the GC). In streaming mode ([spill_arcs],
-     which starts buffered) the buffer is a fixed-size chunk flushed to an
-     unlinked temp file whenever full, so peak memory during construction
-     is one chunk regardless of the final arc count. [build] streams the
-     pending arcs back in two passes, a count and a scatter into the child
-     rows, then sorts and checks those rows as the direct fill does.
+     bytes per arc, opaque to the GC). The [Compose]-built families and
+     the matmul dag end up here. [build] reads the buffer in two
+     passes, a count and a scatter into the child rows, then sorts and
+     checks those rows as the direct fill does.
 
      [finish] is shared: it fills the parent rows by walking the child
      rows in source order, so they come out sorted, and runs Kahn's
@@ -201,7 +199,6 @@ module Builder = struct
     n : int;
     labels : string array option;
     hint : int;
-    spill_arcs : int;  (* flush threshold; [max_int] = never spill *)
     mutable direct : bool;
     mutable row : int;  (* source being filled; the rows below are finished *)
     mutable m : int;  (* arcs in [sdat] *)
@@ -215,22 +212,12 @@ module Builder = struct
     mutable sdat : Slab.t;
     mutable poff : Slab.t;  (* n + 1; the in-degree of [v] at [v + 1] *)
     mutable buf : Bytes.t;
-    mutable fill : int;  (* arcs currently in [buf] *)
-    mutable spilled : int;  (* arcs already flushed to the temp file *)
-    mutable file : (out_channel * in_channel) option;
+    mutable fill : int;  (* arcs in [buf] *)
   }
-
-  let default_spill () =
-    match Sys.getenv_opt "IC_BUILDER_SPILL" with
-    | None -> max_int
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some k when k > 0 -> k
-      | _ -> max_int)
 
   let no_slab = Slab.create 0
 
-  let create ?labels ~n ?(hint = 16) ?spill_arcs () =
+  let create ?labels ~n ?(hint = 16) () =
     (* before anything is sized from [n] or [hint]: a dag too large for
        the CSR fails here, not in an allocation or an arc loop *)
     if n > max_nodes then
@@ -241,20 +228,13 @@ module Builder = struct
       invalid_arg
         (Printf.sprintf
            "Dag.Builder.create: %d arcs exceed the int32 CSR limit" hint);
-    let spill_arcs =
-      match spill_arcs with
-      | Some k when k > 0 -> k
-      | Some _ -> invalid_arg "Dag.Builder.create: spill_arcs must be positive"
-      | None -> default_spill ()
-    in
     let hint = max 1 hint in
-    let direct = n >= 0 && spill_arcs = max_int in
+    let direct = n >= 0 in
     let sdat = if direct then Slab.create hint else no_slab in
     {
       n;
       labels;
       hint;
-      spill_arcs;
       direct;
       row = 0;
       m = 0;
@@ -263,31 +243,9 @@ module Builder = struct
       soff = (if direct then Slab.create (n + 1) else no_slab);
       sdat;
       poff = (if direct then Slab.create (n + 1) else no_slab);
-      buf =
-        (if direct then Bytes.empty else Bytes.create (8 * min hint spill_arcs));
+      buf = (if direct then Bytes.empty else Bytes.create (8 * hint));
       fill = 0;
-      spilled = 0;
-      file = None;
     }
-
-  let n_pending b = b.m + b.spilled + b.fill
-  let spilled b = b.spilled > 0
-
-  (* The temp file is unlinked the moment it is created (best-effort):
-     both channels keep operating on the anonymous inode, and the kernel
-     reclaims it when the process exits — no cleanup obligation even on
-     abnormal exit. *)
-  let channels b =
-    match b.file with
-    | Some c -> c
-    | None ->
-      let path = Filename.temp_file "icdag_arcs" ".bin" in
-      let oc = open_out_bin path in
-      let ic = open_in_bin path in
-      (try Sys.remove path with Sys_error _ -> ());
-      let c = (oc, ic) in
-      b.file <- Some c;
-      c
 
   (* Out-of-int32-range endpoints saturate on store; [build]'s range check
      rejects them anyway (any id outside [0, n) with n <= Slab.max_value),
@@ -301,21 +259,9 @@ module Builder = struct
   (* append to the buffered fill *)
   let push b u v =
     if 8 * b.fill = Bytes.length b.buf then begin
-      if b.fill >= b.spill_arcs then begin
-        let oc, _ = channels b in
-        output oc b.buf 0 (8 * b.fill);
-        b.spilled <- b.spilled + b.fill;
-        b.fill <- 0
-      end
-      else begin
-        let limit =
-          if b.spill_arcs >= max_int / 8 then max_int else 8 * b.spill_arcs
-        in
-        let cap = max 128 (min (2 * Bytes.length b.buf) limit) in
-        let nb = Bytes.create cap in
-        Bytes.blit b.buf 0 nb 0 (8 * b.fill);
-        b.buf <- nb
-      end
+      let nb = Bytes.create (max 128 (2 * Bytes.length b.buf)) in
+      Bytes.blit b.buf 0 nb 0 (8 * b.fill);
+      b.buf <- nb
     end;
     let off = 8 * b.fill in
     Bytes.set_int32_le b.buf off (Int32.of_int (clamp32 u));
@@ -418,26 +364,8 @@ module Builder = struct
       push b u v
     end
 
-  (* One sequential pass over every buffered arc: spilled chunks streamed
-     back through a bounded scratch buffer, then the in-memory tail. *)
+  (* one sequential pass over every buffered arc *)
   let iter_pending b f =
-    (match b.file with
-    | None -> ()
-    | Some (oc, ic) ->
-      flush oc;
-      seek_in ic 0;
-      let scratch = Bytes.create 65536 in
-      let remaining = ref (8 * b.spilled) in
-      while !remaining > 0 do
-        let want = min !remaining (Bytes.length scratch) in
-        really_input ic scratch 0 want;
-        for i = 0 to (want / 8) - 1 do
-          f
-            (Int32.to_int (Bytes.get_int32_le scratch (8 * i)))
-            (Int32.to_int (Bytes.get_int32_le scratch ((8 * i) + 4)))
-        done;
-        remaining := !remaining - want
-      done);
     for i = 0 to b.fill - 1 do
       f
         (Int32.to_int (Bytes.get_int32_le b.buf (8 * i)))
@@ -508,7 +436,7 @@ module Builder = struct
      duplicate check. No m-sized intermediate exists beyond the buffer
      itself. *)
   let build_buffered b =
-    let n = b.n and m = n_pending b in
+    let n = b.n and m = b.fill in
     let soff = Slab.create (n + 1) and poff = Slab.create (n + 1) in
     let bad_endpoint = ref None and self_loop = ref None in
     let backward = ref false in
@@ -552,7 +480,7 @@ module Builder = struct
 
   let build b =
     Ic_prof.Span.time "dag.build" @@ fun () ->
-    let n = b.n and m = n_pending b in
+    let n = b.n and m = b.m + b.fill in
     if n < 0 then Error "negative node count"
     else if m > Slab.max_value then
       Error (Printf.sprintf "arc count %d exceeds the int32 CSR limit" m)

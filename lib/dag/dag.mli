@@ -30,20 +30,16 @@ type t
     duplicates, so targets within a row may come in any order.
     {!Builder.build} then fills the parent rows in one pass and skips the
     cycle check (forward arcs cannot close a cycle). The out-mesh,
-    butterfly, prefix, wavefront-grid and bitonic-network generators emit
-    such streams; the trees' pre-order does not.
+    butterfly, prefix, out-tree, wavefront-grid and bitonic-network
+    generators emit such streams.
 
     {b Buffered fill.} The first arc that breaks a condition, or a row
     holding a duplicate, moves the arcs taken so far into a flat
     8-byte-per-arc buffer, and the rest of the stream follows them there.
     {!Builder.build} counts and scatters them into child rows, sorts
     those, and runs Kahn's algorithm only if some arc pointed backward.
-
-    Streaming mode ([spill_arcs], or the [IC_BUILDER_SPILL] environment
-    variable) selects the buffered fill from the first arc, and flushes
-    the buffer to an unlinked temp file in fixed-size chunks, so a dag of
-    any size can be built with peak builder memory of one chunk — the
-    edge list is never materialized in process memory. *)
+    The dags composed by [Ic_core.Compose] (diamond, DLT, path
+    computation) and the matrix-multiplication dag take this fill. *)
 val max_nodes : int
 (** The largest node count a dag can have: [Slab.max_value - 1]. *)
 
@@ -57,7 +53,6 @@ module Builder : sig
     ?labels:string array ->
     n:int ->
     ?hint:int ->
-    ?spill_arcs:int ->
     unit ->
     t
   (** [create ~n ~hint ()] starts a buffer for a dag with nodes [0..n-1];
@@ -67,27 +62,14 @@ module Builder : sig
       large for the CSR fails at once; a negative [n] is reported by
       {!build}.
 
-      [spill_arcs], when given (must be positive), selects the buffered
-      fill and bounds its in-memory buffer: each time that many arcs are
-      pending they are flushed to an unlinked temp file, and {!build}
-      streams them back. When absent, the [IC_BUILDER_SPILL] environment
-      variable (a positive integer) supplies the default, so family
-      constructors stream without signature changes. Otherwise the fill is
-      direct while the stream allows it, into a child slab sized from
-      [hint] (4 bytes per arc), and buffered after that (8 bytes per arc,
-      the buffer also sized from [hint]). *)
+      The fill is direct while the stream allows it, into a child slab
+      sized from [hint] (4 bytes per arc), and buffered after that (8
+      bytes per arc, the buffer also sized from [hint]). *)
 
   val add_arc : t -> int -> int -> unit
   (** [add_arc b u v] appends the arc [u -> v]. Amortized [O(1)], and
       allocation-free once [hint] has sized the fill; no error is
       reported until {!build}. *)
-
-  val n_pending : t -> int
-  (** Number of arcs added so far (filled directly, buffered or
-      spilled). *)
-
-  val spilled : t -> bool
-  (** Has any chunk been flushed to the temp file? *)
 
   val build : t -> (dag, string) result
   (** Validate and freeze: fails with a descriptive message on a negative

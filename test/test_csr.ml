@@ -97,8 +97,8 @@ let test_builder_matches_make () =
     in
     let b = Dag.Builder.create ~n () in
     List.iter (fun (u, v) -> Dag.Builder.add_arc b u v) shuffled;
-    check_int "n_pending" (List.length arcs) (Dag.Builder.n_pending b);
     let g = Dag.Builder.build_exn b in
+    check_int "n_arcs" (List.length arcs) (Dag.n_arcs g);
     check "equal to make" true (Dag.equal g (Dag.make_exn ~n ~arcs ()))
   done
 
@@ -122,43 +122,27 @@ let test_builder_rejects () =
   expect_error "bad labels"
     (Dag.Builder.build (Dag.Builder.create ~labels:[| "a" |] ~n:2 ()))
 
-let test_builder_spill_equivalence () =
-  (* the spill-to-disk path must produce exactly the in-memory dag, for
-     both the explicit [spill_arcs] argument and the IC_BUILDER_SPILL
-     environment default picked up by [create] *)
+let test_builder_buffered_fill () =
+  (* a reversed stream from two or more sources takes the buffered fill;
+     it must give exactly the dag the sorted stream fills directly *)
   let rng = Random.State.make [| 0x59111 |] in
   for _ = 1 to 10 do
     let n = 5 + Random.State.int rng 40 in
-    let arcs = random_arcs rng n 0.3 in
+    let arcs =
+      List.sort_uniq compare ((0, n - 1) :: (1, n - 1) :: random_arcs rng n 0.3)
+    in
     let reference = Dag.make_exn ~n ~arcs () in
-    let b = Dag.Builder.create ~n ~spill_arcs:7 () in
-    List.iter (fun (u, v) -> Dag.Builder.add_arc b u v) arcs;
-    check_int "spilled n_pending" (List.length arcs) (Dag.Builder.n_pending b);
-    check "spill = in-memory" true (Dag.equal (Dag.Builder.build_exn b) reference);
-    (* the builder stays reusable across builds on the spill path too *)
-    check "spill rebuild" true (Dag.equal (Dag.Builder.build_exn b) reference)
+    let b = Dag.Builder.create ~n () in
+    List.iter (fun (u, v) -> Dag.Builder.add_arc b u v) (List.rev arcs);
+    check "buffered = direct" true (Dag.equal (Dag.Builder.build_exn b) reference);
+    (* the builder stays reusable across builds on the buffered path too *)
+    check "buffered rebuild" true (Dag.equal (Dag.Builder.build_exn b) reference)
   done;
-  Unix.putenv "IC_BUILDER_SPILL" "5";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "IC_BUILDER_SPILL" "")
-    (fun () ->
-      let n = 30 in
-      let arcs = random_arcs rng n 0.4 in
-      let b = Dag.Builder.create ~n () in
-      List.iter (fun (u, v) -> Dag.Builder.add_arc b u v) arcs;
-      if List.length arcs > 5 then
-        check "env threshold spills" true (Dag.Builder.spilled b);
-      check "env spill = in-memory" true
-        (Dag.equal (Dag.Builder.build_exn b) (Dag.make_exn ~n ~arcs ())));
-  (* validation errors surface identically through the spill path *)
-  let spill_build n arcs =
-    let b = Dag.Builder.create ~n ~spill_arcs:2 () in
-    List.iter (fun (u, v) -> Dag.Builder.add_arc b u v) arcs;
-    Dag.Builder.build b
-  in
-  expect_error "spilled cycle" (spill_build 3 [ (0, 1); (1, 2); (2, 0) ]);
-  expect_error "spilled duplicate" (spill_build 3 [ (0, 1); (1, 2); (0, 1) ]);
-  expect_error "spilled range" (spill_build 3 [ (0, 1); (1, 2); (1, 7) ])
+  (* validation errors surface identically through the buffered path *)
+  let buffered_build n arcs = build_with n ((1, 2) :: (0, 1) :: arcs) in
+  expect_error "buffered cycle" (buffered_build 3 [ (2, 0) ]);
+  expect_error "buffered duplicate" (buffered_build 3 [ (0, 1) ]);
+  expect_error "buffered range" (buffered_build 3 [ (1, 7) ])
 
 let test_builder_add_arc_unboxed () =
   (* once [~hint] has sized the buffer, appending arcs allocates nothing:
@@ -172,7 +156,7 @@ let test_builder_add_arc_unboxed () =
   let words = Gc.minor_words () -. before in
   if words > 64.0 then
     Alcotest.failf "%d add_arc calls allocated %.0f minor words" m words;
-  check_int "all buffered" m (Dag.Builder.n_pending b)
+  check_int "all added" m (Dag.n_arcs (Dag.Builder.build_exn b))
 
 let test_builder_reuse () =
   (* the builder stays usable after a build; the built dag is unaffected *)
@@ -348,6 +332,62 @@ let test_family_build_heap () =
   if bytes >= 16384.0 then
     Alcotest.failf "building out_mesh 256 allocated %.0f heap bytes" bytes
 
+let snapshot_bytes g =
+  let path = Filename.temp_file "ic_csr_test" ".icdag" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      (match Dag.save g path with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "save failed: %s" e);
+      In_channel.with_open_bin path In_channel.input_all)
+
+let test_fills_same_bytes () =
+  (* each family dag rebuilt from its own arcs: in [iter_arcs] order, and
+     reversed, which forces the buffered fill (its 8-byte-per-arc buffer
+     is the heap allocation checked below). Both must equal the family's
+     dag and save to the same snapshot bytes. The first four families
+     fill directly; the diamond is composed and fills buffered. *)
+  let module F = Ic_families in
+  List.iter
+    (fun (name, g) ->
+      let n = Dag.n_nodes g and m = Dag.n_arcs g in
+      let labels =
+        if Dag.has_labels g then Some (Array.init n (Dag.label g)) else None
+      in
+      let arcs = Array.make m (0, 0) and k = ref 0 in
+      Dag.iter_arcs g (fun u v ->
+          arcs.(!k) <- (u, v);
+          incr k);
+      let rebuild order =
+        let b = Dag.Builder.create ?labels ~n ~hint:m () in
+        let before = heap_words () in
+        for i = 0 to m - 1 do
+          let u, v = arcs.(order i) in
+          Dag.Builder.add_arc b u v
+        done;
+        let bytes = (heap_words () -. before) *. float_of_int (Sys.word_size / 8) in
+        (Dag.Builder.build_exn b, bytes)
+      in
+      let forward, _ = rebuild Fun.id in
+      let reversed, buffered = rebuild (fun i -> m - 1 - i) in
+      if buffered < float_of_int (8 * m) then
+        Alcotest.failf "%s reversed: %.0f heap bytes, no arc buffer" name buffered;
+      let saved = snapshot_bytes g in
+      List.iter
+        (fun (order, h) ->
+          check (Printf.sprintf "%s %s: equal" name order) true (Dag.equal g h);
+          check (Printf.sprintf "%s %s: same bytes" name order) true
+            (snapshot_bytes h = saved))
+        [ ("iter_arcs order", forward); ("reversed", reversed) ])
+    [
+      ("mesh:256", F.Mesh.out_mesh 256);
+      ("butterfly:10", F.Butterfly_net.dag 10);
+      ("prefix:4096", F.Prefix_dag.dag 4096);
+      ("outtree:2.10", F.Out_tree.dag ~arity:2 ~depth:10);
+      ("diamond:2.8", F.Diamond.(dag (complete ~arity:2 ~depth:8)));
+    ]
+
 (* An out-tree's dag numbers its nodes in pre-order, children left to
    right. The reference here is the definition, recursively: ids are
    handed out on the way down, and the arc list goes to [Dag.make]. *)
@@ -505,8 +545,10 @@ let () =
           Alcotest.test_case "random dags vs oracle" `Quick test_oracle_random;
           Alcotest.test_case "builder = make" `Quick test_builder_matches_make;
           Alcotest.test_case "builder rejects" `Quick test_builder_rejects;
-          Alcotest.test_case "builder spill equivalence" `Quick
-            test_builder_spill_equivalence;
+          Alcotest.test_case "builder buffered fill" `Quick
+            test_builder_buffered_fill;
+          Alcotest.test_case "both fills write the same bytes" `Quick
+            test_fills_same_bytes;
           Alcotest.test_case "builder reuse" `Quick test_builder_reuse;
           Alcotest.test_case "builder add_arc allocation-free" `Quick
             test_builder_add_arc_unboxed;

@@ -1,5 +1,5 @@
 (* The binary snapshot format: save -> mmap load roundtrips, re-save byte
-   equality, interaction with the spilling Builder, and rejection of
+   equality, the Builder's buffered fill, and rejection of
    malformed files. *)
 
 module Dag = Ic_dag.Dag
@@ -91,19 +91,19 @@ let test_resave_byte_equal () =
           save_exn (load_exn p1) p2;
           check "byte-identical" true (read_file p1 = read_file p2)))
 
-let test_spilled_builder_roundtrip () =
-  (* streaming-built dag -> snapshot -> load equals the in-memory build *)
+let test_buffered_builder_roundtrip () =
+  (* a reversed stream takes the buffered fill: its dag -> snapshot ->
+     load equals the directly filled build of the sorted stream *)
   let n = 2000 in
   let arcs = List.init (n - 1) (fun i -> (i / 2, i + 1)) in
-  let b = Dag.Builder.create ~n ~spill_arcs:100 () in
-  List.iter (fun (u, v) -> Dag.Builder.add_arc b u v) arcs;
-  check "builder spilled" true (Dag.Builder.spilled b);
+  let b = Dag.Builder.create ~n () in
+  List.iter (fun (u, v) -> Dag.Builder.add_arc b u v) (List.rev arcs);
   let g = Dag.Builder.build_exn b in
   let reference = Dag.make_exn ~n ~arcs () in
-  check "spilled = in-memory" true (Dag.equal g reference);
+  check "buffered = direct" true (Dag.equal g reference);
   with_temp (fun path ->
       save_exn g path;
-      same_dag "spilled roundtrip" reference (load_exn path))
+      same_dag "buffered roundtrip" reference (load_exn path))
 
 let expect_load_error name path =
   match Dag.load path with
@@ -151,8 +151,8 @@ let () =
           Alcotest.test_case "edge cases" `Quick test_roundtrip_edge_cases;
           Alcotest.test_case "re-save is byte-identical" `Quick
             test_resave_byte_equal;
-          Alcotest.test_case "spilled builder" `Quick
-            test_spilled_builder_roundtrip;
+          Alcotest.test_case "buffered builder" `Quick
+            test_buffered_builder_roundtrip;
         ] );
       ( "errors",
         [ Alcotest.test_case "malformed files" `Quick test_rejects_malformed ] );
