@@ -204,10 +204,9 @@ module Builder = struct
     mutable m : int;  (* arcs in [sdat] *)
     mutable room : int;
         (* arcs [sdat] takes before [add_arc] leaves its fast path: its
-           capacity, or 0 when buffered or when a built dag shares
-           [soff]/[sdat] *)
-    mutable shared : bool;
-        (* the last built dag holds [soff], [poff] and maybe [sdat] *)
+           capacity, or 0 when buffered or spent *)
+    mutable spent : bool;
+        (* [build] ran: the built dag may hold [soff], [poff] and [sdat] *)
     mutable soff : Slab.t;  (* n + 1; entries 0 .. row are row starts *)
     mutable sdat : Slab.t;
     mutable poff : Slab.t;  (* n + 1; the in-degree of [v] at [v + 1] *)
@@ -239,7 +238,7 @@ module Builder = struct
       row = 0;
       m = 0;
       room = Slab.length sdat;
-      shared = false;
+      spent = false;
       soff = (if direct then Slab.create (n + 1) else no_slab);
       sdat;
       poff = (if direct then Slab.create (n + 1) else no_slab);
@@ -299,19 +298,6 @@ module Builder = struct
     b.sdat <- sdat;
     b.room <- cap
 
-  (* copy what the last built dag holds before the fill writes again; its
-     [poff] holds row offsets by now, and gives the in-degrees back *)
-  let unshare b =
-    let offsets = b.poff in
-    b.poff <- Slab.create (b.n + 1);
-    for v = 0 to b.n - 1 do
-      Slab.unsafe_set b.poff (v + 1)
-        (Slab.unsafe_get offsets (v + 1) - Slab.unsafe_get offsets v)
-    done;
-    b.soff <- Slab.copy b.soff;
-    b.shared <- false;
-    resize b (capacity b b.m)
-
   (* Move the direct fill's arcs, row by row, into the buffered fill. *)
   let hand_over b =
     b.buf <- Bytes.create (8 * max b.hint (2 * b.m));
@@ -322,7 +308,6 @@ module Builder = struct
       done
     done;
     b.direct <- false;
-    b.shared <- false;
     b.m <- 0;
     b.room <- 0;
     b.soff <- no_slab;
@@ -334,7 +319,6 @@ module Builder = struct
      hand over: a finished row holds a duplicate, or [sdat] is at the
      int32 bound. *)
   let advance b u =
-    if b.shared then unshare b;
     (u = b.row
     || finish_row b
        && begin
@@ -357,6 +341,8 @@ module Builder = struct
       b.m <- b.m + 1;
       Slab.unsafe_set b.poff (v + 1) (Slab.unsafe_get b.poff (v + 1) + 1)
     end
+    else if b.spent then
+      invalid_arg "Dag.Builder.add_arc: builder already built"
     else if b.direct && u >= b.row && u < v && v < b.n && advance b u then
       add_arc b u v
     else begin
@@ -417,8 +403,7 @@ module Builder = struct
     else Ok g
 
   (* The built dag takes [soff] and [poff], and [sdat] when it is exactly
-     full; the builder copies them back before it writes again
-     ([unshare]). *)
+     full. *)
   let build_direct b =
     let m = b.m in
     for r = b.row + 1 to b.n do
@@ -427,8 +412,6 @@ module Builder = struct
     let sdat =
       if Slab.length b.sdat = m then b.sdat else Slab.copy (Slab.sub b.sdat 0 m)
     in
-    b.shared <- true;
-    b.room <- 0;
     finish b ~soff:b.soff ~sdat ~poff:b.poff ~backward:false
 
   (* Count pass (validating endpoints and self-loops, noting backward
@@ -479,6 +462,9 @@ module Builder = struct
       | None -> finish b ~soff ~sdat ~poff ~backward:!backward)
 
   let build b =
+    if b.spent then invalid_arg "Dag.Builder.build: builder already built";
+    b.spent <- true;
+    b.room <- 0;
     Ic_prof.Span.time "dag.build" @@ fun () ->
     let n = b.n and m = b.m + b.fill in
     if n < 0 then Error "negative node count"
@@ -491,7 +477,6 @@ module Builder = struct
           (Printf.sprintf "labels length %d does not match node count %d"
              (Array.length ls) n)
       | _ ->
-        if b.direct && b.shared then unshare b;
         if b.direct && finish_row b then build_direct b
         else begin
           if b.direct then hand_over b;

@@ -69,16 +69,17 @@ module Builder : sig
   val add_arc : t -> int -> int -> unit
   (** [add_arc b u v] appends the arc [u -> v]. Amortized [O(1)], and
       allocation-free once [hint] has sized the fill; no error is
-      reported until {!build}. *)
+      reported until {!build}, except that a spent builder raises
+      [Invalid_argument]. *)
 
   val build : t -> (dag, string) result
   (** Validate and freeze: fails with a descriptive message on a negative
       node count, label length mismatch, out-of-range endpoints or
       self-loops (the first in stream order), then duplicate arcs (the
       least), then cycles — the same message whichever fill the stream
-      took. The builder may be reused (and added to) afterwards; the built
-      dag never changes. After a direct fill the dag takes the builder's
-      slabs, and the builder copies them before it writes again. *)
+      took. [build] spends the builder, whatever its result: a later
+      {!add_arc} or [build] raises [Invalid_argument]. After a direct fill
+      the dag takes the builder's slabs. *)
 
   val build_exn : t -> dag
   (** Like {!build} but raises [Invalid_argument] on bad input. *)

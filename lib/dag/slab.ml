@@ -28,11 +28,6 @@ let copy (s : t) : t =
   A1.blit s out;
   out
 
-let of_int_array a : t =
-  let s = A1.create Bigarray.int32 Bigarray.c_layout (Array.length a) in
-  Array.iteri (fun i v -> A1.unsafe_set s i (Int32.of_int v)) a;
-  s
-
 let to_int_array ?(pos = 0) ?len (s : t) =
   let len = match len with Some l -> l | None -> A1.dim s - pos in
   Array.init len (fun i -> Int32.to_int (A1.get s (pos + i)))

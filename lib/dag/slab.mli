@@ -49,7 +49,6 @@ val sub : t -> int -> int -> t
 
 val copy : t -> t
 
-val of_int_array : int array -> t
 val to_int_array : ?pos:int -> ?len:int -> t -> int array
 
 val equal : t -> t -> bool

@@ -28,7 +28,8 @@ let chrome_trace ?(process_name = "ic_sched")
       | Client_stall | Client_resume | Client_crash | Client_rejoin ->
         if e.a > !max_client then max_client := e.a
       | Frontier_push | Frontier_pop | Eligible_count | Retry_scheduled
-      | Speculative_launch | Frontier_depth | Inflight -> ())
+      | Speculative_launch | Frontier_depth | Inflight | Span_enter
+      | Span_leave -> ())
     tr;
   let n_clients = !max_client + 1 in
   let buf = Buffer.create 4096 in
@@ -133,7 +134,7 @@ let chrome_trace ?(process_name = "ic_sched")
           (Printf.sprintf "\"task\": %d, \"retry\": %d" e.a e.b)
       | Speculative_launch ->
         instant ~tid:0 e.time "speculate" (Printf.sprintf "\"task\": %d" e.a)
-      | Frontier_push | Frontier_pop -> ()
+      | Frontier_push | Frontier_pop | Span_enter | Span_leave -> ()
       | Eligible_count ->
         entry
           (Printf.sprintf

@@ -23,6 +23,8 @@ type kind =
   | Client_rejoin
   | Frontier_depth
   | Inflight
+  | Span_enter
+  | Span_leave
 
 let kind_to_int = function
   | Task_alloc -> 0
@@ -42,6 +44,8 @@ let kind_to_int = function
   | Client_rejoin -> 14
   | Frontier_depth -> 15
   | Inflight -> 16
+  | Span_enter -> 17
+  | Span_leave -> 18
 
 let kind_of_int = function
   | 0 -> Task_alloc
@@ -61,9 +65,11 @@ let kind_of_int = function
   | 14 -> Client_rejoin
   | 15 -> Frontier_depth
   | 16 -> Inflight
+  | 17 -> Span_enter
+  | 18 -> Span_leave
   | _ -> assert false
 
-let kind_of_int_opt i = if i >= 0 && i <= 16 then Some (kind_of_int i) else None
+let kind_of_int_opt i = if i >= 0 && i <= 18 then Some (kind_of_int i) else None
 
 let kind_name = function
   | Task_alloc -> "task_alloc"
@@ -83,6 +89,8 @@ let kind_name = function
   | Client_rejoin -> "client_rejoin"
   | Frontier_depth -> "frontier_depth"
   | Inflight -> "inflight"
+  | Span_enter -> "span_enter"
+  | Span_leave -> "span_leave"
 
 type event = { kind : kind; time : float; a : int; b : int }
 

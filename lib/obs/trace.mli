@@ -3,8 +3,8 @@
 
     A trace is a record of timestamped scheduling events — task
     allocation/start/completion/failure, client stall/resume, frontier
-    push/pop, eligibility-count changes — with two stores behind the one
-    {!emit}:
+    push/pop, eligibility-count changes, profiling spans — with two
+    stores behind the one {!emit}:
 
     - {!create} keeps every event, column-wise in flat int/float arrays,
       so recording allocates nothing (amortized: the columns double when
@@ -29,9 +29,12 @@
     within noise (the overhead contract of DESIGN.md §"The observability
     layer").
 
-    Timestamps are {e simulated} time (or step indices for untimed
-    producers like [Ic_compute.Engine]); a trace never consults the wall
-    clock, so identically seeded runs produce byte-identical traces. *)
+    Timestamps come from the producer's clock: {e simulated} time in
+    [Ic_sim.Simulator] and step indices in [Ic_compute.Engine] (so
+    identically seeded runs produce byte-identical traces), the caller's
+    [~now] in [Ic_served.Server], and [Ic_prof.Monotonic] seconds in
+    [Ic_par.Runtime]'s sink and in the trace [Ic_prof.Span] records its
+    spans into. {!emit} itself never reads a clock. *)
 
 type kind =
   | Task_alloc  (** [a] = task, [b] = client; the server allocated [a] *)
@@ -70,6 +73,13 @@ type kind =
   | Inflight
       (** [a] = number of leased-and-unresolved tasks after a server
           [handle] *)
+  | Span_enter
+      (** [a] = the span's interned name id, [b] = the number of spans
+          open around it; [Ic_prof.Span] opened a profiling span *)
+  | Span_leave
+      (** [a] = minor-heap words, [b] = direct major-heap words
+          allocated while the innermost open span ran; [Ic_prof.Span]
+          closed it *)
 
 val kind_name : kind -> string
 (** Stable lower-snake-case name, e.g. ["task_alloc"]. *)
@@ -110,7 +120,7 @@ val emit : t -> kind -> time:float -> a:int -> b:int -> unit
     [b], and a slot the kind does not use is recorded as [0]. Producers
     ([Ic_sim.Simulator], [Ic_compute.Engine], [Ic_par.Runtime],
     [Ic_served.Server]) each wrap it in one local [emit] over their
-    optional sink. *)
+    optional sink; [Ic_prof.Span] emits into its own trace. *)
 
 (** {1 Reading} *)
 

@@ -1,99 +1,72 @@
-(* Wall-clock self-profiling spans.
+(* Wall-clock spans as events of one in-memory [Ic_obs.Trace]. [enter]
+   emits [Span_enter] (a = the interned name id, b = the number of spans
+   open around it) and pushes its [Gc.quick_stat] sample; [leave] pops
+   the sample and emits [Span_leave] (a = minor words, b = direct major
+   words allocated since). Both carry [Monotonic.now] seconds, and
+   [capture] folds the tree from the events by call path.
 
-   The span tree is global mutable state: a [node] per distinct call path
-   (root -> ... -> name), found or created on [enter] and aggregated in
-   place on [leave]. Recursion never re-enters an open node — a recursive
-   [enter "f"] inside the span "f" creates (or reuses) a child named "f"
-   under it, so every open node has exactly one live (t0, gc0) sample and
-   totals need no re-entrancy bookkeeping.
-
-   The disabled path is one load-and-branch on [on] per call, with no
+   The disabled path is one load-and-branch per call, with no
    allocation: call sites pass static strings, and nothing else runs. The
-   enabled path pays one [Monotonic.now] and one [Gc.quick_stat] per
-   [enter] and per [leave]; [Gc.quick_stat] itself allocates its result
-   record (a few dozen words), which is visible as a small per-span floor
-   in the allocation deltas of enclosing spans — an observer effect to keep
-   in mind when reading words-allocated numbers of nanosecond-scale spans.
+   enabled path pays one [Monotonic.now], one [Gc.quick_stat] and one
+   [Trace.emit] per [enter] and per [leave]; [Gc.quick_stat] allocates
+   its result record (a few dozen words), a small per-span floor in the
+   allocation deltas of enclosing spans — an observer effect to keep in
+   mind when reading words-allocated numbers of nanosecond-scale spans.
    Counts are always exact. *)
 
-type node = {
-  name : string;
-  parent : node option;
-  mutable count : int;
-  mutable total : float;  (* seconds, children included *)
-  mutable minor : float;  (* minor-heap words allocated, children included *)
-  mutable major : float;  (* direct major-heap words (promotions excluded) *)
-  mutable t0 : float;  (* live samples while the span is open *)
-  mutable minor0 : float;
-  mutable major0 : float;
-  children : (string, node) Hashtbl.t;
-}
-
-let make_node name parent =
-  {
-    name;
-    parent;
-    count = 0;
-    total = 0.0;
-    minor = 0.0;
-    major = 0.0;
-    t0 = 0.0;
-    minor0 = 0.0;
-    major0 = 0.0;
-    children = Hashtbl.create 4;
-  }
+module Trace = Ic_obs.Trace
 
 let on = ref false
-let root = make_node "" None
-let current = ref root
+let trace = Trace.create ()
+let ids : (string, int) Hashtbl.t = Hashtbl.create 64
+
+(* the open spans' start samples, innermost first; empty while profiling
+   is off *)
+let starts : Gc.stat list ref = ref []
 
 let enabled () = !on
 let enable () = on := true
 
-(* disabling with spans still open re-points [current] at the root so a
-   later [enable] starts from a sane position; the orphaned open spans
-   simply never accumulate their last interval *)
+(* spans still open are forgotten: the fold drops their last interval,
+   and the next [enter] opens at the top level *)
 let disable () =
   on := false;
-  current := root
+  starts := []
 
 let reset () =
-  Hashtbl.reset root.children;
-  current := root
+  Trace.clear trace;
+  starts := []
+
+let intern name =
+  match Hashtbl.find ids name with
+  | id -> id
+  | exception Not_found ->
+    let id = Hashtbl.length ids in
+    Hashtbl.add ids name id;
+    id
 
 let enter name =
   if !on then begin
-    let parent = !current in
-    let child =
-      match Hashtbl.find_opt parent.children name with
-      | Some c -> c
-      | None ->
-        let c = make_node name (Some parent) in
-        Hashtbl.add parent.children name c;
-        c
-    in
-    child.count <- child.count + 1;
+    let id = intern name in
     let st = Gc.quick_stat () in
-    child.minor0 <- st.Gc.minor_words;
-    child.major0 <- st.Gc.major_words -. st.Gc.promoted_words;
-    child.t0 <- Monotonic.now ();
-    current := child
+    Trace.emit trace Span_enter ~time:(Monotonic.now ()) ~a:id
+      ~b:(List.length !starts);
+    starts := st :: !starts
   end
 
+let direct_major (st : Gc.stat) = st.major_words -. st.promoted_words
+
+(* an unbalanced leave at the top level is ignored *)
 let leave () =
-  if !on then begin
-    let cur = !current in
-    match cur.parent with
-    | None -> () (* unbalanced leave at the root: ignore *)
-    | Some p ->
-      let t1 = Monotonic.now () in
-      let st = Gc.quick_stat () in
-      cur.total <- cur.total +. (t1 -. cur.t0);
-      cur.minor <- cur.minor +. (st.Gc.minor_words -. cur.minor0);
-      cur.major <-
-        cur.major +. (st.Gc.major_words -. st.Gc.promoted_words -. cur.major0);
-      current := p
-  end
+  match !starts with
+  | st0 :: around ->
+    let t1 = Monotonic.now () in
+    let st = Gc.quick_stat () in
+    starts := around;
+    Trace.emit trace Span_leave ~time:t1
+      ~a:(int_of_float (st.minor_words -. st0.minor_words))
+      ~b:(int_of_float (direct_major st -. direct_major st0))
+  | _ -> ()
 
 let time name f =
   if !on then begin
@@ -117,18 +90,49 @@ type info = {
   info_children : info list;
 }
 
-let rec info_of node =
-  let children =
-    Hashtbl.fold (fun _ c acc -> info_of c :: acc) node.children []
+let capture () =
+  let name = Array.make (Hashtbl.length ids) "" in
+  Hashtbl.iter (fun s id -> name.(id) <- s) ids;
+  (* (count, seconds, minor, major) by call path, name ids innermost
+     first; the open spans are (path, start time), innermost first *)
+  let paths = Hashtbl.create 64 and stack = ref [] in
+  let add path f =
+    let zero = (0, 0.0, 0.0, 0.0) in
+    Hashtbl.replace paths path
+      (f (Option.value (Hashtbl.find_opt paths path) ~default:zero))
+  in
+  Trace.iter
+    (fun (e : Trace.event) ->
+      match (e.kind, !stack) with
+      | Span_enter, spans ->
+        (* keep the [e.b] outermost: the others were open at a [disable] *)
+        let k = List.length spans - e.b in
+        let around = List.filteri (fun i _ -> i >= k) spans in
+        let path = e.a :: (match around with (p, _) :: _ -> p | [] -> []) in
+        add path (fun (c, s, mi, ma) -> (c + 1, s, mi, ma));
+        stack := (path, e.time) :: around
+      | Span_leave, (path, t0) :: around ->
+        add path (fun (c, s, mi, ma) ->
+            (c, s +. (e.time -. t0), mi +. float e.a, ma +. float e.b));
+        stack := around
+      | _ -> ())
+    trace;
+  let rec level up =
+    Hashtbl.fold
+      (fun path (count, total, minor, major) acc ->
+        match path with
+        | id :: p when p = up ->
+          {
+            info_name = name.(id);
+            info_count = count;
+            total_s = total;
+            minor_words = minor;
+            major_words = major;
+            info_children = level path;
+          }
+          :: acc
+        | _ -> acc)
+      paths []
     |> List.sort (fun a b -> compare a.info_name b.info_name)
   in
-  {
-    info_name = node.name;
-    info_count = node.count;
-    total_s = node.total;
-    minor_words = node.minor;
-    major_words = node.major;
-    info_children = children;
-  }
-
-let capture () = (info_of root).info_children
+  level []

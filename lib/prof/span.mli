@@ -1,31 +1,36 @@
 (** Nestable wall-clock self-profiling spans over named regions.
 
-    The scheduler's hot paths ([Dag.Builder.build], [Frontier.profile],
-    the [Optimal] search, [Simulator.run]'s event handlers, …) are wrapped
-    in [enter]/[leave] pairs keyed by static region names. While profiling
-    is {!enable}d, each pair accumulates wall-clock time
-    ({!Monotonic.now}), GC allocation deltas ([Gc.quick_stat] minor and
-    major words) and a call count into a global span tree shaped by the
-    dynamic nesting — the input to {!Report}.
+    The scheduler's theory path ([Dag.Builder.build], the family
+    constructors, [Frontier.create] and [Frontier.profile], the [Optimal]
+    search) and [Simulator.run]'s phases are wrapped in [enter]/[leave]
+    pairs keyed by static region names. While profiling is {!enable}d,
+    each pair records two events, [Span_enter] and [Span_leave], into
+    one global {!Ic_obs.Trace} stamped with {!Monotonic.now} seconds; the
+    leave event carries the span's GC allocation ([Gc.quick_stat] minor
+    and direct major words). {!capture} folds the events into a span tree
+    shaped by the dynamic nesting, with a call count per node: the input
+    to {!Report}.
 
     Disabled (the default), every call is a single branch on one global
     flag with no allocation, so instrumented code is indistinguishable
     from un-instrumented code within measurement noise (the perf JSON's
     ["prof" phase] measures exactly this; see DESIGN.md).
 
-    The tree is global mutable state for a single-threaded process. Toggle
-    {!enable}/{!disable} outside any open span; a span left open when
-    profiling is disabled simply never accumulates its last interval. *)
+    The trace is global mutable state for a single-threaded process, and
+    it grows by two events per span while profiling is on: keep spans out
+    of per-step loops. Toggle {!enable}/{!disable} outside any open span;
+    a span left open when profiling is disabled simply never accumulates
+    its last interval. *)
 
 val enabled : unit -> bool
 val enable : unit -> unit
 
 val disable : unit -> unit
-(** Also re-points the current position at the root, so a later {!enable}
-    starts from a sane state even if spans were open. *)
+(** Also forgets the open spans, so after a later {!enable} the next span
+    opens at the top level. *)
 
 val reset : unit -> unit
-(** Drop the whole accumulated tree. *)
+(** Drop every recorded span, and forget the open ones. *)
 
 (** {1 Recording} *)
 
@@ -36,8 +41,8 @@ val enter : string -> unit
     strings: building a name allocates even when profiling is off. *)
 
 val leave : unit -> unit
-(** Close the innermost open span, accumulating elapsed wall time and
-    allocation into its node. Unbalanced calls at the root are ignored.
+(** Close the innermost open span, recording its allocation since
+    {!enter}. Unbalanced calls at the root are ignored.
     An exception escaping between [enter] and [leave] leaves the span
     open — use {!time} where that matters. *)
 
@@ -59,6 +64,6 @@ type info = {
 (** An immutable snapshot of one span node. *)
 
 val capture : unit -> info list
-(** Snapshot the top-level spans (deterministically sorted by name at
-    every level). Spans still open contribute their closed intervals
-    only. *)
+(** The top-level spans, folded from the recorded events by call path
+    (deterministically sorted by name at every level). Spans still open
+    are counted, and contribute their closed intervals only. *)

@@ -212,9 +212,7 @@ let run ?sink ?live cfg policy ~workload g =
     allocation_order := v :: !allocation_order;
     let attempt_no = attempts_made.(v) in
     attempts_made.(v) <- attempt_no + 1;
-    Span.enter "sim.fault_draw";
     let fate = Plan.attempt cfg.faults ~task:v ~attempt:attempt_no in
-    Span.leave ();
     let noise = 1.0 +. (cfg.jitter *. Random.State.float rng 1.0) in
     (* parents computed elsewhere must ship their results over the
        Internet; a source's input comes from the server (one transfer) *)
@@ -315,7 +313,6 @@ let run ?sink ?live cfg policy ~workload g =
       open_attempts.(v)
   in
   let schedule_retry v =
-    Span.time "sim.recovery" @@ fun () ->
     if
       (not (Frontier.is_executed fr v))
       && (not pending.(v))
@@ -508,10 +505,8 @@ let run ?sink ?live cfg policy ~workload g =
       (* no event can ever re-pool the remaining work: clean abort *)
       abort := Some No_progress
     else begin
-      Span.enter "sim.ev.pop";
       let t = Heap.min_key events in
       let ev = Heap.pop_min events in
-      Span.leave ();
       if t > deadline then begin
         eligible_integral :=
           !eligible_integral
@@ -524,32 +519,20 @@ let run ?sink ?live cfg policy ~workload g =
           !eligible_integral
           +. (float_of_int (Policy.Robust.size robust) *. (t -. !now));
         now := t;
-        (match ev with
-        | Ev_complete id ->
-          Span.enter "sim.ev.complete";
-          handle_complete id
-        | Ev_timeout id ->
-          Span.enter "sim.ev.timeout";
-          handle_timeout id
-        | Ev_spec id ->
-          Span.enter "sim.ev.spec";
-          handle_spec id
+        match ev with
+        | Ev_complete id -> handle_complete id
+        | Ev_timeout id -> handle_timeout id
+        | Ev_spec id -> handle_spec id
         | Ev_crash c ->
-          Span.enter "sim.ev.crash";
           handle_crash c;
           schedule_churn c
         | Ev_disconnect (c, _downtime) ->
-          Span.enter "sim.ev.disconnect";
           handle_disconnect c;
           schedule_churn c
         | Ev_rejoin c ->
-          Span.enter "sim.ev.rejoin";
           handle_rejoin c;
           schedule_churn c
-        | Ev_retry v ->
-          Span.enter "sim.ev.retry";
-          handle_retry_release v);
-        Span.leave ()
+        | Ev_retry v -> handle_retry_release v
       end
     end
   done;

@@ -134,9 +134,7 @@ let test_builder_buffered_fill () =
     let reference = Dag.make_exn ~n ~arcs () in
     let b = Dag.Builder.create ~n () in
     List.iter (fun (u, v) -> Dag.Builder.add_arc b u v) (List.rev arcs);
-    check "buffered = direct" true (Dag.equal (Dag.Builder.build_exn b) reference);
-    (* the builder stays reusable across builds on the buffered path too *)
-    check "buffered rebuild" true (Dag.equal (Dag.Builder.build_exn b) reference)
+    check "buffered = direct" true (Dag.equal (Dag.Builder.build_exn b) reference)
   done;
   (* validation errors surface identically through the buffered path *)
   let buffered_build n arcs = build_with n ((1, 2) :: (0, 1) :: arcs) in
@@ -158,16 +156,37 @@ let test_builder_add_arc_unboxed () =
     Alcotest.failf "%d add_arc calls allocated %.0f minor words" m words;
   check_int "all added" m (Dag.n_arcs (Dag.Builder.build_exn b))
 
-let test_builder_reuse () =
-  (* the builder stays usable after a build; the built dag is unaffected *)
-  let b = Dag.Builder.create ~n:3 () in
-  Dag.Builder.add_arc b 0 1;
-  let g1 = Dag.Builder.build_exn b in
-  Dag.Builder.add_arc b 1 2;
-  let g2 = Dag.Builder.build_exn b in
-  check_int "g1 arcs" 1 (Dag.n_arcs g1);
-  check_int "g2 arcs" 2 (Dag.n_arcs g2);
-  check "g2 has both" true (Dag.has_arc g2 0 1 && Dag.has_arc g2 1 2)
+let test_builder_spent () =
+  (* a build spends the builder, whichever fill it took and whatever its
+     result: a later add_arc or build raises, and the dag is unchanged *)
+  let spent name b =
+    let raises f =
+      match f () with
+      | exception Invalid_argument _ -> true
+      | _ -> false
+    in
+    check (name ^ ": add_arc raises") true
+      (raises (fun () -> Dag.Builder.add_arc b 0 1));
+    check (name ^ ": build raises") true
+      (raises (fun () -> ignore (Dag.Builder.build b)))
+  in
+  let direct = Dag.Builder.create ~n:3 () in
+  Dag.Builder.add_arc direct 0 1;
+  let g = Dag.Builder.build_exn direct in
+  spent "direct" direct;
+  let buffered = Dag.Builder.create ~n:3 () in
+  Dag.Builder.add_arc buffered 1 2;
+  Dag.Builder.add_arc buffered 0 1;
+  let h = Dag.Builder.build_exn buffered in
+  spent "buffered" buffered;
+  let failed = Dag.Builder.create ~n:2 () in
+  Dag.Builder.add_arc failed 0 0;
+  expect_error "self-loop" (Dag.Builder.build failed);
+  spent "failed" failed;
+  check "direct dag kept" true
+    (Dag.equal g (Dag.make_exn ~n:3 ~arcs:[ (0, 1) ] ()));
+  check "buffered dag kept" true
+    (Dag.equal h (Dag.make_exn ~n:3 ~arcs:[ (0, 1); (1, 2) ] ()))
 
 (* Arc streams in the orders a builder may see. [Sorted] and
    [Late_inversion] keep the whole stream (or all but its tail) in source
@@ -270,9 +289,6 @@ let stream_gen =
   QCheck2.Gen.(
     quad (int_range 1 30) order_gen fault_gen (int_bound 1_000_000))
 
-let slabs g =
-  Dag.[ succ_offsets g; succ_targets g; pred_offsets g; pred_sources g ]
-
 let prop_builder_any_order =
   QCheck2.Test.make ~name:"builder: any arc order = buffered reference"
     ~count:500 stream_gen
@@ -282,35 +298,7 @@ let prop_builder_any_order =
       let stream = inject rng n fault (arrange rng order arcs) in
       let b = Dag.Builder.create ~n () in
       add_all b stream;
-      matches_reference n stream (Dag.Builder.build b)
-      (* a second build of the same builder gives the same answer *)
-      && matches_reference n stream (Dag.Builder.build b))
-
-let prop_builder_reuse =
-  QCheck2.Test.make ~name:"builder: adding after a build leaves the first dag"
-    ~count:300 stream_gen
-    (fun (n, order, fault, seed) ->
-      let rng = Random.State.make [| seed |] in
-      let arcs = random_arcs rng n (Random.State.float rng 0.5) in
-      let stream = inject rng n fault (arrange rng order arcs) in
-      let k = Random.State.int rng (List.length stream + 1) in
-      let head = List.filteri (fun i _ -> i < k) stream in
-      let tail = List.filteri (fun i _ -> i >= k) stream in
-      let b = Dag.Builder.create ~n () in
-      add_all b head;
-      let first = Dag.Builder.build b in
-      (* a copy of the first dag's slabs, taken before the builder moves on *)
-      let kept = Result.map (fun g -> List.map Ic_dag.Slab.copy (slabs g)) first in
-      add_all b tail;
-      let second = Dag.Builder.build b in
-      let unchanged =
-        match (first, kept) with
-        | Ok g, Ok copies -> List.for_all2 Ic_dag.Slab.equal copies (slabs g)
-        | _ -> true
-      in
-      matches_reference n head first
-      && matches_reference n stream second
-      && unchanged)
+      matches_reference n stream (Dag.Builder.build b))
 
 (* Words allocated on the OCaml heap: minor allocations plus direct major
    ones (a large [Bytes.t] goes straight to the major heap). The minor
@@ -549,7 +537,8 @@ let () =
             test_builder_buffered_fill;
           Alcotest.test_case "both fills write the same bytes" `Quick
             test_fills_same_bytes;
-          Alcotest.test_case "builder reuse" `Quick test_builder_reuse;
+          Alcotest.test_case "builder spent after build" `Quick
+            test_builder_spent;
           Alcotest.test_case "builder add_arc allocation-free" `Quick
             test_builder_add_arc_unboxed;
           Alcotest.test_case "family build heap" `Quick test_family_build_heap;
@@ -558,7 +547,7 @@ let () =
             test_out_tree_build_heap;
         ]
         @ List.map QCheck_alcotest.to_alcotest
-            [ prop_builder_any_order; prop_builder_reuse ] );
+            [ prop_builder_any_order ] );
       ( "engine",
         [
           Alcotest.test_case "value_at cone" `Quick test_value_at_cone;

@@ -1,5 +1,6 @@
 (* Tests for the Ic_prof self-profiling library: Span tree semantics
-   (nesting, counts, recursion, the disabled fast path), Report rendering
+   (nesting, counts, recursion, the disabled fast path, a random-run
+   model), Report rendering
    (JSON round-tripped through the bundled reader, collapsed stacks for
    flamegraph tools) and the Baseline perf-regression comparator. *)
 
@@ -297,6 +298,188 @@ let test_profile_raw_agrees () =
   check "instrumentation is transparent" true (a = c);
   fresh ()
 
+(* --- spans against a model --- *)
+
+(* A random run of profiler calls. [Time (name, raises, body)] is
+   [Span.time name] over [body], raising [Boom] after it when [raises]. *)
+type op =
+  | Enter of string
+  | Leave
+  | Time of string * bool * op list
+  | Enable
+  | Disable
+  | Reset
+
+exception Boom
+
+let rec pp_op = function
+  | Enter s -> "enter " ^ s
+  | Leave -> "leave"
+  | Time (s, r, body) ->
+    Printf.sprintf "time %s%s [%s]" s
+      (if r then " raising" else "")
+      (String.concat "; " (List.map pp_op body))
+  | Enable -> "enable"
+  | Disable -> "disable"
+  | Reset -> "reset"
+
+let ops_gen =
+  let open QCheck2.Gen in
+  let name = oneofl [ "a"; "b"; "c" ] in
+  let op =
+    fix (fun self fuel ->
+        let flat =
+          [
+            (4, map (fun s -> Enter s) name);
+            (3, pure Leave);
+            (2, pure Enable);
+            (1, pure Disable);
+            (1, pure Reset);
+          ]
+        in
+        if fuel = 0 then frequency flat
+        else
+          frequency
+            ((3, map3
+                   (fun s r body -> Time (s, r, body))
+                   name (frequency [ (3, pure false); (1, pure true) ])
+                   (list_size (int_bound 4) (self (fuel - 1))))
+            :: flat))
+  in
+  list_size (int_range 0 30) (op 3)
+
+let rec run_span = function
+  | Enter s -> Span.enter s
+  | Leave -> Span.leave ()
+  | Time (s, raises, body) ->
+    Span.time s (fun () ->
+        List.iter run_span body;
+        if raises then raise Boom)
+  | Enable -> Span.enable ()
+  | Disable -> Span.disable ()
+  | Reset -> Span.reset ()
+
+(* The model: the open spans are the current call path (innermost
+   first), a count per path, and the paths that lost an open interval
+   to a [disable] (their totals may undercount their children's). *)
+type model = {
+  mutable on : bool;
+  mutable path : string list;
+  mutable counts : (string list * int) list;
+  mutable cut : string list list;
+}
+
+let rec run_model m = function
+  | Enter s ->
+    if m.on then begin
+      let path = s :: m.path in
+      let k = Option.value ~default:0 (List.assoc_opt path m.counts) in
+      m.counts <- (path, k + 1) :: List.remove_assoc path m.counts;
+      m.path <- path
+    end
+  | Leave -> (
+    match m.path with _ :: up when m.on -> m.path <- up | _ -> ())
+  | Time (s, raises, body) ->
+    let was_on = m.on in
+    if was_on then run_model m (Enter s);
+    let outcome =
+      match
+        List.iter (run_model m) body;
+        if raises then raise Boom
+      with
+      | () -> None
+      | exception Boom -> Some Boom
+    in
+    if was_on then run_model m Leave;
+    Option.iter raise outcome
+  | Enable -> m.on <- true
+  | Disable ->
+    m.cut <- List.rev (cut_paths m.path) @ m.cut;
+    m.on <- false;
+    m.path <- []
+  | Reset ->
+    m.counts <- [];
+    m.cut <- [];
+    m.path <- []
+
+(* [a; b; c] is open inside [b; c] inside [c] *)
+and cut_paths = function [] -> [] | _ :: up as p -> p :: cut_paths up
+
+let prop_spans_match_model =
+  QCheck2.Test.make ~name:"capture equals a list model" ~count:500
+    ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
+    ops_gen
+    (fun ops ->
+      fresh ();
+      let m = { on = false; path = []; counts = []; cut = [] } in
+      List.iter
+        (fun op ->
+          (try run_span op with Boom -> ());
+          try run_model m op with Boom -> ())
+        ops;
+      (* spans still open at capture lose their last interval too *)
+      m.cut <- cut_paths m.path @ m.cut;
+      let infos = Span.capture () in
+      fresh ();
+      (* preorder of a name-sorted tree = its root-first paths, sorted *)
+      let rec flatten up (i : Span.info) =
+        let path = i.Span.info_name :: up in
+        (List.rev path, i.Span.info_count)
+        :: List.concat_map (flatten path) i.Span.info_children
+      in
+      let got = List.concat_map (flatten []) infos in
+      let want =
+        List.sort compare (List.map (fun (p, k) -> (List.rev p, k)) m.counts)
+      in
+      let rec nested up (i : Span.info) =
+        let path = i.Span.info_name :: up in
+        List.for_all
+          (fun (c : Span.info) ->
+            (List.mem path m.cut || c.Span.total_s <= i.Span.total_s +. 1e-9)
+            && nested path c)
+          i.Span.info_children
+      in
+      let show l =
+        String.concat ", "
+          (List.map (fun (p, k) -> Printf.sprintf "%s=%d" (String.concat ";" p) k) l)
+      in
+      if got <> want then
+        QCheck2.Test.fail_reportf "capture [%s], model [%s]" (show got)
+          (show want);
+      List.for_all (nested []) infos)
+
+(* --- the simulator's spans are per run, not per event --- *)
+
+let test_sim_spans_per_run () =
+  let spans k =
+    let g = Ic_families.Mesh.out_mesh k in
+    let policy =
+      Ic_heuristics.Policy.of_schedule "ic-optimal"
+        (Ic_families.Mesh.out_schedule k)
+    in
+    let cfg =
+      Ic_sim.Simulator.config
+        ~faults:(Ic_fault.Plan.make ~fail_probability:0.1 ())
+        ()
+    in
+    fresh ();
+    Span.enable ();
+    ignore
+      (Ic_sim.Simulator.run cfg policy ~workload:Ic_sim.Workload.unit g);
+    Span.disable ();
+    let rec count infos =
+      List.fold_left
+        (fun acc i -> acc + i.Span.info_count + count i.Span.info_children)
+        0 infos
+    in
+    let infos = Span.capture () in
+    fresh ();
+    check "sim.run recorded" true
+      (List.exists (fun i -> i.Span.info_name = "sim.run") infos);
+    count infos
+  in
+  check_int "same span count on mesh-8 and mesh-32" (spans 8) (spans 32)
+
 let () =
   Alcotest.run "ic_prof"
     [
@@ -310,6 +493,7 @@ let () =
             test_span_time_exception_safe;
           Alcotest.test_case "capture sorted, reset drops" `Quick
             test_span_capture_sorted;
+          QCheck_alcotest.to_alcotest prop_spans_match_model;
         ] );
       ( "report",
         [
@@ -329,5 +513,7 @@ let () =
           Alcotest.test_case "instrumented spans appear" `Quick
             test_instrumented_frontier;
           Alcotest.test_case "profile_raw agrees" `Quick test_profile_raw_agrees;
+          Alcotest.test_case "simulator spans per run" `Quick
+            test_sim_spans_per_run;
         ] );
     ]
