@@ -49,7 +49,7 @@ let grow h v =
    They make the strict [<] comparisons of a swap-based heap in the same
    order, so equal keys come out in the same order as they would there. *)
 
-let push h k v =
+let[@inline] insert h k v =
   if h.size = Array.length h.vals then grow h v;
   let keys = h.keys and vals = h.vals in
   let i = ref h.size in
@@ -62,6 +62,11 @@ let push h k v =
   Float.Array.set keys !i k;
   vals.(!i) <- v;
   h.size <- h.size + 1
+
+let push h k v = insert h k v
+
+(* a copy of [insert] of its own, so the sum is never boxed *)
+let push_after h t d v = insert h (t +. d) v
 
 (* unrolls the ring into arrays twice as long, head at slot 0 *)
 let grow_lane h v =

@@ -8,9 +8,9 @@
     and a comparison is one float compare. [push] and [pop_min] take
     O(log n) and allocate nothing themselves except when [push] doubles
     the arrays (a key computed at the call site may still be boxed to be
-    passed in); [min_key], [size] and [is_empty] take O(1). Pair
-    [min_key] with [pop_min] to read an entry without an option or a
-    tuple.
+    passed in; {!push_after} takes it as a sum instead); [min_key],
+    [size] and [is_empty] take O(1). Pair [min_key] with [pop_min] to
+    read an entry without an option or a tuple.
 
     {b The FIFO lane.} Beside the binary heap sits a FIFO lane of keys
     and values, a growable ring of the same two-array layout. {!append}
@@ -38,6 +38,10 @@ val create : unit -> 'v t
 val is_empty : 'v t -> bool
 val size : 'v t -> int
 val push : 'v t -> float -> 'v -> unit
+
+val push_after : 'v t -> float -> float -> 'v -> unit
+(** [push_after h t d v] is [push h (t +. d) v] with the sum taken
+    inside, so a caller that already holds [t] and [d] boxes no key. *)
 
 val append : 'v t -> float -> 'v -> unit
 (** [append h k v] adds the entry to the FIFO lane in amortized O(1) when

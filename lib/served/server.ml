@@ -41,30 +41,27 @@ let st_ready = '\001'
 let st_leased = '\002'
 let st_done = '\003'
 
-(* a deadline-heap entry packs (task, lease generation) into one
-   immediate: the task in the low 31 bits (dags index nodes by int32),
-   the generation above it *)
-let task_bits = 31
-let task_mask = (1 lsl task_bits) - 1
-let expiry_entry v gen = (gen lsl task_bits) lor v
-
 type t = {
   cfg : config;
   view : Shard_view.t;
   pools : Shards.t;
   state : Bytes.t;
-  gen : int array;  (* lease generation per task; bumps invalidate expiries *)
+  holder : int array;  (* worker of the task's latest lease *)
   alloc_t : float array;  (* allocation time of the task's latest lease *)
-  expiries : int Heap.t;  (* deadline -> [expiry_entry task gen] *)
+  tmo : float;  (* lease timeout, from [cfg.recovery] *)
+  (* deadline -> task. A Leased task goes back to Ready only when its own
+     entry pops, so it has exactly one entry; a Done task's is dropped *)
+  expiries : int Heap.t;
+  (* worker -> time of its last heartbeat, read by [expire] when one of
+     the worker's deadlines pops *)
+  beats : (int, float) Hashtbl.t;
+  mutable beats_pruned : int;  (* [beats]'s size after its last prune *)
   retry : Wire.msg;  (* the one [Retry_after] reply: the config is fixed *)
   scratch : int array;  (* lease accumulator, max_lease long *)
   scratch_pop : int array;  (* pop_batch target — distinct from scratch:
                                a pop for a later shard must not clobber
                                tasks already accumulated *)
   on_ready : shard:int -> int -> unit;  (* Blocked -> Ready, into the pool *)
-  (* (task, gen) pairs per worker, for heartbeat renewal; stale pairs are
-     dropped on the worker's next grant or renewal *)
-  by_worker : (int, (int * int) list) Hashtbl.t;
   mutable inflight : int;
   mutable cursor : int;  (* round-robin shard cursor for batch filling *)
   mutable draining : bool;
@@ -109,14 +106,16 @@ let mk ?sink ?journal ?live cfg g =
       view;
       pools;
       state;
-      gen = Array.make n 0;
+      holder = Array.make n 0;
       alloc_t = Array.make n 0.0;
+      tmo = Recovery.timeout_after cfg.recovery ~expected:cfg.expected_s;
       expiries = Heap.create ();
+      beats = Hashtbl.create 64;
+      beats_pruned = 64;
       retry = Wire.Retry_after { delay_s = cfg.retry_after_s };
       scratch = Array.make cfg.max_lease 0;
       scratch_pop = Array.make cfg.max_lease 0;
       on_ready;
-      by_worker = Hashtbl.create 64;
       inflight = 0;
       cursor = 0;
       draining = false;
@@ -181,8 +180,6 @@ let completed t = Shard_view.completed t.view
 let is_done t = Shard_view.is_complete t.view
 let shard_of t v = Shard_view.shard_of t.view v
 
-let timeout_s t = Recovery.timeout_after t.cfg.recovery ~expected:t.cfg.expected_s
-
 let emit t kind ~time ~a ~b =
   match t.sink with None -> () | Some tr -> Trace.emit tr kind ~time ~a ~b
 
@@ -225,18 +222,30 @@ let fill_batch t ~budget acc =
   t.cursor <- (t.cursor + !tried) mod n_shards;
   !got
 
-(* whether [v]'s lease of generation [g] is still the live one *)
-let holds t v g = Bytes.get t.state v = st_leased && t.gen.(v) = g
-
-let record_lease t ~now v =
+let record_lease t ~now ~worker v =
   Bytes.set t.state v st_leased;
-  t.gen.(v) <- t.gen.(v) + 1;
+  t.holder.(v) <- worker;
   t.alloc_t.(v) <- now;
   t.inflight <- t.inflight + 1;
-  let tmo = timeout_s t in
-  if Float.is_finite tmo then
-    Heap.push t.expiries (now +. tmo) (expiry_entry v t.gen.(v));
+  if Float.is_finite t.tmo then
+    (* [push_after] boxes no deadline: a grant allocates only its reply *)
+    Heap.push_after t.expiries now t.tmo v;
   emit t Trace.Task_alloc ~time:now ~a:v ~b:(shard_of t v)
+
+(* A stamp [h] renews the holder's leases to [h + tmo], so once that is
+   no later than the earliest deadline in the heap it can move none:
+   every later grant dies at [now + tmo] or after. Dropping such stamps
+   whenever the table has doubled keeps it as small as the heap keeps
+   itself, and changes no expiry *)
+let stamp t ~now worker =
+  Hashtbl.replace t.beats worker now;
+  if Hashtbl.length t.beats >= 2 * t.beats_pruned then begin
+    let earliest = Heap.min_key t.expiries in
+    Hashtbl.filter_map_inplace
+      (fun _ h -> if h +. t.tmo <= earliest then None else Some h)
+      t.beats;
+    t.beats_pruned <- max 64 (Hashtbl.length t.beats)
+  end
 
 let set_bit bm v =
   Bytes.set bm (v lsr 3)
@@ -323,24 +332,15 @@ let handle_msg t ~now (msg : Wire.msg) : Wire.msg =
         if got = 0 then retry_reply t
         else begin
           let tasks = Array.sub t.scratch 0 got in
-          journal_append t (Journal.Lease tasks);
-          (* the worker's pairs that are no longer live go first: nothing
-             else prunes them when the worker never heartbeats *)
-          let held =
-            match Hashtbl.find_opt t.by_worker worker with
-            | None -> []
-            | Some pairs -> List.filter (fun (v, g) -> holds t v g) pairs
-          in
-          Hashtbl.replace t.by_worker worker
-            (Array.fold_left
-               (fun held v ->
-                 record_lease t ~now v;
-                 (v, t.gen.(v)) :: held)
-               held tasks);
+          (match t.journal with
+          | None -> ()
+          | Some j -> Journal.append j (Journal.Lease tasks));
+          for i = 0 to got - 1 do
+            record_lease t ~now ~worker tasks.(i)
+          done;
           t.leases <- t.leases + 1;
           t.leased_tasks <- t.leased_tasks + got;
-          let tmo = timeout_s t in
-          Wire.Lease { tasks; expires_in_s = tmo }
+          Wire.Lease { tasks; expires_in_s = t.tmo }
         end
       end
     end
@@ -364,26 +364,9 @@ let handle_msg t ~now (msg : Wire.msg) : Wire.msg =
     end
   | Heartbeat { worker } ->
     t.heartbeats <- t.heartbeats + 1;
-    let tmo = timeout_s t in
-    (if Float.is_finite tmo then
-       match Hashtbl.find_opt t.by_worker worker with
-       | None -> ()
-       | Some leases ->
-         let live =
-           List.filter_map
-             (fun (v, g) ->
-               if holds t v g then begin
-                 (* renew: bump the generation so the old heap entry is
-                    stale, and push the extended expiry *)
-                 t.gen.(v) <- t.gen.(v) + 1;
-                 Heap.push t.expiries (now +. tmo) (expiry_entry v t.gen.(v));
-                 Some (v, t.gen.(v))
-               end
-               else None)
-             leases
-         in
-         if live = [] then Hashtbl.remove t.by_worker worker
-         else Hashtbl.replace t.by_worker worker live);
+    (* O(1): [expire] applies the stamp when a deadline of the worker's
+       pops *)
+    if Float.is_finite t.tmo then stamp t ~now worker;
     if is_done t then done_reply t else Wire.Ack
   | Drain ->
     t.draining <- true;
@@ -403,16 +386,24 @@ let expire t ~now =
   let fired = ref 0 in
   while Heap.min_key t.expiries <= now do
     let time = Heap.min_key t.expiries in
-    let e = Heap.pop_min t.expiries in
-    let v = e land task_mask in
-    if holds t v (e lsr task_bits) then begin
-      (* the holder went quiet: re-issue *)
-      t.inflight <- t.inflight - 1;
-      t.reissues <- t.reissues + 1;
-      incr fired;
-      let shard = shard_of t v in
-      emit t Trace.Timeout_fired ~time ~a:v ~b:shard;
-      t.on_ready ~shard v
+    let v = Heap.pop_min t.expiries in
+    if Bytes.get t.state v = st_leased then begin
+      let beat =
+        if Hashtbl.length t.beats = 0 then None
+        else Hashtbl.find_opt t.beats t.holder.(v)
+      in
+      match beat with
+      | Some h when h +. t.tmo > time ->
+        (* a heartbeat from the holder moved this deadline *)
+        Heap.push_after t.expiries h t.tmo v
+      | _ ->
+        (* the holder went quiet: re-issue *)
+        t.inflight <- t.inflight - 1;
+        t.reissues <- t.reissues + 1;
+        incr fired;
+        let shard = shard_of t v in
+        emit t Trace.Timeout_fired ~time ~a:v ~b:shard;
+        t.on_ready ~shard v
     end
   done;
   !fired

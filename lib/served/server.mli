@@ -26,7 +26,9 @@
     - a lease that outlives its expiry (from [recovery]'s liveness
       timeout, {!Ic_fault.Recovery.timeout_after}) is re-issued — the
       task returns to its shard's pool and a later completion by either
-      holder is accepted;
+      holder is accepted. A [Heartbeat] from a worker pushes the expiry
+      of every lease it then holds to the heartbeat's time plus the
+      timeout;
     - the in-flight lease count never exceeds [max_inflight]: past it,
       or when eligibility runs dry, [Lease_req] is answered with
       [Retry_after] (admission control / backpressure). *)
@@ -120,8 +122,15 @@ val handle : t -> now:float -> Wire.msg -> Wire.msg
 (** Process one client message at time [now] (seconds, any monotone
     origin) and return the reply. Server-side messages and out-of-range
     ids are counted as protocol errors and answered with [Ack]. [now]
-    must be non-decreasing across calls. Every [Retry_after] reply of
-    one server is the same value, built once at creation.
+    must be non-decreasing across calls, {!expire}'s included. Every
+    [Retry_after] reply of one server is the same value, built once at
+    creation.
+
+    Without a journal, a grant allocates only its reply. A [Heartbeat]
+    costs O(1) however many leases its worker holds: it records its time
+    for the worker, and {!expire} applies it when one of those leases'
+    deadlines comes due, so each lease expires exactly when renewing
+    every held lease at every heartbeat would make it expire.
 
     A [Lease_req] refused because every shard pool is empty — the
     gridlock case, where most requests are refused — costs O(shards):
@@ -131,14 +140,16 @@ val handle : t -> now:float -> Wire.msg -> Wire.msg
     cursor past it. *)
 
 val next_expiry : t -> float
-(** Time at which the earliest outstanding lease expires; [infinity]
-    when none (or timeouts are disabled). The driver uses it to bound
-    its select/sleep. *)
+(** The earliest pending deadline; [infinity] when none (or timeouts
+    are disabled). The driver uses it to bound its select/sleep. It may
+    be earlier than any lease really expires: it can name the deadline
+    of a task completed since, or one a heartbeat has since extended,
+    and an {!expire} at that time then re-issues nothing. *)
 
 val expire : t -> now:float -> int
-(** Fire every lease expiry due at or before [now]: each such task
-    returns to its shard's pool for re-issue. Returns how many were
-    re-issued. *)
+(** Fire every lease expiry due at or before [now], each deadline
+    moved by its holder's last heartbeat: each such task returns to its
+    shard's pool for re-issue. Returns how many were re-issued. *)
 
 val is_done : t -> bool
 val n_tasks : t -> int

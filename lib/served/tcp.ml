@@ -1,7 +1,6 @@
 module Heap = Ic_heuristics.Heap
 module Monotonic = Ic_prof.Monotonic
 module Fleet = Hammer.Fleet
-module Recovery = Ic_fault.Recovery
 module Live = Ic_obs.Live
 
 (* ------------------------------------------------------- I/O hardening *)
@@ -301,10 +300,11 @@ type pkind = P_hello | P_lease | P_comp
    desynced connection (lost frame, stuck server) is cut and redialed *)
 type pending = { p_worker : int; p_ep : int; p_kind : pkind; p_t : float }
 
-(* dial-again policy for a lost server: 50 ms doubling to a 2 s cap —
-   a dozen attempts rides out a kill -9 + restart window of ~15 s *)
-let reconnect_policy =
-  Recovery.make ~backoff_base:0.05 ~backoff_factor:2.0 ~backoff_max:2.0 ()
+(* dial-again delay for a lost server after [attempts] tries: 50 ms
+   doubling to a 2 s cap — a dozen attempts rides out a kill -9 +
+   restart window of ~15 s *)
+let reconnect_policy attempts =
+  Float.min 2.0 (0.05 *. (2.0 ** float_of_int attempts))
 
 let max_reconnect_attempts = 12
 
@@ -411,7 +411,7 @@ let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
       Queue.clear pendings.(c);
       if not dead.(c) then
         Heap.push events
-          (t +. Recovery.backoff reconnect_policy ~task:c ~retry:attempts.(c))
+          (t +. reconnect_policy attempts.(c))
           (Reconnect c)
     end
   in
@@ -487,9 +487,7 @@ let hammer ?(host = "127.0.0.1") ?(connections = 4) ?chaos
           if attempts.(c) > max_reconnect_attempts then dead.(c) <- true
           else
             Heap.push events
-              (t
-              +. Recovery.backoff reconnect_policy ~task:c ~retry:attempts.(c)
-              )
+              (t +. reconnect_policy attempts.(c))
               (Reconnect c)
         end
       end

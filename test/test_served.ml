@@ -472,14 +472,14 @@ let test_heartbeat_renews () =
   Alcotest.(check int) "fires at the renewed deadline" 1
     (Server.expire srv ~now:3.0)
 
-(* a worker that never heartbeats must not pin every (task, generation)
-   pair it was ever granted: a grant first drops the pairs that are no
-   longer live, so the server's size stays flat over a long run *)
-let test_by_worker_stays_bounded () =
+(* a long run must not grow the server: a worker that never heartbeats
+   leaves nothing behind its finished leases, and the heartbeat stamps of
+   100k distinct workers are pruned as the expiry heap moves on *)
+let test_server_stays_bounded () =
   (* isolated nodes 0 and 1, then a chain 2 -> 3 -> ...: the LIFO pool
      hands out the chain one task at a time and keeps 0 and 1 ready *)
   let cycles = 100_000 in
-  let n = cycles + 16 in
+  let n = (2 * cycles) + 16 in
   let g =
     Dag.make_exn ~n ~arcs:(List.init (n - 3) (fun i -> (i + 2, i + 3))) ()
   in
@@ -491,16 +491,19 @@ let test_by_worker_stays_bounded () =
   in
   let srv = Server.create cfg g in
   let now i = float_of_int i *. 0.001 in
-  let words_at_1k = ref 0 in
-  for i = 1 to cycles do
-    (match
-       lease_tasks
-         (Server.handle srv ~now:(now i) (Wire.Lease_req { worker = 7; k = 1 }))
-     with
+  let cycle ~at =
+    match
+      lease_tasks
+        (Server.handle srv ~now:at (Wire.Lease_req { worker = 7; k = 1 }))
+    with
     | [| v |] ->
       ignore
-        (Server.handle srv ~now:(now i) (Wire.Complete { worker = 7; task = v }))
-    | _ -> Alcotest.fail "expected a one-task lease");
+        (Server.handle srv ~now:at (Wire.Complete { worker = 7; task = v }))
+    | _ -> Alcotest.fail "expected a one-task lease"
+  in
+  let words_at_1k = ref 0 in
+  for i = 1 to cycles do
+    cycle ~at:(now i);
     ignore (Server.expire srv ~now:(now i));
     if i = 1_000 then words_at_1k := Obj.reachable_words (Obj.repr srv)
   done;
@@ -523,7 +526,219 @@ let test_by_worker_stays_bounded () =
   Alcotest.(check (float 1e-9)) "renewed to heartbeat + timeout" (t0 +. 0.003)
     (Server.next_expiry srv);
   Alcotest.(check int) "exactly the two live leases fire" 2
-    (Server.expire srv ~now:(t0 +. 0.003))
+    (Server.expire srv ~now:(t0 +. 0.003));
+  (* then a heartbeat from a new worker every cycle. The stamps live in
+     a table pruned each time it doubles, so the size swings within a
+     prune period; compare the peaks of two windows longer than one *)
+  let window = 256 in
+  let peak_early = ref 0 and peak_late = ref 0 in
+  for i = 1 to cycles do
+    let at = t0 +. now (i + 3) in
+    cycle ~at;
+    ignore (Server.handle srv ~now:at (Wire.Heartbeat { worker = 1_000 + i }));
+    ignore (Server.expire srv ~now:at);
+    let sample peak = peak := max !peak (Obj.reachable_words (Obj.repr srv)) in
+    if i > 1_000 && i <= 1_000 + window then sample peak_early;
+    if i > cycles - window then sample peak_late
+  done;
+  if !peak_late - !peak_early > 64 then
+    Alcotest.failf "heartbeats grew the server from %d to %d words"
+      !peak_early !peak_late;
+  Alcotest.(check int) "every heartbeat counted" (cycles + 1)
+    (Server.stats srv).Server.heartbeats
+
+(* Heartbeats renew lazily: [expire] reads the holder's last stamp when
+   a deadline pops. The reference renews eagerly, as a list of live
+   leases whose deadlines every heartbeat moves. After every step the
+   stats agree, and each expire fires exactly the leases due in the
+   reference, each at its deadline there. Times step by multiples of a
+   quarter, so deadlines tie and heartbeats land on them; a run of fresh
+   worker ids fills the stamp table past its prune threshold *)
+type model_op =
+  | M_lease of int * int
+  | M_complete of int
+  | M_beat of int
+  | M_fresh_beats of int
+  | M_expire
+
+let gen_model_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (4, map2 (fun w k -> M_lease (w, k)) (int_bound 3) (int_range 1 3));
+        (4, map (fun i -> M_complete i) (int_bound 1_000));
+        (3, map (fun w -> M_beat w) (int_bound 3));
+        (1, map (fun n -> M_fresh_beats n) (int_range 1 80));
+        (3, return M_expire);
+      ]
+  in
+  let dt = map (fun q -> float_of_int q *. 0.25) (int_bound 6) in
+  list_size (int_range 1 120) (pair op dt)
+
+type model_lease = { task : int; worker : int; mutable deadline : float }
+
+let prop_lazy_renewal_matches_eager =
+  QCheck.Test.make ~name:"lazy heartbeat renewal fires what eager renewal does"
+    ~count:300
+    (QCheck.make ~print:(fun ops -> Printf.sprintf "<%d ops>" (List.length ops))
+       gen_model_ops)
+    (fun ops ->
+      let tmo = 2.0 in
+      let sink = Trace.create () in
+      let srv =
+        Server.create ~sink
+          (Server.config ~n_shards:2 ~expected_s:1.0
+             ~recovery:(Recovery.make ~timeout_factor:tmo ())
+             ())
+          (Mesh.out_mesh 4)
+      in
+      let leased = ref [] and seen = ref [] and done_ = ref [] in
+      let leases = ref 0 and leased_tasks = ref 0 and completions = ref 0 in
+      let duplicates = ref 0 and reissues = ref 0 and retries = ref 0 in
+      let heartbeats = ref 0 and fresh = ref 100 in
+      let now = ref 0.0 in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let step op =
+        match op with
+        | M_lease (worker, k) -> (
+          match Server.handle srv ~now:!now (Wire.Lease_req { worker; k }) with
+          | Wire.Lease { tasks; _ } ->
+            incr leases;
+            leased_tasks := !leased_tasks + Array.length tasks;
+            Array.iter
+              (fun task ->
+                if not (List.mem task !seen) then seen := task :: !seen;
+                leased := { task; worker; deadline = !now +. tmo } :: !leased)
+              tasks
+          | Wire.Retry_after _ -> incr retries
+          | Wire.Done _ -> ()
+          | _ -> fail "unexpected reply to a lease request")
+        | M_complete i -> (
+          match !seen with
+          | [] -> ()
+          | l ->
+            let task = List.nth l (i mod List.length l) in
+            ignore
+              (Server.handle srv ~now:!now
+                 (Wire.Complete { worker = 0; task }));
+            if List.mem task !done_ then incr duplicates
+            else begin
+              incr completions;
+              done_ := task :: !done_;
+              leased := List.filter (fun l -> l.task <> task) !leased
+            end)
+        | M_beat worker ->
+          incr heartbeats;
+          ignore (Server.handle srv ~now:!now (Wire.Heartbeat { worker }));
+          List.iter
+            (fun l -> if l.worker = worker then l.deadline <- !now +. tmo)
+            !leased
+        | M_fresh_beats n ->
+          for _ = 1 to n do
+            incr heartbeats;
+            incr fresh;
+            ignore
+              (Server.handle srv ~now:!now (Wire.Heartbeat { worker = !fresh }))
+          done
+        | M_expire ->
+          Trace.clear sink;
+          let fired = Server.expire srv ~now:!now in
+          let got = ref [] in
+          Trace.iter
+            (fun e ->
+              if e.Trace.kind = Trace.Timeout_fired then
+                got := (e.Trace.a, e.Trace.time) :: !got)
+            sink;
+          let due, live =
+            List.partition (fun l -> l.deadline <= !now) !leased
+          in
+          leased := live;
+          reissues := !reissues + List.length due;
+          let want = List.map (fun l -> (l.task, l.deadline)) due in
+          if List.sort compare !got <> List.sort compare want then
+            fail "expire at %g fired %d leases, the reference %d" !now
+              (List.length !got) (List.length want);
+          if fired <> List.length want then
+            fail "expire at %g returned %d, fired %d" !now fired
+              (List.length want);
+          List.iter
+            (fun l ->
+              if Server.next_expiry srv > l.deadline then
+                fail "next_expiry %g past a live deadline %g"
+                  (Server.next_expiry srv) l.deadline)
+            live
+      in
+      List.iter
+        (fun (op, dt) ->
+          now := !now +. dt;
+          step op;
+          let st = Server.stats srv in
+          let want =
+            [
+              !leases; !leased_tasks; !completions; !duplicates; !reissues;
+              !retries; !heartbeats; List.length !leased;
+            ]
+          in
+          let got =
+            [
+              st.Server.leases; st.Server.leased_tasks; st.Server.completions;
+              st.Server.duplicate_completes; st.Server.reissues;
+              st.Server.retry_afters; st.Server.heartbeats; st.Server.inflight;
+            ]
+          in
+          if got <> want then
+            fail "stats at %g: [%s], the reference [%s]" !now
+              (String.concat "; " (List.map string_of_int got))
+              (String.concat "; " (List.map string_of_int want)))
+        ops;
+      true)
+
+(* a grant allocates its reply and nothing else — the task array and
+   the [Lease] block — however many leases the worker already holds, and
+   a heartbeat allocates O(1) words however many it renews *)
+let test_lease_path_allocation () =
+  let srv =
+    Server.create (Server.config ()) (Dag.make_exn ~n:1024 ~arcs:[] ())
+  in
+  let now = 100.0 in
+  let words msg =
+    let before = Gc.minor_words () in
+    let reply = Server.handle srv ~now msg in
+    (Gc.minor_words () -. before, reply)
+  in
+  let lease worker k =
+    lease_tasks (Server.handle srv ~now (Wire.Lease_req { worker; k }))
+  in
+  (* grow the expiry heap past what the checks push, then pop the
+     entries the completions leave behind *)
+  for _ = 1 to 8 do
+    Array.iter
+      (fun task ->
+        ignore
+          (Server.handle srv ~now:0.0 (Wire.Complete { worker = 9; task })))
+      (lease_tasks
+         (Server.handle srv ~now:0.0 (Wire.Lease_req { worker = 9; k = 64 })))
+  done;
+  ignore (Server.expire srv ~now:50.0);
+  ignore (lease 1 8);
+  List.iter
+    (fun k ->
+      let msg = Wire.Lease_req { worker = 1; k } in
+      let w, reply = words msg in
+      Alcotest.(check int) "granted" k (Array.length (lease_tasks reply));
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "k=%d: minor words = the reply's" k)
+        (float_of_int (k + 1 + 3))
+        w)
+    [ 1; 8; 32 ];
+  ignore (lease 2 32);
+  let beat = Wire.Heartbeat { worker = 2 } in
+  let first, _ = words beat in
+  let again, _ = words beat in
+  if first > 8.0 || again > 8.0 then
+    Alcotest.failf "heartbeats over 32 leases allocated %g and %g words"
+      first again
 
 let test_protocol_errors_and_drain () =
   let srv = Server.create (Server.config ()) (tiny ()) in
@@ -2167,15 +2382,18 @@ let () =
             test_expiry_reissue_and_duplicate;
           Alcotest.test_case "heartbeat renews leases" `Quick
             test_heartbeat_renews;
-          Alcotest.test_case "per-worker leases stay bounded" `Quick
-            test_by_worker_stays_bounded;
+          Alcotest.test_case "leases and heartbeats stay bounded" `Quick
+            test_server_stays_bounded;
+          Alcotest.test_case "a grant allocates only its reply" `Quick
+            test_lease_path_allocation;
           Alcotest.test_case "protocol errors and drain" `Quick
             test_protocol_errors_and_drain;
           Alcotest.test_case "sharded run spreads leases" `Quick
             test_sharded_run_spreads_leases;
           Alcotest.test_case "Live reads the server's state after each step"
             `Quick test_live_reads_server_state;
-        ] );
+        ]
+        @ qcheck [ prop_lazy_renewal_matches_eager ] );
       ( "hammer",
         [
           Alcotest.test_case "clean run, per-shard trace tracks" `Quick
